@@ -277,8 +277,8 @@ pub fn run_mw_recorded<M: InterferenceModel>(
         node
     });
     if config.threads > 1 {
-        // The resolver still fans out; the engine's node shards stay
-        // sequential whenever the recorder is enabled (event order).
+        // Only the resolver fans out; the engine's passes, and so the
+        // event order, are sequential at every thread count.
         sim.set_pool(&Pool::new(config.threads));
     }
     let mut probes = MwProbes::new(graph.len(), &params, probe_cfg);
@@ -654,8 +654,8 @@ mod tests {
 
     #[test]
     fn threads_do_not_change_the_outcome() {
-        // Large enough that both the resolver chunks and the engine's node
-        // shards engage; capped so the test stays quick. The whole
+        // Large enough that the resolver's candidate chunks engage;
+        // capped so the test stays quick. The whole
         // MwOutcome (coloring, stats, node reports, resolver counters)
         // must match the sequential run exactly.
         let c = cfg();

@@ -2,11 +2,12 @@
 
 //! Deterministic multi-core execution for the SINR coloring workspace.
 //!
-//! Every parallel code path in the workspace — the SINR resolvers, the
-//! simulation engine's node-step phase, the experiment driver — runs on the
-//! [`Pool`] defined here, and nowhere else (`cargo xtask lint` rule L6 bans
-//! `std::thread` / `std::sync` outside this crate). The pool is designed so
-//! that parallel runs are **bit-identical** to sequential ones:
+//! Every parallel code path in the workspace — the SINR resolvers'
+//! candidate chunking and the experiment driver's seed fan-out — runs on
+//! the [`Pool`] defined here, and nowhere else (`cargo xtask lint` rule
+//! L6 bans `std::thread` / `std::sync` outside this crate). The pool is
+//! designed so that parallel runs are **bit-identical** to sequential
+//! ones:
 //!
 //! * **Static partitioning, no work stealing.** Work of size `len` is split
 //!   into at most `threads` contiguous chunks by [`chunk_range`], a pure
@@ -345,39 +346,6 @@ impl Pool {
         });
     }
 
-    /// Like [`Pool::chunks_mut`] over three equal-length slices split on
-    /// the same chunk boundaries — the shape of the engine's per-node
-    /// state (`nodes`, `rngs`, `outboxes`).
-    ///
-    /// Chunks are computed from `a.len()`; all three slices must have that
-    /// length or the call panics before any work starts.
-    pub fn chunks_mut3<A: Send, B: Send, C: Send>(
-        &self,
-        a: &mut [A],
-        b: &mut [B],
-        c: &mut [C],
-        f: impl Fn(usize, usize, &mut [A], &mut [B], &mut [C]) + Sync,
-    ) {
-        let len = a.len();
-        assert_eq!(len, b.len(), "chunks_mut3: slice lengths differ");
-        assert_eq!(len, c.len(), "chunks_mut3: slice lengths differ");
-        let pa = AcrossThreads(a.as_mut_ptr());
-        let pb = AcrossThreads(b.as_mut_ptr());
-        let pc = AcrossThreads(c.as_mut_ptr());
-        self.run_chunks(len, |t, range| {
-            // Safety: as in `chunks_mut` — disjoint ranges per thread,
-            // exclusive borrows of all three slices for the whole call.
-            let (ca, cb, cc) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pa.get().add(range.start), range.len()),
-                    std::slice::from_raw_parts_mut(pb.get().add(range.start), range.len()),
-                    std::slice::from_raw_parts_mut(pc.get().add(range.start), range.len()),
-                )
-            };
-            f(t, range.start, ca, cb, cc);
-        });
-    }
-
     /// Maps `f` over `0..len` on the pool and returns the results in index
     /// order, regardless of thread count or completion order.
     pub fn map_indexed<T: Send>(&self, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
@@ -545,6 +513,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::reversed_empty_ranges,
+        reason = "inverted range is the input under test"
+    )]
     fn par_seeds_handles_empty_and_inverted_ranges() {
         let pool = Pool::new(2);
         assert!(pool.par_seeds(5..5, |s| s).is_empty());
@@ -561,21 +533,6 @@ mod tests {
             }
         });
         assert_eq!(data, (0..41).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunks_mut3_zips_three_slices() {
-        let pool = Pool::new(3);
-        let mut a = vec![1u64; 10];
-        let mut b = vec![2u64; 10];
-        let mut c = vec![0u64; 10];
-        pool.chunks_mut3(&mut a, &mut b, &mut c, |_t, start, ca, cb, cc| {
-            for i in 0..ca.len() {
-                cc[i] = ca[i] + cb[i] + (start + i) as u64;
-            }
-        });
-        let expected: Vec<u64> = (0..10).map(|i| 3 + i as u64).collect();
-        assert_eq!(c, expected);
     }
 
     #[test]

@@ -2,26 +2,21 @@
 
 use crate::protocol::{Action, NodeCtx, Protocol, RandSlotRng};
 use crate::stats::SimStats;
-use crate::trace::{Event, Trace};
 use crate::wakeup::WakeupSchedule;
 use sinr_geometry::{NodeId, UnitDiskGraph};
 use sinr_model::{InterferenceModel, ReceptionTable, ResolverStats, TxDelta};
 use sinr_obs::alloc::{self, AllocSnapshot, AllocStats};
 use sinr_obs::span::{names as span_names, SpanRecord, SpanTrack};
-use sinr_obs::{keys, NoopRecorder, Recorder, QUARTERS_PER_SLOT};
-use sinr_pool::{PerThread, Pool};
+use sinr_obs::{keys, NoopRecorder, ObsEvent, Recorder, QUARTERS_PER_SLOT};
+use sinr_pool::Pool;
 use sinr_rng::rngs::StdRng;
 use sinr_rng::SeedableRng;
-
-/// Below this many nodes the per-slot pool broadcast costs more than the
-/// node-step work it splits, so small instances always step sequentially.
-pub const PAR_NODE_CUTOFF: usize = 256;
 
 /// One node's slot-critical status bits, packed into a single byte.
 ///
 /// The engine keeps one `Vec<NodeFlags>` — a dense structure-of-arrays
 /// column — instead of separate `Vec<bool>`s for done/tx/prev-tx plus
-/// per-slot `wake`/`is_active` probes. The fused passes then decide
+/// per-slot `wake`/`is_active` probes. The slot passes then decide
 /// "does this node need work?" from one byte load per node instead of
 /// touching three bool arrays, the wake table, and a virtual call.
 /// `tests/struct_sizes.rs` pins the size to 1 byte.
@@ -32,9 +27,8 @@ impl NodeFlags {
     /// The node's wake slot has passed (mirror of `wake[v] <= slot`,
     /// set once by the wake cursor).
     const AWAKE: u8 = 1;
-    /// Cached `Protocol::is_active()`; only trusted while the simulator's
-    /// `flags_active_valid` is set (the fused passes maintain it, the
-    /// phased/parallel passes invalidate it).
+    /// Cached `Protocol::is_active()`, refreshed after every protocol
+    /// callback (the only place protocol state can change).
     const ACTIVE: u8 = 1 << 1;
     /// The node has reported `is_done()` (mirror of the old done bitmap).
     const DONE: u8 = 1 << 2;
@@ -44,16 +38,17 @@ impl NodeFlags {
     const PREV_TX: u8 = 1 << 4;
     /// Cached `Protocol::empty_end_slot_is_noop()`: an empty-inbox
     /// `end_slot` would do nothing in the node's current state, so the
-    /// fused delivery pass may skip the callback (and the node-state
-    /// cache traffic) entirely when nothing was received. Maintained
-    /// under the same validity regime as ACTIVE.
+    /// delivery pass may skip the callback (and the node-state cache
+    /// traffic) entirely when nothing was received. Refreshed together
+    /// with ACTIVE.
     const IDLE_END: u8 = 1 << 5;
-    /// The node reported done during this slot's fused action pass; the
-    /// delivery pass folds it into `newly_done` at its ascending-id
-    /// turn. Never survives past the slot that set it.
+    /// The node decided this slot — or before the run started, which
+    /// counts as slot 0 — and is not yet accounted; the delivery pass
+    /// records it in `newly_done` at its ascending-id turn. Never
+    /// survives past the slot that accounts it.
     const JUST_DONE: u8 = 1 << 6;
 
-    /// Both awake and (cached) active — the fused action/delivery gate.
+    /// Both awake and (cached) active — the action/delivery gate.
     const RUNNABLE: u8 = Self::AWAKE | Self::ACTIVE;
 
     /// Whether the wake slot has passed.
@@ -120,12 +115,12 @@ impl NodeFlags {
     }
 
     /// SWAR test over eight packed flag bytes at once: a nonzero lane
-    /// marks a node the fused delivery pass must visit even with an
-    /// empty inbox — a deferred JUST_DONE flush, an awake active node
-    /// whose empty `end_slot` is not a no-op, or an awake inactive node
-    /// still owed the done poll. Sleeping nodes and the done idle tail
-    /// produce zero lanes, so a zero word lets the pass hop eight nodes
-    /// on a single load.
+    /// marks a node the delivery pass must visit even with an empty
+    /// inbox — a pending JUST_DONE, an awake active node whose empty
+    /// `end_slot` is not a no-op, or an awake inactive node still owed
+    /// the done poll. Sleeping nodes and the done idle tail produce zero
+    /// lanes, so a zero word lets the pass hop eight nodes on a single
+    /// load.
     fn needs_visit_word(w: u64) -> u64 {
         const LANES: u64 = 0x0101_0101_0101_0101;
         let aw = w & LANES;
@@ -134,26 +129,6 @@ impl NodeFlags {
         let id = (w >> 5) & LANES;
         let jd = (w >> 6) & LANES;
         jd | (aw & ac & (id ^ LANES)) | (aw & (ac ^ LANES) & (dn ^ LANES))
-    }
-}
-
-/// Per-thread working state for the sharded node-step phases.
-struct EngineScratch<M> {
-    /// Transmitter ids found by this thread's chunk, in ascending order.
-    tx: Vec<NodeId>,
-    /// Reception buffer reused across this chunk's nodes.
-    inbox: Vec<(NodeId, M)>,
-    /// Receptions delivered by this chunk this slot.
-    receptions: u64,
-}
-
-impl<M> EngineScratch<M> {
-    fn new() -> Self {
-        EngineScratch {
-            tx: Vec::new(),
-            inbox: Vec::new(),
-            receptions: 0,
-        }
     }
 }
 
@@ -172,7 +147,8 @@ pub struct StepView<'a> {
     pub transmitters: &'a [NodeId],
     /// The `(receiver, sender)` receptions the interference model granted.
     pub receptions: &'a ReceptionTable,
-    /// Nodes that reported `is_done()` for the first time this slot.
+    /// Nodes that reported `is_done()` for the first time this slot,
+    /// ascending.
     pub newly_done: &'a [NodeId],
 }
 
@@ -240,7 +216,7 @@ impl EngineAllocProfile {
 
     /// Mean allocation events per slot over the steady-state window
     /// (`None` when the window is empty). The zero-alloc gate pins this
-    /// to exactly 0 for the fused sequential engine.
+    /// to exactly 0.
     pub fn steady_allocs_per_slot(&self) -> Option<f64> {
         let (_, len) = self.steady_window();
         if len == 0 {
@@ -287,6 +263,12 @@ pub struct RunOutcome {
 /// protocol construction). Each node has its own `StdRng` derived from the
 /// seed and its id, so protocol behaviour does not depend on the engine's
 /// iteration order.
+///
+/// Every slot runs the same two sequential passes over the nodes in
+/// ascending id order — actions, then delivery — whether or not a
+/// [`Recorder`] is attached. A recorder only receives the events and
+/// spans those passes emit; with [`NoopRecorder`] the emission compiles
+/// away.
 pub struct Simulator<P: Protocol, M: InterferenceModel> {
     graph: UnitDiskGraph,
     model: M,
@@ -299,13 +281,7 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // node (see [`NodeFlags`]). Replaces three `Vec<bool>`s and the hot
     // loops' per-node `wake`/`is_active` probes.
     flags: Vec<NodeFlags>,
-    // Whether the ACTIVE bits in `flags` reflect `is_active()`: the fused
-    // passes keep them fresh after every protocol callback; the phased
-    // and parallel passes (which query `is_active()` live) clear this,
-    // and the next fused slot rebuilds the column in one O(n) pass.
-    flags_active_valid: bool,
     done_count: usize,
-    trace: Option<Trace>,
     // Dense per-slot buffers, reused across slots so the steady-state hot
     // loop performs no allocation (previously a fresh HashMap + Vecs per
     // slot).
@@ -322,31 +298,22 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // the per-slot O(n) wake scan.
     wake_order: Vec<NodeId>,
     wake_cursor: usize,
-    // Whether the fused sequential fast path is usable: it skips sleeping
-    // nodes entirely, which is only sound when no node is already done at
-    // construction (an untouched sleeping node can then never be done).
-    fused_ok: bool,
     // Previous slot's resolver-stats snapshot, kept only while a recorder
     // is enabled: per-slot diffing of the cumulative counters yields the
     // resolver-internal spans (delta apply, rebuilds, fallbacks) without
     // touching the resolver itself. The counters are thread-invariant, so
     // the derived spans are too.
     prev_resolver: Option<ResolverStats>,
-    // Worker pool for the sharded step phases (sequential by default) and
-    // its per-thread scratch.
-    pool: Pool,
-    par: PerThread<EngineScratch<P::Message>>,
     // The last slot's reception table and newly-done list, reused across
     // slots (mem::take'd during the step, put back before the view is
     // built) so the steady-state loop allocates neither.
     table: ReceptionTable,
     newly_done: Vec<NodeId>,
     // Heap-traffic attribution, when enabled. Deliberately *not* routed
-    // through the Recorder: an enabled recorder forces the phased
-    // sequential paths, while allocation profiling must observe the real
-    // fused/parallel path selection. Snapshot reads touch only counters —
-    // never RNG, ordering, or control flow — so enabling this cannot
-    // perturb a deterministic run.
+    // through the Recorder: the ledger bills the engine's own phases, and
+    // a recorder's storage would be billed with them. Snapshot reads
+    // touch only counters — never RNG, ordering, or control flow — so
+    // enabling this cannot perturb a deterministic run.
     alloc_profile: Option<Box<EngineAllocProfile>>,
 }
 
@@ -370,13 +337,17 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         let stats = SimStats::new(wake.clone());
         let mut wake_order: Vec<NodeId> = (0..n).collect();
         wake_order.sort_by_key(|&v| wake[v]); // stable: ascending id per slot
-        let fused_ok = nodes.iter().all(|nd| !nd.is_done());
         let flags = nodes
             .iter()
             .map(|nd| {
                 let mut f = NodeFlags::default();
                 f.set_active(nd.is_active());
                 f.set_idle_end(nd.empty_end_slot_is_noop());
+                // A node done before the run starts, asleep or awake, is
+                // accounted in slot 0 with the nodes that decide there.
+                if nd.is_done() {
+                    f.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                }
                 f
             })
             .collect();
@@ -389,9 +360,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             slot: 0,
             stats,
             flags,
-            flags_active_valid: true,
             done_count: 0,
-            trace: None,
             // Hot-loop buffers are preallocated to their hard bounds (n
             // transmitters, max-degree receptions per inbox) so the
             // warmed-up slot loop never grows them.
@@ -403,10 +372,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             stopped: Vec::with_capacity(n),
             wake_order,
             wake_cursor: 0,
-            fused_ok,
             prev_resolver: None,
-            pool: Pool::sequential(),
-            par: PerThread::new(1, |_| EngineScratch::new()),
             // Under SINR thresholds β ≥ 1 each node decodes at most one
             // sender per slot, so n pairs bounds the recycled table on
             // that path (permissive models may still grow it).
@@ -421,8 +387,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// to that length and never grows, so profiling itself stays
     /// allocation-free per slot). Requires [`sinr_obs::alloc::CountingAlloc`]
     /// to be installed as the binary's global allocator to read nonzero
-    /// numbers. Independent of the [`Recorder`]: profiled runs keep the
-    /// fused/parallel path selection of unobserved runs.
+    /// numbers. Independent of the [`Recorder`].
     pub fn enable_alloc_profile(&mut self, capacity_slots: usize) {
         self.alloc_profile = Some(Box::new(EngineAllocProfile::with_capacity(capacity_slots)));
     }
@@ -438,28 +403,12 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         self.alloc_profile.take()
     }
 
-    /// Installs a worker pool for the sharded step phases and forwards it
-    /// to the interference model (so resolver and engine share threads).
-    ///
-    /// Parallel stepping is bit-identical to sequential: nodes are split
-    /// into static contiguous chunks, each node keeps its own seeded RNG
-    /// stream, and per-thread outputs are merged in chunk (= node) order.
-    /// Slots with tracing or an enabled recorder step sequentially, since
-    /// event streams are defined in node order.
+    /// Forwards a worker pool to the interference model, which may split
+    /// each slot's candidate receivers into static chunks merged in chunk
+    /// order (bit-identical to a sequential resolve). The engine's node
+    /// passes stay sequential.
     pub fn set_pool(&mut self, pool: &Pool) {
-        self.pool = pool.clone();
-        self.par = PerThread::new(pool.threads(), |_| EngineScratch::new());
         self.model.set_pool(pool);
-    }
-
-    /// Enables event tracing with the given capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// The trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// The communication graph being simulated.
@@ -509,26 +458,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         }
     }
 
-    fn is_awake(&self, v: NodeId) -> bool {
-        self.wake[v] <= self.slot
-    }
-
     /// Executes one slot and returns what happened.
     pub fn step(&mut self) -> StepView<'_> {
-        self.step_recorded(&mut NoopRecorder)
-    }
-
-    /// Like [`Simulator::step`], but also streams structured events into
-    /// `rec`. With a disabled recorder (`rec.enabled() == false`) the only
-    /// added cost is one virtual call per slot — no event is constructed —
-    /// so this *is* the hot path; `step` merely delegates here.
-    pub fn step_recorded(&mut self, rec: &mut dyn Recorder) -> StepView<'_> {
-        self.step_impl(rec);
+        self.step_impl(&mut NoopRecorder);
         self.view()
     }
 
     /// A view of the most recently executed slot, borrowing the reused
-    /// slot buffers. Valid until the next `step*` call.
+    /// slot buffers. Valid until the next `step` or `run*` call.
     fn view(&self) -> StepView<'_> {
         debug_assert!(self.slot > 0, "no slot executed yet");
         StepView {
@@ -541,7 +478,11 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         }
     }
 
-    fn step_impl(&mut self, rec: &mut dyn Recorder) {
+    /// Executes one slot, streaming its events and spans into `rec`.
+    /// Generic over the recorder so [`NoopRecorder`] monomorphizes the
+    /// `enabled()` test to `false` and every emission site away; a
+    /// `dyn Recorder` pays one virtual `enabled()` call per slot.
+    fn step_impl<R: Recorder + ?Sized>(&mut self, rec: &mut R) {
         let n = self.graph.len();
         let slot = self.slot;
         let obs = rec.enabled();
@@ -570,48 +511,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             self.flags[v].set_active(active);
             let idle = self.nodes[v].empty_end_slot_is_noop();
             self.flags[v].set_idle_end(idle);
-            if let Some(t) = &mut self.trace {
-                t.push(slot, Event::Wake(v));
-            }
             if obs {
-                rec.event(slot, &Event::Wake(v).to_obs());
+                rec.event(slot, &ObsEvent::Wake { node: v });
             }
         }
 
-        // Sharded stepping engages only when there is real work to split
-        // and no event stream to keep in node order (trace and recorder
-        // events are emitted sequentially, per slot, in node order).
-        let par_step =
-            self.pool.threads() > 1 && n >= PAR_NODE_CUTOFF && self.trace.is_none() && !obs;
-        // The fused sequential path folds the action, accounting,
-        // delivery, and termination phases into two passes; it produces
-        // bit-identical stats, RNG streams, and protocol states, but emits
-        // no events, so any event consumer falls back to the phased loops.
-        let fused = !par_step && !obs && self.trace.is_none() && self.fused_ok;
-
-        // 2. Actions — recorded into the dense reused buffers; `started`
-        // is filled against the previous slot's transmitter bitmap.
-        if fused {
-            self.phase_actions_fused(slot);
-        } else {
-            self.phase_actions(slot, par_step, obs, rec);
-            self.started.clear();
-            for &t in &self.tx_ids {
-                if !self.flags[t].prev_tx() {
-                    self.started.push(t);
-                }
-            }
-            for &t in &self.tx_ids {
-                self.stats.tx_slots[t] += 1;
-            }
-            // Activity accounting (listen status is derived from the TX
-            // flag bit: awake ∧ active ∧ ¬transmitting).
-            for v in 0..n {
-                if self.is_awake(v) && self.nodes[v].is_active() && !self.flags[v].tx() {
-                    self.stats.listen_slots[v] += 1;
-                }
-            }
-        }
+        // 2. Actions, recorded into the dense reused buffers along with
+        // the `started` half of the resolver delta.
+        self.phase_actions_fused(slot, obs, rec);
         self.stopped.clear();
         for &t in &self.prev_tx_ids {
             if !self.flags[t].tx() {
@@ -625,10 +532,9 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
 
         // Slot-time spans: each slot subdivides into quarter ticks —
         // actions [0,1), resolve [1,3), delivery [3,4) — so the engine's
-        // phases render as adjacent blocks on one Perfetto track. Emission
-        // is gated on `obs`, which already forces the sequential phased
-        // path, so span recording can never perturb the fused or parallel
-        // paths.
+        // phases render as adjacent blocks on one Perfetto track. The
+        // quarter ticks are slot time, not wall time, so emitting them
+        // cannot perturb the run.
         let q0 = slot * QUARTERS_PER_SLOT;
         if obs {
             rec.span(
@@ -671,31 +577,18 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         // bookkeeping for every awake node.
         let mut newly_done = std::mem::take(&mut self.newly_done);
         newly_done.clear();
-        if fused {
-            self.phase_delivery_fused(slot, &table, &mut newly_done);
-        } else {
-            self.phase_delivery(slot, par_step, obs, &table, rec);
-            for v in 0..n {
-                if !self.flags[v].done() && self.nodes[v].is_done() {
-                    self.flags[v].insert(NodeFlags::DONE);
-                    self.done_count += 1;
-                    self.stats.done_slot[v] = Some(slot);
-                    newly_done.push(v);
-                    if let Some(t) = &mut self.trace {
-                        t.push(slot, Event::Done(v));
-                    }
-                    if obs {
-                        rec.event(slot, &Event::Done(v).to_obs());
-                    }
-                }
-            }
-        }
+        self.phase_delivery_fused(slot, &table, &mut newly_done, obs, rec);
 
         if let (Some(p), Some(mark)) = (prof.as_deref_mut(), prof_mark) {
             let _ = EngineAllocProfile::phase_mark(&mut p.delivery, mark);
         }
 
         if obs {
+            // `newly_done` is ascending, so the Done events follow the
+            // slot's Receive events in node order.
+            for &v in &newly_done {
+                rec.event(slot, &ObsEvent::Done { node: v });
+            }
             let rx = self.stats.receptions.saturating_sub(rx_before);
             rec.span(
                 &SpanRecord::complete(SpanTrack::Engine, span_names::ENGINE_DELIVERY, q0 + 3, 1)
@@ -748,7 +641,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// `q_resolve` is the resolve phase's first quarter-slot tick. Runs
     /// only while a recorder is enabled; models without resolver stats
     /// emit nothing.
-    fn emit_resolver_spans(&mut self, q_resolve: u64, rec: &mut dyn Recorder) {
+    fn emit_resolver_spans<R: Recorder + ?Sized>(&mut self, q_resolve: u64, rec: &mut R) {
         let Some(cur) = self.model.resolver_stats() else {
             return;
         };
@@ -796,27 +689,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         self.prev_resolver = Some(cur);
     }
 
-    /// Fused slot phases 2 + 3a: one sequential pass decides every awake
-    /// active node's action, maintains the transmit buffers and the
-    /// `started` delta, and accounts tx/listen activity — replacing three
-    /// O(n) scans of the phased path with one. The awake∧active gate is
-    /// one byte load from the [`NodeFlags`] column per node; the ACTIVE
-    /// bits are refreshed after every callback so the column stays exact.
+    /// Slot phases 2 + 3a: one sequential pass decides every awake active
+    /// node's action, maintains the transmit buffers and the `started`
+    /// delta, accounts tx/listen activity, and emits the Transmit events
+    /// in ascending node order. The awake∧active gate is one byte load
+    /// from the [`NodeFlags`] column per node; the ACTIVE bits are
+    /// refreshed after every callback so the column stays exact.
     // lint:hot — per-node action loop, runs every slot for every node
-    fn phase_actions_fused(&mut self, slot: u64) {
+    fn phase_actions_fused<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
         let n = self.graph.len();
-        if !self.flags_active_valid {
-            // A phased or parallel slot ran since the last fused one and
-            // bypassed the flag maintenance; rebuild the ACTIVE and
-            // IDLE_END columns.
-            for v in 0..n {
-                let active = self.nodes[v].is_active();
-                self.flags[v].set_active(active);
-                let idle = self.nodes[v].empty_end_slot_is_noop();
-                self.flags[v].set_idle_end(idle);
-            }
-            self.flags_active_valid = true;
-        }
         self.tx_ids.clear();
         self.started.clear();
         for v in 0..n {
@@ -839,14 +720,16 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                         self.started.push(v);
                     }
                     self.stats.tx_slots[v] += 1;
+                    if obs {
+                        rec.event(slot, &ObsEvent::Transmit { node: v });
+                    }
                     false
                 }
                 Action::Listen => true,
             };
             // Activity is re-checked after begin_slot so a node that
             // deactivates inside the callback is not billed a listen
-            // slot, exactly like the phased accounting pass that runs
-            // post-actions.
+            // slot.
             let active = self.nodes[v].is_active();
             if listened && active {
                 self.stats.listen_slots[v] += 1;
@@ -859,36 +742,37 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             // color themselves there) are caught here, while the node's
             // state is still cache-hot — but only for nodes the delivery
             // pass may idle-skip; non-idle nodes run end_slot anyway and
-            // are re-checked there, like the phased path. JUST_DONE
-            // defers the `newly_done` entry to the delivery pass so the
-            // list stays ascending like the phased path's.
+            // are checked there. JUST_DONE defers the accounting to the
+            // delivery pass so `newly_done` stays ascending.
             if idle && !fl.done() && self.nodes[v].is_done() {
                 fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
-                self.done_count += 1;
-                self.stats.done_slot[v] = Some(slot);
             }
             self.flags[v] = fl;
         }
     }
 
-    /// Fused slot phases 4 + 5: one ascending-id pass merge-joins the
-    /// sorted reception table against the awake nodes (no per-node binary
-    /// search), runs `end_slot`, and folds in the termination check.
+    /// Slot phases 4 + 5: one ascending-id pass merge-joins the sorted
+    /// reception table against the awake nodes (no per-node binary
+    /// search), emits the Receive events, runs `end_slot`, and accounts
+    /// every node that decided this slot into `newly_done`.
     ///
-    /// Sleeping nodes are skipped wholesale — sound because the fused path
-    /// is gated on `fused_ok` (no node starts done, and a node's `is_done`
-    /// cannot change before its first callback). Nodes whose cached
-    /// IDLE_END bit says an empty-inbox `end_slot` is a no-op are skipped
-    /// too when nothing was received: no callback runs, so neither their
-    /// activity nor their done state can have moved since the action pass
-    /// refreshed both, and the pass touches only their flag byte — O(n)
-    /// in flag bytes but O(receivers + listeners) in node-state traffic.
+    /// Sleeping nodes are skipped unless a pending JUST_DONE needs
+    /// accounting: a node's `is_done` cannot change before its first
+    /// callback, and nodes done at construction carry JUST_DONE into
+    /// slot 0. Nodes whose cached IDLE_END bit says an empty-inbox
+    /// `end_slot` is a no-op are skipped too when nothing was received:
+    /// no callback runs, so neither their activity nor their done state
+    /// can have moved since the action pass refreshed both, and the pass
+    /// touches only their flag byte — O(n) in flag bytes but
+    /// O(receivers + listeners) in node-state traffic.
     // lint:hot — per-node delivery loop, runs every slot for every node
-    fn phase_delivery_fused(
+    fn phase_delivery_fused<R: Recorder + ?Sized>(
         &mut self,
         slot: u64,
         table: &ReceptionTable,
         newly_done: &mut Vec<NodeId>,
+        obs: bool,
+        rec: &mut R,
     ) {
         let n = self.graph.len();
         let pairs = table.pairs();
@@ -913,225 +797,68 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             let lim = (v + 8).min(n);
             while v < lim {
                 let f = self.flags[v];
-                if !f.awake() {
-                    v += 1;
-                    continue;
-                }
-                // Receptions granted to sleeping or inactive receivers are
-                // dropped undelivered and uncounted, as in the phased loop.
-                while p < pairs.len() && pairs[p].0 < v {
-                    p += 1;
-                }
-                let has_rx = p < pairs.len() && pairs[p].0 == v;
-                if f.active() && (has_rx || !f.idle_end()) {
-                    inbox.clear();
-                    while p < pairs.len() && pairs[p].0 == v {
-                        let sender = pairs[p].1;
-                        let msg = self.tx_msg[sender]
-                            .as_ref()
-                            .expect("reception from a node that transmitted");
-                        inbox.push((sender, msg.clone()));
+                let mut fl = f;
+                if f.awake() {
+                    // Receptions granted to sleeping or inactive receivers
+                    // are dropped undelivered and uncounted.
+                    while p < pairs.len() && pairs[p].0 < v {
                         p += 1;
                     }
-                    self.stats.receptions += inbox.len() as u64;
-                    let ctx = NodeCtx {
-                        id: v,
-                        global_slot: slot,
-                        local_slot: slot - self.wake[v],
-                    };
-                    self.nodes[v].end_slot(&ctx, &inbox);
-                    let active = self.nodes[v].is_active();
-                    let idle = self.nodes[v].empty_end_slot_is_noop();
-                    let mut fl = self.flags[v];
-                    fl.set_active(active);
-                    fl.set_idle_end(idle);
-                    if !f.done() && self.nodes[v].is_done() {
-                        fl.insert(NodeFlags::DONE);
-                        self.done_count += 1;
-                        self.stats.done_slot[v] = Some(slot);
-                        newly_done.push(v);
+                    let has_rx = p < pairs.len() && pairs[p].0 == v;
+                    if f.active() && (has_rx || !f.idle_end()) {
+                        inbox.clear();
+                        while p < pairs.len() && pairs[p].0 == v {
+                            let sender = pairs[p].1;
+                            let msg = self.tx_msg[sender]
+                                .as_ref()
+                                .expect("reception from a node that transmitted");
+                            inbox.push((sender, msg.clone()));
+                            if obs {
+                                rec.event(
+                                    slot,
+                                    &ObsEvent::Receive {
+                                        receiver: v,
+                                        sender,
+                                    },
+                                );
+                            }
+                            p += 1;
+                        }
+                        self.stats.receptions += inbox.len() as u64;
+                        let ctx = NodeCtx {
+                            id: v,
+                            global_slot: slot,
+                            local_slot: slot - self.wake[v],
+                        };
+                        self.nodes[v].end_slot(&ctx, &inbox);
+                        fl.set_active(self.nodes[v].is_active());
+                        fl.set_idle_end(self.nodes[v].empty_end_slot_is_noop());
+                        if !f.done() && self.nodes[v].is_done() {
+                            fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                        }
+                    } else if !f.active() && !f.done() && self.nodes[v].is_done() {
+                        // Awake-but-inactive nodes ran no callback in this
+                        // pass, but one may have decided while going
+                        // silent in its `on_wake`, or in this slot's
+                        // `begin_slot` without being idle (the action pass
+                        // checks only idle nodes), so they are polled.
+                        // Active idle-skipped nodes need no poll: their
+                        // done state cannot have moved since the action
+                        // pass checked it.
+                        fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
                     }
-                    self.flags[v] = fl;
-                } else if !f.active() && !f.done() && self.nodes[v].is_done() {
-                    // Awake-but-inactive nodes ran no callback this slot,
-                    // but the phased loop still polls them, so keep that
-                    // check for protocols whose nodes go silent before
-                    // reporting done. Active idle-skipped nodes need no
-                    // poll at all: their done state cannot have moved
-                    // since the action pass checked it.
-                    self.flags[v].insert(NodeFlags::DONE);
+                }
+                if fl.just_done() {
+                    fl.remove(NodeFlags::JUST_DONE);
                     self.done_count += 1;
                     self.stats.done_slot[v] = Some(slot);
                     newly_done.push(v);
                 }
-                if f.just_done() {
-                    self.flags[v].remove(NodeFlags::JUST_DONE);
-                    newly_done.push(v);
-                }
+                self.flags[v] = fl;
                 v += 1;
             }
         }
         self.inbox = inbox;
-    }
-
-    /// Slot phase 2: every awake active node decides its action; the
-    /// transmitter set lands in the dense reused buffers (`tx_ids`,
-    /// `is_tx`, `tx_msg`), in ascending node order in both modes.
-    // lint:hot — per-node action loop, runs every slot for every node
-    fn phase_actions(&mut self, slot: u64, par_step: bool, obs: bool, rec: &mut dyn Recorder) {
-        let n = self.graph.len();
-        // This path queries `is_active()` live and never writes the
-        // ACTIVE bits; the next fused slot must rebuild the column.
-        self.flags_active_valid = false;
-        self.tx_ids.clear();
-        if par_step {
-            // Each thread steps a static contiguous chunk of nodes; every
-            // node draws from its own RNG stream, so the decisions match
-            // the sequential loop exactly. Per-chunk transmitter lists are
-            // merged in chunk order, which *is* ascending node order.
-            for sc in self.par.iter_mut() {
-                sc.tx.clear();
-            }
-            let wake = &self.wake;
-            let par = &self.par;
-            self.pool.chunks_mut3(
-                &mut self.nodes,
-                &mut self.rngs,
-                &mut self.tx_msg,
-                |t, start, nodes, rngs, msgs| {
-                    par.with(t, |sc| {
-                        for i in 0..nodes.len() {
-                            let v = start + i;
-                            if wake[v] <= slot && nodes[i].is_active() {
-                                let ctx = NodeCtx {
-                                    id: v,
-                                    global_slot: slot,
-                                    local_slot: slot - wake[v],
-                                };
-                                let mut rng = RandSlotRng(&mut rngs[i]);
-                                if let Action::Transmit(msg) = nodes[i].begin_slot(&ctx, &mut rng) {
-                                    sc.tx.push(v);
-                                    msgs[i] = Some(msg);
-                                }
-                            }
-                        }
-                    })
-                },
-            );
-            for sc in self.par.iter_mut() {
-                self.tx_ids.append(&mut sc.tx);
-            }
-            for &t in &self.tx_ids {
-                self.flags[t].insert(NodeFlags::TX);
-            }
-        } else {
-            for v in 0..n {
-                if self.is_awake(v) && self.nodes[v].is_active() {
-                    let ctx = self.ctx(v);
-                    let mut rng = RandSlotRng(&mut self.rngs[v]);
-                    if let Action::Transmit(msg) = self.nodes[v].begin_slot(&ctx, &mut rng) {
-                        self.tx_ids.push(v);
-                        self.flags[v].insert(NodeFlags::TX);
-                        self.tx_msg[v] = Some(msg);
-                        if let Some(t) = &mut self.trace {
-                            t.push(slot, Event::Transmit(v));
-                        }
-                        if obs {
-                            rec.event(slot, &Event::Transmit(v).to_obs());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Slot phase 4: delivers the granted receptions and runs every awake
-    /// node's end-of-slot hook. The only per-reception allocation is the
-    /// message clone the `Protocol` contract requires.
-    // lint:hot — per-node delivery loop, runs every slot for every node
-    fn phase_delivery(
-        &mut self,
-        slot: u64,
-        par_step: bool,
-        obs: bool,
-        table: &ReceptionTable,
-        rec: &mut dyn Recorder,
-    ) {
-        let n = self.graph.len();
-        if par_step {
-            // Messages are cloned out of the shared `tx_msg` buffer; each
-            // thread delivers to its own chunk of nodes and counts its
-            // receptions, merged additively afterwards (commutative, so
-            // the total matches the sequential count exactly).
-            let wake = &self.wake;
-            let par = &self.par;
-            let tx_msg = &self.tx_msg;
-            self.pool.chunks_mut(&mut self.nodes, |t, start, chunk| {
-                par.with(t, |sc| {
-                    for (i, node) in chunk.iter_mut().enumerate() {
-                        let v = start + i;
-                        if wake[v] > slot || !node.is_active() {
-                            continue;
-                        }
-                        sc.inbox.clear();
-                        for &(_, sender) in table.heard_by(v) {
-                            let msg = tx_msg[sender]
-                                .as_ref()
-                                .expect("reception from a node that transmitted");
-                            sc.inbox.push((sender, msg.clone()));
-                            sc.receptions += 1;
-                        }
-                        let ctx = NodeCtx {
-                            id: v,
-                            global_slot: slot,
-                            local_slot: slot - wake[v],
-                        };
-                        node.end_slot(&ctx, &sc.inbox);
-                    }
-                })
-            });
-            for sc in self.par.iter_mut() {
-                self.stats.receptions += sc.receptions;
-                sc.receptions = 0;
-            }
-        } else {
-            let mut inbox = std::mem::take(&mut self.inbox);
-            for v in 0..n {
-                if !self.is_awake(v) || !self.nodes[v].is_active() {
-                    continue;
-                }
-                inbox.clear();
-                for &(_, sender) in table.heard_by(v) {
-                    let msg = self.tx_msg[sender]
-                        .as_ref()
-                        .expect("reception from a node that transmitted");
-                    inbox.push((sender, msg.clone()));
-                    self.stats.receptions += 1;
-                    if let Some(t) = &mut self.trace {
-                        t.push(
-                            slot,
-                            Event::Receive {
-                                receiver: v,
-                                sender,
-                            },
-                        );
-                    }
-                    if obs {
-                        rec.event(
-                            slot,
-                            &Event::Receive {
-                                receiver: v,
-                                sender,
-                            }
-                            .to_obs(),
-                        );
-                    }
-                }
-                let ctx = self.ctx(v);
-                self.nodes[v].end_slot(&ctx, &inbox);
-            }
-            self.inbox = inbox;
-        }
     }
 
     /// Runs until every node is done or `max_slots` slots have executed.
@@ -1154,18 +881,19 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
 
     /// Like [`Simulator::run_observed`], but threads a [`Recorder`] through
     /// every slot: the engine streams wake/transmit/receive/done events
-    /// into it and the observer gets it for protocol-level instrumentation
-    /// (phase transitions, invariant probes).
+    /// and engine spans into it, and the observer gets it for
+    /// protocol-level instrumentation (phase transitions, invariant
+    /// probes). Recorded and unrecorded runs execute the same passes.
     ///
     /// The recorder only receives per-slot *events* here; call
     /// [`Simulator::export_metrics`] once after the run to flush the
     /// aggregate counters, so repeated `run_recorded` segments on one
     /// simulator never double-count.
-    pub fn run_recorded(
+    pub fn run_recorded<R: Recorder + ?Sized>(
         &mut self,
         max_slots: u64,
-        rec: &mut dyn Recorder,
-        mut observe: impl FnMut(&Self, &StepView<'_>, &mut dyn Recorder),
+        rec: &mut R,
+        mut observe: impl FnMut(&Self, &StepView<'_>, &mut R),
     ) -> RunOutcome {
         let start = self.slot;
         while self.slot - start < max_slots {
@@ -1422,6 +1150,7 @@ mod tests {
 
     #[test]
     fn trace_records_lifecycle() {
+        use sinr_obs::FullRecorder;
         let g = two_neighbors();
         let mut sim = Simulator::new(g, IdealModel::new(), WakeupSchedule::Synchronous, 0, |id| {
             OneShot {
@@ -1430,15 +1159,28 @@ mod tests {
                 heard: Vec::new(),
             }
         });
-        sim.enable_trace(100);
-        sim.run(10);
-        let trace = sim.trace().unwrap();
-        use crate::trace::Event;
-        let kinds: Vec<_> = trace.events().map(|(_, e)| e).collect();
-        assert!(kinds.iter().any(|e| matches!(e, Event::Wake(_))));
-        assert!(kinds.iter().any(|e| matches!(e, Event::Transmit(_))));
-        assert!(kinds.iter().any(|e| matches!(e, Event::Receive { .. })));
-        assert!(kinds.iter().any(|e| matches!(e, Event::Done(_))));
+        let mut rec = FullRecorder::new();
+        let out = sim.run_recorded(10, &mut rec, |_, _, _| {});
+        assert!(out.all_done);
+        // Each event's place in the slot: Wake → Transmit → Receive → Done.
+        let phase = |e: &ObsEvent| match e {
+            ObsEvent::Wake { .. } => 0,
+            ObsEvent::Transmit { .. } => 1,
+            ObsEvent::Receive { .. } => 2,
+            ObsEvent::Done { .. } => 3,
+            other => panic!("not an engine event: {other:?}"),
+        };
+        let events: Vec<(u64, u8)> = rec.events().map(|(s, e)| (*s, phase(e))).collect();
+        for kind in 0..4 {
+            assert!(
+                events.iter().any(|&(_, k)| k == kind),
+                "kind {kind} missing: {events:?}"
+            );
+        }
+        assert!(
+            events.windows(2).all(|w| w[0] <= w[1]),
+            "events are slot-major and in phase order within a slot: {events:?}"
+        );
     }
 
     #[test]
@@ -1471,66 +1213,6 @@ mod tests {
             stats.tx_slots.iter().sum::<u64>(),
             "global transmission count equals the per-node tx totals"
         );
-    }
-
-    #[test]
-    fn pooled_stepping_matches_sequential_bit_for_bit() {
-        use sinr_pool::Pool;
-        struct Rnd {
-            txs: u32,
-            heard: Vec<NodeId>,
-        }
-        impl Protocol for Rnd {
-            type Message = u32;
-            fn begin_slot<R: SlotRng + ?Sized>(
-                &mut self,
-                _ctx: &NodeCtx,
-                rng: &mut R,
-            ) -> Action<u32> {
-                if rng.chance(0.2) {
-                    self.txs += 1;
-                    Action::Transmit(self.txs)
-                } else {
-                    Action::Listen
-                }
-            }
-            fn end_slot(&mut self, _ctx: &NodeCtx, received: &[(NodeId, u32)]) {
-                self.heard.extend(received.iter().map(|&(s, _)| s));
-            }
-            fn is_done(&self) -> bool {
-                self.txs >= 3
-            }
-        }
-        let n = 300; // over PAR_NODE_CUTOFF so the shards actually engage
-        let make = || {
-            let g = UnitDiskGraph::new(placement::uniform(n, 8.0, 8.0, 5), 1.0);
-            Simulator::new(
-                g,
-                GraphModel::new(),
-                WakeupSchedule::Synchronous,
-                13,
-                |_| Rnd {
-                    txs: 0,
-                    heard: Vec::new(),
-                },
-            )
-        };
-        let mut base = make();
-        let base_out = base.run(400);
-        for threads in [2usize, 4] {
-            let mut sim = make();
-            sim.set_pool(&Pool::new(threads));
-            let out = sim.run(400);
-            assert_eq!(out, base_out, "outcome at threads {threads}");
-            assert_eq!(sim.stats(), base.stats(), "stats at threads {threads}");
-            for v in 0..n {
-                assert_eq!(
-                    sim.node(v).heard,
-                    base.node(v).heard,
-                    "node {v} inbox history"
-                );
-            }
-        }
     }
 
     #[test]

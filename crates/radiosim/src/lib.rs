@@ -18,7 +18,9 @@
 //!   [`InterferenceModel`](sinr_model::InterferenceModel).
 //! * [`WakeupSchedule`] — synchronous, uniformly random, or staggered
 //!   spontaneous wake-up times.
-//! * [`SimStats`] / [`trace::Trace`] — measurement and debugging output.
+//! * [`SimStats`] — per-node timing and channel counters. Recorded runs
+//!   ([`Simulator::run_recorded`]) stream wake/transmit/receive/done
+//!   events and engine spans into a [`sinr_obs::Recorder`].
 //!
 //! # Example
 //!
@@ -56,7 +58,6 @@ pub mod energy;
 pub mod engine;
 pub mod protocol;
 pub mod stats;
-pub mod trace;
 pub mod wakeup;
 
 pub use engine::{NodeFlags, RunOutcome, Simulator, StepView};

@@ -84,14 +84,12 @@ impl<R: sinr_rng::Rng> SlotRng for RandSlotRng<R> {
 /// Protocols have *no* access to the topology — like the paper's nodes,
 /// they learn about neighbors only through received messages.
 ///
-/// Protocols are `Send` (and messages `Send + Sync`) so the engine can
-/// shard the per-node step phase across the worker pool: each node is
-/// stepped by exactly one thread per slot, and messages are cloned out of
-/// a shared read-only buffer during delivery. Protocols remain plain
-/// single-threaded automata — they never observe concurrency.
-pub trait Protocol: Send {
+/// Protocols are plain single-threaded automata: the engine steps every
+/// node on the calling thread, in ascending id order, so neither the
+/// protocol nor its messages need to be `Send` or `Sync`.
+pub trait Protocol {
     /// The message type broadcast by this protocol.
-    type Message: Clone + Send + Sync;
+    type Message: Clone;
 
     /// Called once, in the slot the node wakes up, before its first
     /// `begin_slot`.
@@ -112,7 +110,9 @@ pub trait Protocol: Send {
 
     /// Consumes this slot's receptions: `(sender, message)` pairs, empty if
     /// nothing was decoded (or the node transmitted). Called after every
-    /// `begin_slot`, in the same slot.
+    /// `begin_slot`, in the same slot, except where
+    /// [`Protocol::empty_end_slot_is_noop`] lets the engine skip an empty
+    /// call.
     fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, Self::Message)]);
 
     /// Whether the node has irrevocably produced its output. Done nodes
@@ -129,12 +129,13 @@ pub trait Protocol: Send {
     }
 
     /// Whether `end_slot` with an *empty* reception list would be a no-op
-    /// in the node's current state. The fused sequential engine skips the
-    /// whole end-of-slot callback for nodes that report `true` and
-    /// received nothing, turning the delivery pass from a full node-state
-    /// sweep into a one-byte flag scan for them — decisive for
-    /// long-tailed protocols like MW, whose color classes spend most of
-    /// the run announcing with nothing to process. Defaults to `false`
+    /// in the node's current state. The engine skips the whole
+    /// end-of-slot callback for nodes that report `true` and received
+    /// nothing, recorded runs included, turning the delivery pass from a
+    /// full node-state sweep into a one-byte flag scan for them —
+    /// decisive for long-tailed protocols like MW, whose color classes
+    /// spend most of the run announcing with nothing to process.
+    /// Defaults to `false`
     /// (never skip), which preserves exact behaviour for protocols that
     /// do per-slot work in `end_slot` even without receptions.
     fn empty_end_slot_is_noop(&self) -> bool {

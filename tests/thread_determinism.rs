@@ -1,16 +1,17 @@
-//! Differential tests for the parallel slot engine: every artifact a run
-//! can produce — the outcome struct, the metrics dump, the event stream,
-//! the span trace, the time series — is byte-identical whether it was
+//! Differential tests for multi-threaded runs: every artifact a run can
+//! produce — the outcome struct, the metrics dump, the event stream, the
+//! span trace, the time series — is byte-identical whether it was
 //! computed on 1, 2, or 4 worker threads, for both the naive and the
 //! grid-tiled resolver.
 //!
 //! This is the contract `sinr_pool` exists to uphold (static
-//! partitioning, thread-ordered merges, per-node RNG streams; see
-//! docs/PERFORMANCE.md). The instance sizes straddle the parallel
-//! cutoffs on purpose: n = 300 exceeds both `PAR_NODE_CUTOFF` (engine
-//! node phases go parallel) and, on busy slots, `PAR_CANDIDATE_CUTOFF`
-//! (resolver goes parallel), while n = 40 stays on the sequential paths
-//! so the gating itself is exercised too.
+//! partitioning, thread-ordered merges; see docs/PERFORMANCE.md). Threads
+//! reach a run through the resolver, which chunks each slot's candidate
+//! receivers; the engine's node passes are sequential at every thread
+//! count. The instance sizes straddle the resolver's cutoff on purpose:
+//! at n = 300, busy slots exceed `PAR_CANDIDATE_CUTOFF` (the resolver
+//! goes parallel), while n = 40 stays on the sequential path so the
+//! gating itself is exercised too.
 
 use sinr_coloring::mw::{
     run_mw, run_mw_profiled, run_mw_recorded, MwConfig, MwOutcome, MwProbeConfig,
