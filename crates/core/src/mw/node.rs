@@ -1,10 +1,10 @@
 //! The per-node MW automaton: a line-by-line implementation of Figs. 1–3.
 //!
 //! The struct is split hot/cold for the slot engine's sake: the fields a
-//! slot actually touches (`phase`, `counter`, `estimates`, the cached
-//! threshold) live inline in [`MwNode`], while leader bookkeeping and
-//! diagnostics that only move on phase transitions sit behind one `Box`
-//! in [`MwCold`]. `tests/struct_sizes.rs` ratchets both sizes.
+//! slot actually touches (`phase`, `counter`, the cached threshold) live
+//! inline in [`MwNode`], while leader bookkeeping and diagnostics that
+//! only move on phase transitions sit behind one `Box` in [`MwCold`].
+//! `tests/struct_sizes.rs` ratchets both sizes.
 
 use crate::chi::chi_scratch;
 use crate::mw::messages::MwMessage;
@@ -167,7 +167,11 @@ pub struct MwNode {
     phase_slots_pending: u64,
     /// `P_v` with the local copies `d_v(w)`: competitor counter estimates
     /// for the *current* level (cleared on every level entry, Fig. 1
-    /// line 1).
+    /// line 1). Each entry stores `c_w − t_w`, where `t_w` is the local
+    /// slot that recorded it, so at local slot `t` the copy reads
+    /// `d_v(w) = c_w + (t − t_w)`: the `+1` per slot of Fig. 1 lines 3
+    /// and 9 comes from the clock, and the listen and compete slots
+    /// never touch this buffer unless a message arrives.
     estimates: Vec<(NodeId, i64)>,
     /// Everything the hot loop never touches; see [`MwCold`].
     cold: Box<MwCold>,
@@ -313,27 +317,23 @@ impl MwNode {
         self.set_phase(phase);
     }
 
-    /// `d_v(w) := d_v(w) + 1` for each `w ∈ P_v` (Fig. 1 lines 3 and 9).
-    fn bump_estimates(&mut self) {
-        for (_, d) in &mut self.estimates {
-            *d += 1;
-        }
-    }
-
-    /// `P_v := P_v ∪ {w}; d_v(w) := c_w` (Fig. 1 lines 4 and 14).
-    fn record_estimate(&mut self, w: NodeId, c_w: i64) {
+    /// `P_v := P_v ∪ {w}; d_v(w) := c_w` (Fig. 1 lines 4 and 14) at
+    /// local slot `now`, stored as `c_w − now` (see the `estimates` field).
+    fn record_estimate(&mut self, w: NodeId, c_w: i64, now: i64) {
+        let aged = c_w - now;
         if let Some(entry) = self.estimates.iter_mut().find(|(id, _)| *id == w) {
-            entry.1 = c_w;
+            entry.1 = aged;
         } else {
-            self.estimates.push((w, c_w));
+            self.estimates.push((w, aged));
         }
     }
 
-    /// `χ(P_v)` for the current level's reset window (Fig. 1 line 6).
-    fn chi_value(&mut self, level: usize) -> i64 {
+    /// `χ(P_v)` for the current level's reset window (Fig. 1 line 6),
+    /// over the copies `d_v(w)` as they read at local slot `now`.
+    fn chi_value(&mut self, level: usize, now: i64) -> i64 {
         let window = self.params.reset_window(level);
         chi_scratch(
-            self.estimates.iter().map(|&(_, d)| d),
+            self.estimates.iter().map(|&(_, aged)| aged + now),
             window,
             &mut self.cold.chi_intervals,
         )
@@ -398,16 +398,14 @@ impl Protocol for MwNode {
     ) -> Action<MwMessage> {
         self.phase_slots_pending += 1;
         match self.phase {
-            MwPhase::Listen { .. } => {
-                // Fig. 1 line 3: advance all local counter copies. The node
-                // is silent throughout the listen loop.
-                self.bump_estimates();
-                Action::Listen
-            }
+            // Fig. 1 line 3: the local counter copies advance with the
+            // local-slot clock. The node is silent throughout the listen
+            // loop.
+            MwPhase::Listen { .. } => Action::Listen,
             MwPhase::Compete { level } => {
-                // Fig. 1 lines 8–9: increment own counter and all copies.
+                // Fig. 1 lines 8–9: increment own counter (the copies
+                // advance with the clock).
                 self.counter += 1;
-                self.bump_estimates();
                 // Fig. 1 line 10: threshold reached -> enter C_level.
                 if self.counter >= self.counter_threshold {
                     self.enter_colored(level);
@@ -455,7 +453,10 @@ impl Protocol for MwNode {
         }
     }
 
-    fn end_slot(&mut self, _ctx: &NodeCtx, received: &[(NodeId, MwMessage)]) {
+    fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, MwMessage)]) {
+        // The `P_v` copies age against this clock. 2^63 local slots cannot
+        // elapse, so saturating only keeps the conversion panic-free.
+        let now = i64::try_from(ctx.local_slot).unwrap_or(i64::MAX);
         match self.phase {
             MwPhase::Listen { level, remaining } => {
                 for &(w, msg) in received {
@@ -477,7 +478,7 @@ impl Protocol for MwNode {
                     {
                         if l == level {
                             // Fig. 1 line 4.
-                            self.record_estimate(w, c_w);
+                            self.record_estimate(w, c_w, now);
                         }
                     }
                 }
@@ -485,7 +486,7 @@ impl Protocol for MwNode {
                 // c_v := χ(P_v) and start competing (Fig. 1 lines 6–7).
                 let remaining = remaining - 1;
                 if remaining == 0 {
-                    self.counter = self.chi_value(level);
+                    self.counter = self.chi_value(level, now);
                     self.set_phase(MwPhase::Compete { level });
                 } else {
                     self.phase = MwPhase::Listen { level, remaining };
@@ -510,9 +511,9 @@ impl Protocol for MwNode {
                     {
                         if l == level {
                             // Fig. 1 lines 13–15.
-                            self.record_estimate(w, c_w);
+                            self.record_estimate(w, c_w, now);
                             if (self.counter - c_w).abs() <= self.params.reset_window(level) {
-                                self.counter = self.chi_value(level);
+                                self.counter = self.chi_value(level, now);
                                 self.cold.resets += 1;
                             }
                         }
@@ -563,6 +564,8 @@ impl Protocol for MwNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chi::chi;
+    use proptest::prelude::*;
     use sinr_model::SinrConfig;
 
     fn params() -> MwParams {
@@ -575,6 +578,15 @@ mod tests {
             global_slot: slot,
             local_slot: slot,
         }
+    }
+
+    /// `P_v` as Fig. 1 reads it at local slot `now`: the copies `d_v(w)`.
+    fn copies(node: &MwNode, now: u64) -> Vec<(NodeId, i64)> {
+        let now = i64::try_from(now).expect("test slot fits in i64");
+        node.estimates
+            .iter()
+            .map(|&(w, aged)| (w, aged + now))
+            .collect()
     }
 
     /// A SlotRng with a fixed answer for `chance`.
@@ -901,8 +913,7 @@ mod tests {
                 },
             )],
         );
-        assert_eq!(node.estimates.len(), 1);
-        assert_eq!(node.estimates[0], (3, 60));
+        assert_eq!(copies(&node, 1), vec![(3, 60)]);
     }
 
     #[test]
@@ -927,7 +938,7 @@ mod tests {
             let _ = node.begin_slot(&ctx(0, s), &mut rng);
             node.end_slot(&ctx(0, s), &[]);
         }
-        assert_eq!(node.estimates[0], (3, 54));
+        assert_eq!(copies(&node, 4), vec![(3, 54)]);
     }
 
     #[test]
@@ -947,5 +958,153 @@ mod tests {
         assert_eq!(slots[MwPhaseKind::Listen as usize], listen);
         assert_eq!(slots[MwPhaseKind::Compete as usize], 3);
         assert_eq!(slots.iter().sum::<u64>(), listen + 3);
+    }
+
+    /// Fig. 1's `A_level` bookkeeping kept literally: every copy gains one
+    /// per slot, and `χ` runs over the copies as they stand.
+    struct ShadowA {
+        level: usize,
+        window: i64,
+        /// Listen slots left; `None` once competing.
+        listening: Option<u64>,
+        counter: i64,
+        resets: u32,
+        p_v: Vec<(NodeId, i64)>,
+    }
+
+    impl ShadowA {
+        /// Line 1: `P_v := ∅` on entering `A_level`.
+        fn enter(p: &MwParams, level: usize) -> Self {
+            ShadowA {
+                level,
+                window: p.reset_window(level),
+                listening: Some(p.listen_slots()),
+                counter: 0,
+                resets: 0,
+                p_v: Vec::new(),
+            }
+        }
+
+        fn chi(&self) -> i64 {
+            let values: Vec<i64> = self.p_v.iter().map(|&(_, d)| d).collect();
+            chi(&values, self.window)
+        }
+
+        /// Lines 3 and 8–9.
+        fn begin_slot(&mut self) {
+            for (_, d) in &mut self.p_v {
+                *d += 1;
+            }
+            if self.listening.is_none() {
+                self.counter += 1;
+            }
+        }
+
+        /// Lines 4–7 and 13–15.
+        fn end_slot(&mut self, received: &[(NodeId, MwMessage)]) {
+            for &(w, msg) in received {
+                let c_w = match msg {
+                    MwMessage::Compete { level, counter } if level == self.level => counter,
+                    _ => continue,
+                };
+                match self.p_v.iter_mut().find(|(id, _)| *id == w) {
+                    Some(entry) => entry.1 = c_w,
+                    None => self.p_v.push((w, c_w)),
+                }
+                if self.listening.is_none() && (self.counter - c_w).abs() <= self.window {
+                    self.counter = self.chi();
+                    self.resets += 1;
+                }
+            }
+            if let Some(left) = self.listening {
+                if left == 1 {
+                    self.counter = self.chi();
+                    self.listening = None;
+                } else {
+                    self.listening = Some(left - 1);
+                }
+            }
+        }
+
+        fn phase(&self) -> MwPhase {
+            match self.listening {
+                Some(remaining) => MwPhase::Listen {
+                    level: self.level,
+                    remaining,
+                },
+                None => MwPhase::Compete { level: self.level },
+            }
+        }
+    }
+
+    /// One scripted reception, `(sender, kind, offset)`; see [`inbox`].
+    type Scripted = (NodeId, u32, i64);
+
+    /// One slot's inbox. Kinds 0–5 are a `Compete` at the node's level,
+    /// 6–8 a `Compete` at another level, 9 a `ColorTaken` for another
+    /// level; a `Compete` carries the shadow's counter plus `offset`, so
+    /// resets are common but not certain at both reset windows.
+    fn inbox(script: &[Scripted], level: usize, counter: i64) -> Vec<(NodeId, MwMessage)> {
+        script
+            .iter()
+            .map(|&(w, kind, offset)| {
+                let other = level + 1 + w % 3;
+                let msg = match kind {
+                    0..=5 => MwMessage::Compete {
+                        level,
+                        counter: counter + offset,
+                    },
+                    6..=8 => MwMessage::Compete {
+                        level: other,
+                        counter: counter + offset,
+                    },
+                    _ => MwMessage::ColorTaken { level: other },
+                };
+                (w, msg)
+            })
+            .collect()
+    }
+
+    /// A level to enter, then one inbox script per slot: the whole listen
+    /// loop and 1–47 compete slots.
+    fn script() -> impl Strategy<Value = (usize, Vec<Vec<Scripted>>)> {
+        let listen = usize::try_from(params().listen_slots()).expect("listen loop fits in usize");
+        (0usize..3, 1usize..48).prop_flat_map(move |(level, compete_slots)| {
+            (
+                Just(level),
+                prop::collection::vec(
+                    prop::collection::vec((0usize..8, 0u32..10, -800i64..800), 0..4),
+                    listen + compete_slots,
+                ),
+            )
+        })
+    }
+
+    proptest! {
+        /// The aged copies equal a literal per-slot sweep of `P_v`, slot
+        /// by slot, and every `χ` evaluation (the end of the listen loop
+        /// and each compete reset) sees the same values.
+        #[test]
+        fn aged_copies_match_a_per_slot_sweep((level, slots) in script()) {
+            let p = params();
+            let mut node = MwNode::new(0, p);
+            if level > 0 {
+                node.enter_level(level);
+            }
+            let mut shadow = ShadowA::enter(&p, level);
+            let mut rng = FixedRng(false);
+            for (s, script) in (0u64..).zip(&slots) {
+                prop_assert_eq!(node.begin_slot(&ctx(0, s), &mut rng), Action::Listen);
+                shadow.begin_slot();
+                let received = inbox(script, level, shadow.counter);
+                node.end_slot(&ctx(0, s), &received);
+                shadow.end_slot(&received);
+                prop_assert_eq!(copies(&node, s), shadow.p_v, "slot {}", s);
+                prop_assert_eq!(*node.phase(), shadow.phase(), "slot {}", s);
+                prop_assert_eq!(node.resets(), shadow.resets, "slot {}", s);
+                prop_assert_eq!(node.counter(), shadow.counter, "slot {}", s);
+            }
+            prop_assert_eq!(*node.phase(), MwPhase::Compete { level });
+        }
     }
 }

@@ -194,8 +194,15 @@ fn lint_workspace(opts: &Options) -> Result<bool, String> {
 }
 
 /// Workspace root: this crate lives at `<root>/crates/xtask`.
+///
+/// Cargo's runtime `CARGO_MANIFEST_DIR` (set by `cargo run`, and so by the
+/// `cargo xtask` alias) comes first: a copy of the repository that kept
+/// `target/` runs the binary built in the original checkout, whose
+/// compile-time path would lint that checkout instead of the copy. A
+/// binary run directly falls back to the path it was built from.
 pub fn repo_root() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut p = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
     p.pop(); // crates/
     p.pop(); // root
     p

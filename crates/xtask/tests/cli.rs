@@ -139,6 +139,40 @@ fn ratchet_slack_is_reported_and_tolerated() {
 }
 
 #[test]
+fn lints_the_checkout_named_by_the_runtime_manifest_dir() {
+    // A copy of the repository that kept `target/` runs the binary built
+    // in the original checkout; Cargo's runtime CARGO_MANIFEST_DIR must
+    // still point the lint at the copy.
+    let root = std::env::temp_dir().join(format!("xtask-e2e-root-{}", std::process::id()));
+    let src = root.join("crates/core/src");
+    std::fs::create_dir_all(&src).expect("creates the temp tree");
+    std::fs::write(src.join("lib.rs"), "pub fn f(s: u64) -> i64 { s as i64 }\n")
+        .expect("writes the temp source");
+    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .args(["lint", "--format", "json"])
+        .env("CARGO_MANIFEST_DIR", root.join("crates/xtask"))
+        .output()
+        .expect("spawns the xtask binary");
+    let _ = std::fs::remove_dir_all(&root);
+
+    let doc = parse_value(&stdout_of(&out)).expect("stdout is one JSON document");
+    let found: Vec<(Option<&str>, Option<&str>)> = doc
+        .get("violations")
+        .and_then(Json::as_array)
+        .expect("violations array")
+        .iter()
+        .map(|v| {
+            (
+                v.get("lint").and_then(Json::as_str),
+                v.get("file").and_then(Json::as_str),
+            )
+        })
+        .collect();
+    assert_eq!(found, vec![(Some("L4"), Some("crates/core/src/lib.rs"))]);
+    assert!(!out.status.success(), "a reported violation fails the run");
+}
+
+#[test]
 fn docs_quote_the_rule_catalog_verbatim() {
     let doc = std::fs::read_to_string(repo_root().join("docs/LINTING.md"))
         .expect("docs/LINTING.md exists");
