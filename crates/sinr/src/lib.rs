@@ -45,6 +45,7 @@
 pub mod config;
 pub mod fading;
 pub mod interference;
+mod kernel;
 pub mod model;
 pub mod power;
 pub mod resolver;

@@ -2,10 +2,11 @@
 //! graph-based model, and an ideal collision-free model.
 
 use crate::config::SinrConfig;
-use crate::interference::{received_power, sinr_from_total};
+use crate::kernel::{decode_exact, ExactCtx, ExactKernel};
 use crate::resolver::ResolverStats;
 use sinr_geometry::{NodeId, UnitDiskGraph};
-use sinr_pool::{PerThread, Pool};
+use sinr_pool::Pool;
+use std::cell::RefCell;
 
 /// Minimum number of candidate receivers in a slot before a resolver
 /// fans work out to the pool. Below this the per-broadcast wake/merge
@@ -229,24 +230,33 @@ impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
 ///
 /// With `β ≥ 1` at most one sender can be decodable at any receiver, so the
 /// strongest qualifying sender is delivered.
+///
+/// Every candidate receiver is decoded by the exact kernel
+/// [`FastSinrModel`](crate::FastSinrModel) falls back to: an `O(k)` power
+/// sum in `transmitting` order over scratch reused across slots. The
+/// scratch sits behind a `RefCell`, so the model is `Send` but not `Sync`;
+/// through [`InterferenceModel::resolve_delta_into`] a steady-state slot
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SinrModel {
     cfg: SinrConfig,
     pool: Pool,
+    kernel: RefCell<ExactKernel>,
 }
 
 impl SinrModel {
     /// Creates the model from a physical configuration (sequential).
     pub fn new(cfg: SinrConfig) -> Self {
-        SinrModel {
-            cfg,
-            pool: Pool::sequential(),
-        }
+        Self::with_pool(cfg, Pool::sequential())
     }
 
     /// Creates the model with a worker pool for parallel resolution.
     pub fn with_pool(cfg: SinrConfig, pool: Pool) -> Self {
-        SinrModel { cfg, pool }
+        SinrModel {
+            cfg,
+            kernel: RefCell::new(ExactKernel::new(pool.threads())),
+            pool,
+        }
     }
 
     /// The underlying configuration.
@@ -254,93 +264,43 @@ impl SinrModel {
         &self.cfg
     }
 
-    /// Decodes one candidate receiver `u`: the strongest sender within
-    /// `R_T` whose SINR against the whole transmitter set clears `β`.
-    /// Pure in `(u, transmitting)`, so per-receiver results are the same
-    /// no matter which thread (or chunk) computes them.
-    fn decode_at(&self, g: &UnitDiskGraph, transmitting: &[NodeId], u: NodeId) -> Option<NodeId> {
-        let positions = g.positions();
-        // Total received power at u from every transmitter.
-        let total: f64 = transmitting
-            .iter()
-            .map(|&w| {
-                received_power(
-                    self.cfg.power(),
-                    positions[u].distance(positions[w]),
-                    self.cfg.alpha(),
-                )
-            })
-            .sum();
-        // Best decodable sender among transmitters within R_T.
-        let mut best: Option<(f64, NodeId)> = None;
-        for &v in transmitting {
-            if g.are_adjacent(u, v) {
-                let s = sinr_from_total(&self.cfg, positions[u], positions[v], total);
-                if s >= self.cfg.beta() && best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, v));
-                }
-            }
-        }
-        best.map(|(_, v)| v)
+    /// Fills `pairs` (cleared first) with the slot's receptions in
+    /// candidate discovery order.
+    fn resolve_into(
+        &self,
+        g: &UnitDiskGraph,
+        transmitting: &[NodeId],
+        pairs: &mut Vec<(NodeId, NodeId)>,
+    ) {
+        let ctx = ExactCtx::new(&self.cfg, g, transmitting);
+        let mut kernel = self.kernel.borrow_mut();
+        kernel.begin_slot(g, transmitting);
+        kernel.finish_slot(&self.pool, transmitting, pairs, |u, _| {
+            decode_exact(&ctx, u)
+        });
     }
 }
 
 impl InterferenceModel for SinrModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
-        debug_assert!(
-            (g.radius() - self.cfg.r_t()).abs() < 1e-9 * self.cfg.r_t().max(1.0),
-            "graph radius {} does not match configured R_T {}",
-            g.radius(),
-            self.cfg.r_t()
-        );
-        let mut is_tx = vec![false; g.len()];
-        for &t in transmitting {
-            debug_assert!(!is_tx[t], "node {t} transmits twice in one slot");
-            is_tx[t] = true;
-        }
-
-        // Candidate receivers: non-transmitting neighbors of any transmitter,
-        // in discovery order (per transmitter, then per neighbor).
-        let mut candidates = Vec::new();
-        let mut candidate_mark = vec![false; g.len()];
-        for &t in transmitting {
-            for &u in g.neighbors(t) {
-                if !is_tx[u] && !candidate_mark[u] {
-                    candidate_mark[u] = true;
-                    candidates.push(u);
-                }
-            }
-        }
-
-        let pairs: Vec<(NodeId, NodeId)> =
-            if self.pool.threads() > 1 && candidates.len() >= PAR_CANDIDATE_CUTOFF {
-                // Static chunks over the candidate list; each thread decodes
-                // its receivers in candidate order and the per-thread pair
-                // lists are concatenated in chunk order, so the merged list
-                // matches the sequential one exactly.
-                let outputs: PerThread<Vec<(NodeId, NodeId)>> =
-                    PerThread::new(self.pool.threads(), |_| Vec::new());
-                self.pool.run_chunks(candidates.len(), |t, range| {
-                    outputs.with(t, |out| {
-                        for &u in &candidates[range] {
-                            if let Some(v) = self.decode_at(g, transmitting, u) {
-                                out.push((u, v));
-                            }
-                        }
-                    })
-                });
-                let mut merged = Vec::new();
-                for chunk in outputs.into_iter() {
-                    merged.extend(chunk);
-                }
-                merged
-            } else {
-                candidates
-                    .iter()
-                    .filter_map(|&u| self.decode_at(g, transmitting, u).map(|v| (u, v)))
-                    .collect()
-            };
+        let mut pairs = Vec::new();
+        self.resolve_into(g, transmitting, &mut pairs);
         ReceptionTable::from_pairs(pairs)
+    }
+
+    fn resolve_delta_into(
+        &self,
+        g: &UnitDiskGraph,
+        transmitting: &[NodeId],
+        delta: TxDelta<'_>,
+        out: &mut ReceptionTable,
+    ) {
+        // The model keeps no transmitter state, so the delta is unused;
+        // only the caller's table buffer is recycled.
+        let _ = delta;
+        let mut pairs = out.take_pairs();
+        self.resolve_into(g, transmitting, &mut pairs);
+        out.set_pairs(pairs);
     }
 
     fn name(&self) -> &'static str {
@@ -349,6 +309,7 @@ impl InterferenceModel for SinrModel {
 
     fn set_pool(&mut self, pool: &Pool) {
         self.pool = pool.clone();
+        self.kernel.get_mut().set_threads(pool.threads());
     }
 }
 

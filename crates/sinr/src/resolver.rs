@@ -40,7 +40,9 @@
 //!    interference sum **in the same iteration order as the naive
 //!    resolver**, so the produced [`ReceptionTable`] is bit-identical in
 //!    every case — the fast path is a pure strength reduction, never an
-//!    approximation.
+//!    approximation. Candidate discovery, that fallback and the parallel
+//!    dispatch are the exact kernel `SinrModel` runs too
+//!    (`crate::kernel`).
 //!
 //! The persistent state is defensively certified: an externally supplied
 //! delta is validated element-by-element against the grid's own membership
@@ -51,16 +53,18 @@
 //! entry lists and compacts the occupied-cell index, bounding any drift
 //! in layout quality over arbitrarily long runs.
 //!
-//! All scratch state (transmitter bitmap, candidate marks, the transmitter
-//! grid, the stamped near lists) lives behind a `RefCell` and is reused
-//! across slots, so steady-state resolution performs no allocation beyond
-//! the returned table.
+//! All scratch state (the kernel's transmitter bitmap, candidate marks and
+//! pair buffers, the transmitter grid, the stamped near lists) lives
+//! behind a `RefCell` and is reused across slots, so a steady-state slot
+//! resolved through [`InterferenceModel::resolve_delta_into`] performs no
+//! allocation.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_total};
-use crate::model::{InterferenceModel, ReceptionTable, TxDelta, PAR_CANDIDATE_CUTOFF};
+use crate::kernel::{decode_exact, ChunkScratch, ExactCtx, ExactKernel};
+use crate::model::{InterferenceModel, ReceptionTable, TxDelta};
 use sinr_geometry::{CellGrid, NodeId, UnitDiskGraph};
-use sinr_pool::{PerThread, Pool};
+use sinr_pool::Pool;
 use std::cell::RefCell;
 
 /// Default near-window half-width, in grid cells (cell side = `R_T`).
@@ -239,68 +243,34 @@ impl GridState {
 struct Scratch {
     /// Persistent incremental grid state (see [`GridState`]).
     gs: GridState,
-    /// Dense transmitter bitmap, unmarked after every slot.
-    is_tx: Vec<bool>,
-    /// Dense candidate-receiver marks, unmarked after every slot.
-    candidate_mark: Vec<bool>,
-    /// Candidate receivers in naive discovery order.
-    candidates: Vec<NodeId>,
-    /// One scratch slot per pool thread; slot 0 doubles as the
-    /// sequential path's buffers.
-    thread: PerThread<ChunkScratch>,
+    /// The exact kernel's marks, candidate list and per-thread buffers.
+    kernel: ExactKernel,
     stats: ResolverStats,
 }
 
-/// Per-thread (per-chunk) working state for one slot.
-#[derive(Debug, Clone, Default)]
-struct ChunkScratch {
-    /// Potential senders of the current candidate (reused).
-    sender_buf: Vec<NodeId>,
-    /// Receptions decoded by this chunk, in candidate order.
-    pairs: Vec<(NodeId, NodeId)>,
-    fast_hits: u64,
-    fallbacks: u64,
-    cells: u64,
-}
-
-impl ChunkScratch {
-    /// Resets the per-slot outputs (buffers keep their capacity).
-    fn begin_slot(&mut self) {
-        self.pairs.clear();
-        self.fast_hits = 0;
-        self.fallbacks = 0;
-        self.cells = 0;
-    }
-}
-
-/// Immutable per-slot context shared by every chunk: the graph, the
-/// transmitter set, the stamped near lists, and the precomputed bounds.
+/// Immutable per-slot context shared by every chunk: the exact decode's
+/// inputs, the stamped near lists, and the precomputed bounds.
 struct SlotCtx<'a> {
-    cfg: &'a SinrConfig,
-    g: &'a UnitDiskGraph,
-    transmitting: &'a [NodeId],
+    exact: ExactCtx<'a>,
     /// `Some` iff this slot takes the grid fast path.
     grid: Option<&'a CellGrid>,
     cand_cell_idx: &'a [u32],
     near_refs: &'a [Vec<NearRef>],
     far_cap: f64,
-    adjacency_r2: f64,
-    power: f64,
-    alpha: f64,
-    beta: f64,
     k: usize,
 }
 
-/// Resolves one candidate receiver into `cs` (pairs + counters).
+/// Resolves one candidate receiver: the sender it decodes, if any. The
+/// counters go to `cs`.
 ///
 /// Pure in `(ctx, u)`: the same candidate produces the same reception and
 /// counter increments on any thread, which together with static chunking
 /// and chunk-order merging keeps parallel runs bit-identical.
 // lint:hot — resolver inner loop, runs once per candidate per slot
-fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) {
-    let positions = ctx.g.positions();
+fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) -> Option<NodeId> {
+    let exact = &ctx.exact;
+    let positions = exact.positions;
     let pu = positions[u];
-    let mut resolved = false;
     if let Some(grid) = ctx.grid {
         // The near/far split was already computed per *cell* during
         // stamping: this candidate's cell carries the list of occupied
@@ -318,14 +288,14 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) {
             for e in entries {
                 let dx = pu.x - e.x;
                 let dy = pu.y - e.y;
-                near_sum += received_power_d2(ctx.power, dx * dx + dy * dy, ctx.alpha);
+                near_sum += received_power_d2(exact.power, dx * dx + dy * dy, exact.alpha);
                 if r.sender {
                     cs.sender_buf.push(e.id);
                 }
             }
             near_count += entries.len();
         }
-        cs.cells += refs.len() as u64;
+        cs.counts.cells += refs.len() as u64;
         let far_tail = (ctx.k - near_count) as f64 * ctx.far_cap;
         // [total_low, total_high] brackets the naive resolver's
         // floating-point interference sum; SUM_SLACK absorbs the
@@ -338,61 +308,36 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) {
         let mut certified: Option<NodeId> = None;
         let mut possible = 0u64;
         for &v in &cs.sender_buf {
-            if positions[v].distance_squared(pu) <= ctx.adjacency_r2 {
-                let optimistic = sinr_from_total(ctx.cfg, pu, positions[v], total_low);
-                if optimistic >= ctx.beta {
+            if positions[v].distance_squared(pu) <= exact.adjacency_r2 {
+                let optimistic = sinr_from_total(exact.cfg, pu, positions[v], total_low);
+                if optimistic >= exact.beta {
                     possible += 1;
-                    let pessimistic = sinr_from_total(ctx.cfg, pu, positions[v], total_high);
-                    if pessimistic >= ctx.beta && certified.is_none() {
+                    let pessimistic = sinr_from_total(exact.cfg, pu, positions[v], total_high);
+                    if pessimistic >= exact.beta && certified.is_none() {
                         certified = Some(v);
                     }
                 }
             }
         }
-        if let Some(v) = certified {
-            if possible == 1 {
-                // v decodes even with the tail fully charged and no
-                // other sender can reach β: the naive resolver
-                // necessarily picks exactly v.
-                cs.pairs.push((u, v));
-                resolved = true;
+        match certified {
+            // v decodes even with the tail fully charged and no other
+            // sender can reach β: the naive resolver necessarily picks
+            // exactly v.
+            Some(v) if possible == 1 => {
+                cs.counts.fast_hits += 1;
+                return Some(v);
             }
-        } else if possible == 0 {
             // No sender reaches β even with zero far tail.
-            resolved = true;
-        }
-        if resolved {
-            cs.fast_hits += 1;
-        }
-    }
-    if !resolved {
-        // Exact fallback — bitwise identical to `SinrModel`: same
-        // summation order over `transmitting`, same power/SINR
-        // functions, same best-sender tie-breaking.
-        cs.fallbacks += 1;
-        let total: f64 = ctx
-            .transmitting
-            .iter()
-            .map(|&w| received_power(ctx.power, pu.distance(positions[w]), ctx.alpha))
-            .sum();
-        let mut best: Option<(f64, NodeId)> = None;
-        for &v in ctx.transmitting {
-            // UDG adjacency is by construction exactly `dist² ≤ R_T²`
-            // (same squared-distance expression the graph builder uses),
-            // so test the geometry directly — the positions are already
-            // streaming through cache from the sum above — instead of
-            // binary-searching the adjacency list per transmitter.
-            if v != u && positions[v].distance_squared(pu) <= ctx.adjacency_r2 {
-                let s = sinr_from_total(ctx.cfg, pu, positions[v], total);
-                if s >= ctx.beta && best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, v));
-                }
+            None if possible == 0 => {
+                cs.counts.fast_hits += 1;
+                return None;
             }
-        }
-        if let Some((_, v)) = best {
-            cs.pairs.push((u, v));
+            _ => {}
         }
     }
+    // Exact fallback: the decode `SinrModel` runs on every candidate.
+    cs.counts.fallbacks += 1;
+    decode_exact(exact, u)
 }
 
 /// Stamps this slot's candidate cells and builds their near lists: every
@@ -492,10 +437,7 @@ impl FastSinrModel {
             pool: Pool::sequential(),
             scratch: RefCell::new(Scratch {
                 gs: GridState::empty(),
-                is_tx: Vec::new(),
-                candidate_mark: Vec::new(),
-                candidates: Vec::new(),
-                thread: PerThread::new(1, |_| ChunkScratch::default()),
+                kernel: ExactKernel::new(1),
                 stats: ResolverStats::default(),
             }),
         }
@@ -575,57 +517,14 @@ impl FastSinrModel {
         delta: Option<TxDelta<'_>>,
         pairs: &mut Vec<(NodeId, NodeId)>,
     ) {
-        debug_assert!(
-            (g.radius() - self.cfg.r_t()).abs() < 1e-9 * self.cfg.r_t().max(1.0),
-            "graph radius {} does not match configured R_T {}",
-            g.radius(),
-            self.cfg.r_t()
-        );
-        let n = g.len();
         let k = transmitting.len();
+        let exact = ExactCtx::new(&self.cfg, g, transmitting);
         let mut scratch = self.scratch.borrow_mut();
-        let Scratch {
-            gs,
-            is_tx,
-            candidate_mark,
-            candidates,
-            thread,
-            stats,
-        } = &mut *scratch;
-        if is_tx.len() < n {
-            is_tx.resize(n, false);
-            candidate_mark.resize(n, false);
-            // At most every node is a candidate; one up-front reservation
-            // keeps the per-slot candidate scan allocation-free no matter
-            // how dense a later slot gets. The per-thread reception
-            // buffers get the same hard bound (one decoded pair per
-            // candidate), so a record-reception slot late in a run never
-            // has to grow them.
-            candidates.reserve(n);
-            for cs in thread.iter_mut() {
-                cs.pairs.reserve(n);
-            }
-        }
-
-        for &t in transmitting {
-            debug_assert!(!is_tx[t], "node {t} transmits twice in one slot");
-            is_tx[t] = true;
-        }
-
-        // Candidate receivers in naive discovery order: non-transmitting
-        // neighbors of any transmitter, first-touch wins.
-        candidates.clear();
-        for &t in transmitting {
-            for &u in g.neighbors(t) {
-                if !is_tx[u] && !candidate_mark[u] {
-                    candidate_mark[u] = true;
-                    candidates.push(u);
-                }
-            }
-        }
+        let Scratch { gs, kernel, stats } = &mut *scratch;
+        kernel.begin_slot(g, transmitting);
 
         if self.grid_enabled {
-            self.update_grid(gs, stats, g, transmitting, is_tx, delta);
+            self.update_grid(gs, stats, g, transmitting, kernel.is_tx(), delta);
         }
 
         // Stamp candidate cells only when the slot is worth the fast
@@ -637,14 +536,8 @@ impl FastSinrModel {
             // population of its 3×3 cell window; size every thread's
             // collection buffer to that bind-time bound once so a
             // record-density window late in the run cannot grow it.
-            // (`reserve` on an already-sized buffer is a single branch.)
             if let Some(grid) = &gs.grid {
-                let senders_cap = grid.max_window_population();
-                for cs in thread.iter_mut() {
-                    if cs.sender_buf.capacity() < senders_cap {
-                        cs.sender_buf.reserve(senders_cap);
-                    }
-                }
+                kernel.reserve_senders(grid.max_window_population());
             }
             for &c in &gs.stamped {
                 gs.cand_cell_idx[c as usize] = NOT_STAMPED;
@@ -657,14 +550,14 @@ impl FastSinrModel {
             // reference per cell of its Chebyshev window, so new lists
             // are sized to that bound and never grow during a pass.
             let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
-            let lists_needed = candidates.len().min(gs.cand_cell_idx.len());
+            let lists_needed = kernel.candidates().len().min(gs.cand_cell_idx.len());
             while gs.near_refs.len() < lists_needed {
                 gs.near_refs.push(Vec::with_capacity(window_cap));
             }
             if let Some(grid) = &gs.grid {
                 stamp_candidate_cells(
                     grid,
-                    candidates,
+                    kernel.candidates(),
                     self.near_reach,
                     &mut gs.cand_cell_idx,
                     &mut gs.stamped,
@@ -673,12 +566,8 @@ impl FastSinrModel {
             }
         }
 
-        let power = self.cfg.power();
-        let alpha = self.cfg.alpha();
         let ctx = SlotCtx {
-            cfg: &self.cfg,
-            g,
-            transmitting,
+            exact,
             grid: if use_grid { gs.grid.as_ref() } else { None },
             cand_cell_idx: &gs.cand_cell_idx,
             near_refs: &gs.near_refs,
@@ -687,57 +576,19 @@ impl FastSinrModel {
             // a coordinate are separated by more than `reach · cell` in
             // that coordinate), so each contributes strictly less than
             // this cap.
-            far_cap: received_power(power, self.near_reach as f64 * g.radius(), alpha),
-            adjacency_r2: g.radius() * g.radius(),
-            power,
-            alpha,
-            beta: self.cfg.beta(),
+            far_cap: received_power(
+                exact.power,
+                self.near_reach as f64 * g.radius(),
+                exact.alpha,
+            ),
             k,
         };
-
-        pairs.clear();
-        if self.pool.threads() > 1 && candidates.len() >= PAR_CANDIDATE_CUTOFF {
-            // Parallel: static chunks over the candidate list. Every slot
-            // begins by resetting all per-thread outputs (chunks at the
-            // tail can be empty and are then skipped by the pool), and the
-            // merge walks the slots in thread = chunk = candidate order,
-            // so pairs and counters match the sequential loop exactly.
-            for cs in thread.iter_mut() {
-                cs.begin_slot();
-            }
-            let candidate_slice: &[NodeId] = candidates;
-            self.pool.run_chunks(candidate_slice.len(), |t, range| {
-                thread.with(t, |cs| {
-                    for &u in &candidate_slice[range] {
-                        resolve_candidate(&ctx, u, cs);
-                    }
-                })
-            });
-            for cs in thread.iter_mut() {
-                pairs.append(&mut cs.pairs);
-                stats.fast_path_hits += cs.fast_hits;
-                stats.exact_fallbacks += cs.fallbacks;
-                stats.cells_scanned += cs.cells;
-            }
-        } else {
-            let cs = thread.get_mut(0);
-            cs.begin_slot();
-            for &u in candidates.iter() {
-                resolve_candidate(&ctx, u, cs);
-            }
-            pairs.append(&mut cs.pairs);
-            stats.fast_path_hits += cs.fast_hits;
-            stats.exact_fallbacks += cs.fallbacks;
-            stats.cells_scanned += cs.cells;
-        }
-
-        // Unmark scratch state for the next slot (O(touched), not O(n)).
-        for &t in transmitting {
-            is_tx[t] = false;
-        }
-        for i in 0..candidates.len() {
-            candidate_mark[candidates[i]] = false;
-        }
+        let counts = kernel.finish_slot(&self.pool, transmitting, pairs, |u, cs| {
+            resolve_candidate(&ctx, u, cs)
+        });
+        stats.fast_path_hits += counts.fast_hits;
+        stats.exact_fallbacks += counts.fallbacks;
+        stats.cells_scanned += counts.cells;
     }
 
     /// Brings the persistent grid's membership to the current transmitter
@@ -926,7 +777,7 @@ impl InterferenceModel for FastSinrModel {
 
     fn set_pool(&mut self, pool: &Pool) {
         self.pool = pool.clone();
-        self.scratch.get_mut().thread = PerThread::new(pool.threads(), |_| ChunkScratch::default());
+        self.scratch.get_mut().kernel.set_threads(pool.threads());
     }
 }
 

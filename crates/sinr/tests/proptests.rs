@@ -1,9 +1,23 @@
 //! Property-based tests for the interference models.
+//!
+//! The SINR resolvers are pinned to a test-only reference resolver
+//! (`reference/`): the naive model as plain per-slot loops, sharing no
+//! code with the exact kernel `SinrModel` and `FastSinrModel` run.
+
+mod reference;
 
 use proptest::prelude::*;
+use proptest::TestCaseResult;
+use reference::ReferenceSinrModel;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::interference::{decodes, received_power, total_received_power};
-use sinr_model::{FastSinrModel, GraphModel, IdealModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{
+    FastSinrModel, GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrConfig,
+    SinrModel, TxDelta,
+};
+use sinr_pool::Pool;
+use std::collections::BTreeSet;
 
 fn arb_points(max_n: usize, extent: f64) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -21,16 +35,144 @@ fn arb_scenario() -> impl Strategy<Value = (Vec<Point>, Vec<NodeId>)> {
     })
 }
 
-/// A denser scenario whose transmit sets routinely exceed the fast
-/// resolver's small-slot cutoff, over a range of placement densities.
-fn arb_dense_scenario() -> impl Strategy<Value = (Vec<Point>, Vec<NodeId>)> {
-    (2.0..10.0f64)
-        .prop_flat_map(|extent| arb_points(80, extent))
-        .prop_flat_map(|pts| {
-            let n = pts.len();
-            (Just(pts), prop::collection::btree_set(0..n, 0..=n))
-                .prop_map(|(pts, set)| (pts, set.into_iter().collect()))
+/// Path-loss exponents: the `powi` fast paths (3, 4, 6) and the `powf`
+/// fallback (2.5).
+const ALPHAS: [f64; 4] = [2.5, 3.0, 4.0, 6.0];
+/// Decoding thresholds, from the smallest the paper allows upwards.
+const BETAS: [f64; 3] = [1.0, 1.5, 3.0];
+
+/// A placement over a range of densities with co-located duplicates and
+/// isolated nodes, and a slot sequence over it: an empty slot, a lone
+/// transmitter, the isolated nodes alone, then random transmitter sets,
+/// which routinely exceed both the fast resolver's small-slot cutoff and
+/// the pooled path's candidate cutoff.
+fn arb_slot_sequence() -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> {
+    (2.0..12.0f64)
+        .prop_flat_map(|extent| {
+            (
+                arb_points(160, extent),
+                prop::collection::vec(0usize..1000, 0..8),
+                0usize..4,
+                prop::collection::vec(prop::collection::btree_set(0usize..1000, 0..=90), 1..6),
+            )
         })
+        .prop_map(|(mut pts, duplicates, isolated, sets)| {
+            let placed = pts.len();
+            for d in duplicates {
+                pts.push(pts[d % placed]);
+            }
+            let first_isolated = pts.len();
+            for i in 0..isolated {
+                pts.push(Point::new(-10.0 - 5.0 * i as f64, -10.0));
+            }
+            let n = pts.len();
+            let mut slots = vec![Vec::new(), vec![0], (first_isolated..n).collect()];
+            for set in sets {
+                let tx: BTreeSet<NodeId> = set.into_iter().map(|t| t % n).collect();
+                slots.push(tx.into_iter().collect());
+            }
+            (pts, slots)
+        })
+}
+
+/// A `cols × rows` integer lattice and a slot sequence over it: a lone
+/// transmitter in the middle, an empty slot, then random transmitter sets.
+fn arb_lattice_sequence() -> impl Strategy<Value = (usize, usize, Vec<Vec<NodeId>>)> {
+    (2usize..14, 2usize..14)
+        .prop_flat_map(|(cols, rows)| {
+            let n = cols * rows;
+            (
+                Just(cols),
+                Just(rows),
+                prop::collection::vec(prop::collection::btree_set(0..n, 0..=n / 2), 1..6),
+            )
+        })
+        .prop_map(|(cols, rows, sets)| {
+            let mut slots = vec![vec![cols * rows / 2], Vec::new()];
+            slots.extend(sets.into_iter().map(|set| set.into_iter().collect()));
+            (cols, rows, slots)
+        })
+}
+
+/// The SINR resolvers under test on one pool: the naive model, the
+/// grid-tiled model at `reach`, and the auto model sized for `g`.
+fn resolvers(
+    cfg: SinrConfig,
+    g: &UnitDiskGraph,
+    reach: i64,
+    pool: &Pool,
+) -> Vec<(&'static str, Box<dyn InterferenceModel>)> {
+    let mut fast = FastSinrModel::with_near_reach(cfg, reach);
+    fast.set_pool(pool);
+    let mut auto = FastSinrModel::auto(cfg, g);
+    auto.set_pool(pool);
+    vec![
+        (
+            "SinrModel",
+            Box::new(SinrModel::with_pool(cfg, pool.clone())),
+        ),
+        ("FastSinrModel", Box::new(fast)),
+        ("FastSinrModel::auto", Box::new(auto)),
+    ]
+}
+
+/// The start/stop lists between two ascending transmitter sets, as the
+/// slot engine reports them.
+fn delta_between(prev: &[NodeId], now: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+    let started = now.iter().copied().filter(|t| !prev.contains(t)).collect();
+    let stopped = prev.iter().copied().filter(|t| !now.contains(t)).collect();
+    (started, stopped)
+}
+
+/// Runs `slots` on pools of 1, 2 and 4 threads through the reference and
+/// through every resolver under test, twice: by `resolve` on one instance,
+/// and by `resolve_delta_into` on another that refills one recycled table
+/// with the true delta. Every table must equal the reference's bit for bit.
+fn check_against_reference(
+    cfg: SinrConfig,
+    g: &UnitDiskGraph,
+    slots: &[Vec<NodeId>],
+    reach: i64,
+) -> TestCaseResult {
+    for threads in [1usize, 2, 4] {
+        let pool = Pool::new(threads);
+        let oracle = ReferenceSinrModel::with_pool(cfg, pool.clone());
+        let by_resolve = resolvers(cfg, g, reach, &pool);
+        let by_delta = resolvers(cfg, g, reach, &pool);
+        let mut tables = vec![ReceptionTable::default(); by_delta.len()];
+        let mut prev: Vec<NodeId> = Vec::new();
+        for (slot, tx) in slots.iter().enumerate() {
+            let expected = oracle.resolve(g, tx);
+            let (started, stopped) = delta_between(&prev, tx);
+            let delta = TxDelta {
+                started: &started,
+                stopped: &stopped,
+            };
+            for (((name, fresh), (_, recycled)), table) in
+                by_resolve.iter().zip(&by_delta).zip(&mut tables)
+            {
+                prop_assert_eq!(
+                    &fresh.resolve(g, tx),
+                    &expected,
+                    "{} resolve, slot {}, {} threads",
+                    name,
+                    slot,
+                    threads
+                );
+                recycled.resolve_delta_into(g, tx, delta, table);
+                prop_assert_eq!(
+                    &*table,
+                    &expected,
+                    "{} resolve_delta_into, slot {}, {} threads",
+                    name,
+                    slot,
+                    threads
+                );
+            }
+            prev.clone_from(tx);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -134,45 +276,35 @@ proptest! {
     }
 
     #[test]
-    fn fast_resolver_is_bit_identical_to_naive(
-        (pts, tx) in arb_dense_scenario(),
+    fn resolvers_are_bit_identical_to_the_reference(
+        (pts, slots) in arb_slot_sequence(),
         alpha_idx in 0usize..4,
+        beta_idx in 0usize..3,
         reach_raw in 0usize..5,
     ) {
-        // α sweep covers the powi fast paths (3, 4, 6) and the powf
-        // fallback (2.5); reach sweeps the near/far split from the tightest
-        // window to one far larger than the default.
-        let alpha = [2.5f64, 3.0, 4.0, 6.0][alpha_idx];
-        let cfg = SinrConfig::with_unit_range(alpha, 1.5, 2.0);
+        // Reach sweeps the near/far split from the tightest window to one
+        // far larger than the default.
+        let cfg = SinrConfig::with_unit_range(ALPHAS[alpha_idx], BETAS[beta_idx], 2.0);
         let g = UnitDiskGraph::new(pts, cfg.r_t());
-        let tx: Vec<NodeId> = tx.into_iter().filter(|&t| t < g.len()).collect();
-        let reach = 1 + reach_raw as i64;
-        let naive = SinrModel::new(cfg).resolve(&g, &tx);
-        let fast_model = FastSinrModel::with_near_reach(cfg, reach);
-        let fast = fast_model.resolve(&g, &tx);
-        prop_assert_eq!(&fast, &naive, "tables must be bit-identical");
-        // Resolving the same slot again (scratch reuse) must not drift.
-        prop_assert_eq!(&fast_model.resolve(&g, &tx), &naive);
+        check_against_reference(cfg, &g, &slots, 1 + reach_raw as i64)?;
     }
 
     #[test]
-    fn parallel_resolution_matches_sequential((pts, tx) in arb_dense_scenario()) {
-        // Any thread count yields the sequential tables — for the naive
-        // resolver, the grid-tiled one, and the size-gated auto variant.
-        let cfg = SinrConfig::default_unit();
-        let g = UnitDiskGraph::new(pts, cfg.r_t());
-        let tx: Vec<NodeId> = tx.into_iter().filter(|&t| t < g.len()).collect();
-        let baseline = SinrModel::new(cfg).resolve(&g, &tx);
-        for threads in [2usize, 4] {
-            let pool = sinr_pool::Pool::new(threads);
-            let naive = SinrModel::with_pool(cfg, pool.clone()).resolve(&g, &tx);
-            prop_assert_eq!(&naive, &baseline, "naive, {} threads", threads);
-            let fast = FastSinrModel::with_pool(cfg, pool.clone());
-            prop_assert_eq!(&fast.resolve(&g, &tx), &baseline, "fast, {} threads", threads);
-            let mut auto = FastSinrModel::auto(cfg, &g);
-            auto.set_pool(&pool);
-            prop_assert_eq!(&auto.resolve(&g, &tx), &baseline, "auto, {} threads", threads);
-        }
+    fn resolvers_are_bit_identical_to_the_reference_on_a_lattice_at_spacing_r_t(
+        (cols, rows, slots) in arb_lattice_sequence(),
+        alpha_idx in 0usize..4,
+        beta_idx in 0usize..3,
+    ) {
+        // Integer coordinates at spacing 1 = R_T: every lattice neighbor
+        // sits at distance R_T bit for bit, on the boundary of adjacency,
+        // and a lone transmitter reaches all of them (SINR 2β).
+        let cfg = SinrConfig::with_unit_range(ALPHAS[alpha_idx], BETAS[beta_idx], 2.0);
+        let pts: Vec<Point> = (0..cols * rows)
+            .map(|i| Point::new((i % cols) as f64, (i / cols) as f64))
+            .collect();
+        let g = UnitDiskGraph::new(pts, 1.0);
+        prop_assert!(g.are_adjacent(0, 1), "lattice neighbors at R_T are adjacent");
+        check_against_reference(cfg, &g, &slots, DEFAULT_NEAR_REACH_CELLS)?;
     }
 
     #[test]
