@@ -10,7 +10,7 @@ use crate::chi::chi_scratch;
 use crate::mw::messages::MwMessage;
 use crate::params::MwParams;
 use sinr_geometry::NodeId;
-use sinr_radiosim::{Action, NodeCtx, Protocol, SlotRng};
+use sinr_radiosim::{Action, NodeCtx, Protocol, Quiet, SlotRng};
 use std::collections::VecDeque;
 
 /// The state class of an [`MwPhase`], as a dense 1-byte enum.
@@ -551,13 +551,71 @@ impl Protocol for MwNode {
         self.color.is_some()
     }
 
-    fn empty_end_slot_is_noop(&self) -> bool {
-        // Only the listen loop does real work on an empty inbox (the
-        // countdown of Fig. 1 lines 2–5 advances every slot); every other
-        // phase's end_slot just scans `received`, so with nothing received
-        // the engine may skip the callback outright. This is what lets the
-        // fused delivery pass ignore the colored/leader long tail.
-        !matches!(self.phase, MwPhase::Listen { .. })
+    fn quiet(&self) -> Option<Quiet> {
+        // Each phase's quiet slots end before the slot that changes more
+        // than a countdown: the listen loop's last slot computes χ, the
+        // compete slot reaching the threshold colors the node, and a
+        // grant window's last slot pops the queue.
+        let (coin, slots) = match self.phase {
+            MwPhase::Listen { remaining, .. } => (0.0, remaining.saturating_sub(1)),
+            MwPhase::Compete { .. } => (
+                self.params.q_small,
+                u64::try_from(self.counter_threshold - self.counter - 1).unwrap_or(0),
+            ),
+            MwPhase::Request { .. } | MwPhase::Colored { .. } => (self.params.q_small, u64::MAX),
+            MwPhase::Leader => {
+                let st = &self.cold.leader_state;
+                match st.serving {
+                    Some((_, remaining)) => (self.params.q_leader, remaining.saturating_sub(1)),
+                    // A waiting requester is served from the next slot.
+                    None if !st.queue.is_empty() => return None,
+                    None => (self.params.q_leader, u64::MAX),
+                }
+            }
+        };
+        Some(Quiet { coin, slots })
+    }
+
+    fn heeds(&self, sender: NodeId, msg: &MwMessage) -> bool {
+        match self.phase {
+            // Fig. 1 lines 4–5 and 12–15.
+            MwPhase::Listen { level, .. } | MwPhase::Compete { level } => {
+                msg.announces_color(level)
+                    || matches!(*msg, MwMessage::Compete { level: l, .. } if l == level)
+            }
+            // Fig. 3 line 3.
+            MwPhase::Request { leader } => {
+                matches!(*msg, MwMessage::Grant { to, .. } if sender == leader && to == self.id)
+            }
+            // Fig. 2 line 7.
+            MwPhase::Leader => matches!(*msg, MwMessage::Request { leader } if leader == self.id),
+            MwPhase::Colored { .. } => false,
+        }
+    }
+
+    fn skip_quiet(&mut self, slots: u64) {
+        // What `slots` empty slots of `begin_slot` + `end_slot` do when no
+        // coin succeeds: the slot count, and the phase's countdown.
+        self.phase_slots_pending += slots;
+        match self.phase {
+            MwPhase::Listen { level, remaining } => {
+                self.phase = MwPhase::Listen {
+                    level,
+                    remaining: remaining.saturating_sub(slots),
+                };
+            }
+            MwPhase::Compete { .. } => {
+                self.counter = self
+                    .counter
+                    .saturating_add(i64::try_from(slots).unwrap_or(i64::MAX));
+            }
+            MwPhase::Leader => {
+                if let Some((_, remaining)) = &mut self.cold.leader_state.serving {
+                    *remaining = remaining.saturating_sub(slots);
+                }
+            }
+            MwPhase::Request { .. } | MwPhase::Colored { .. } => {}
+        }
     }
 }
 
@@ -1105,6 +1163,232 @@ mod tests {
                 prop_assert_eq!(node.counter(), shadow.counter, "slot {}", s);
             }
             prop_assert_eq!(*node.phase(), MwPhase::Compete { level });
+        }
+    }
+
+    /// A [`SlotRng`] that answers every `chance` with `false` and records
+    /// its `p`; `uniform` and `pick` record `NaN`, so any call other than
+    /// `chance` shows.
+    #[derive(Default)]
+    struct RecordingRng(Vec<f64>);
+    impl SlotRng for RecordingRng {
+        fn chance(&mut self, p: f64) -> bool {
+            self.0.push(p);
+            false
+        }
+        fn uniform(&mut self) -> f64 {
+            self.0.push(f64::NAN);
+            0.999
+        }
+        fn pick(&mut self, _bound: u64) -> u64 {
+            self.0.push(f64::NAN);
+            0
+        }
+    }
+
+    /// A node together with the next local slot it would run.
+    #[derive(Clone)]
+    struct Driven {
+        node: MwNode,
+        slot: u64,
+    }
+
+    impl Driven {
+        fn new(id: NodeId) -> Self {
+            Driven {
+                node: MwNode::new(id, params()),
+                slot: 0,
+            }
+        }
+
+        /// One slot whose coins all fail, with `inbox` delivered.
+        fn step(&mut self, inbox: &[(NodeId, MwMessage)]) {
+            let c = ctx(self.node.id, self.slot);
+            let _ = self.node.begin_slot(&c, &mut FixedRng(false));
+            self.node.end_slot(&c, inbox);
+            self.slot += 1;
+        }
+
+        /// Empty slots until `done` holds (at most `limit` of them).
+        fn until(mut self, limit: u64, done: impl Fn(&MwNode) -> bool) -> Self {
+            for _ in 0..limit {
+                if done(&self.node) {
+                    break;
+                }
+                self.step(&[]);
+            }
+            assert!(done(&self.node), "scripted state reached");
+            self
+        }
+    }
+
+    /// Everything a slot can change in a node, for equality checks.
+    fn snapshot(node: &MwNode) -> impl PartialEq + std::fmt::Debug {
+        let st = &node.cold.leader_state;
+        (
+            (node.phase.clone(), node.color, node.counter),
+            (node.phase_slots(), node.estimates.clone(), node.resets()),
+            (node.levels_entered(), node.leader(), node.cluster_color()),
+            (st.queue.clone(), st.tc, st.serving, st.granted.clone()),
+            (node.is_done(), node.is_active()),
+        )
+    }
+
+    /// Scripted states covering every phase kind, a leader serving a grant
+    /// and a leader with a requester waiting: `extra` empty slots and the
+    /// competitor counters `heard` shape the path to each.
+    fn scripted_states(extra: u64, heard: &[i64]) -> Vec<Driven> {
+        let p = params();
+        let me: NodeId = 5;
+        let leader: NodeId = 9;
+        // A_0, listening, with copies recorded from two competitors.
+        let mut listen = Driven::new(me);
+        for (i, &c) in heard.iter().enumerate() {
+            let w = 20 + i % 2;
+            listen.step(&[(
+                w,
+                MwMessage::Compete {
+                    level: 0,
+                    counter: c,
+                },
+            )]);
+        }
+        // A_0, competing.
+        let mut compete = listen.clone().until(p.listen_slots() + 1, |n| {
+            n.phase.kind() == MwPhaseKind::Compete
+        });
+        for _ in 0..extra.min(3) {
+            compete.step(&[]);
+        }
+        // R, after hearing a leader.
+        let mut request = Driven::new(me);
+        request.step(&[(leader, MwMessage::ColorTaken { level: 0 })]);
+        for _ in 0..extra {
+            request.step(&[]);
+        }
+        // A_{spread}, listening after a grant, then colored C_{spread}.
+        let mut granted = request.clone();
+        granted.step(&[(leader, MwMessage::Grant { to: me, tc: 1 })]);
+        let budget = p.listen_slots() + 2 * p.counter_threshold().unsigned_abs() + 8;
+        let colored = granted
+            .clone()
+            .until(budget, |n| n.phase.kind() == MwPhaseKind::Colored);
+        // C_0: a lone node wins level 0; then a requester arrives, and in
+        // the next slot the leader starts serving it.
+        let mut leading = Driven::new(me).until(budget, |n| n.phase == MwPhase::Leader);
+        for _ in 0..extra {
+            leading.step(&[]);
+        }
+        let mut waiting = leading.clone();
+        waiting.step(&[(3, MwMessage::Request { leader: me })]);
+        let mut serving = waiting.clone();
+        serving.step(&[]);
+        assert!(serving.node.cold.leader_state.serving.is_some());
+        let states = vec![
+            listen, compete, request, granted, colored, leading, waiting, serving,
+        ];
+        let kinds: Vec<MwPhaseKind> = states.iter().map(|d| d.node.phase.kind()).collect();
+        assert_eq!(
+            kinds,
+            [
+                MwPhaseKind::Listen,
+                MwPhaseKind::Compete,
+                MwPhaseKind::Request,
+                MwPhaseKind::Listen,
+                MwPhaseKind::Colored,
+                MwPhaseKind::Leader,
+                MwPhaseKind::Leader,
+                MwPhaseKind::Leader,
+            ]
+        );
+        states
+    }
+
+    /// Candidate receptions: every message kind at levels and addresses
+    /// near the node's own, from its leader and from strangers.
+    fn candidates(node: &MwNode, counter: i64) -> Vec<(NodeId, MwMessage)> {
+        let mut out = Vec::new();
+        for sender in [3, 9, 21] {
+            for level in [0, 1, 2, node.params.spread, node.params.spread + 1] {
+                out.push((sender, MwMessage::Compete { level, counter }));
+                out.push((sender, MwMessage::ColorTaken { level }));
+            }
+            for to in [node.id, node.id + 1] {
+                out.push((sender, MwMessage::Grant { to, tc: 1 }));
+            }
+            for leader in [node.id, 9, 4] {
+                out.push((sender, MwMessage::Request { leader }));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// `MwNode`'s quiet promise and `heeds` hold in every phase:
+        /// each promised empty slot draws exactly one coin of the promised
+        /// probability (none at coin 0) and listens, `skip_quiet(k)` equals
+        /// `k` such slots, and a message the node does not heed leaves
+        /// `end_slot` as an empty inbox would.
+        #[test]
+        fn quiet_promise_and_heeds_hold_in_every_phase(
+            extra in 0u64..12,
+            heard in prop::collection::vec(-300i64..300, 0..4),
+            k_cap in 1u64..80,
+            counter in -300i64..300,
+        ) {
+            for (i, state) in scripted_states(extra, &heard).into_iter().enumerate() {
+                let Driven { node, slot } = state;
+                let waiting = node.phase == MwPhase::Leader
+                    && node.cold.leader_state.serving.is_none()
+                    && !node.cold.leader_state.queue.is_empty();
+                let Some(quiet) = node.quiet() else {
+                    prop_assert!(waiting, "state {}: only a waiting leader promises nothing", i);
+                    continue;
+                };
+                prop_assert!(!waiting, "state {}: a waiting leader promises nothing", i);
+                prop_assert_eq!(quiet.coin, match node.phase {
+                    MwPhase::Listen { .. } => 0.0,
+                    MwPhase::Leader => node.params.q_leader,
+                    _ => node.params.q_small,
+                });
+                // A prefix of the promise, and the whole of a bounded one.
+                let mut ks = vec![quiet.slots.min(k_cap)];
+                if quiet.slots != u64::MAX {
+                    ks.push(quiet.slots);
+                }
+                for k in ks {
+                    let mut slotwise = node.clone();
+                    for t in slot..slot + k {
+                        let mut rng = RecordingRng::default();
+                        let c = ctx(node.id, t);
+                        prop_assert_eq!(slotwise.begin_slot(&c, &mut rng), Action::Listen);
+                        let expected: &[f64] = if quiet.coin > 0.0 { &[quiet.coin] } else { &[] };
+                        prop_assert_eq!(&rng.0[..], expected, "state {}, slot {}", i, t);
+                        slotwise.end_slot(&c, &[]);
+                    }
+                    let mut skipped = node.clone();
+                    skipped.skip_quiet(k);
+                    prop_assert_eq!(snapshot(&slotwise), snapshot(&skipped), "state {}, k = {}", i, k);
+                }
+
+                for (sender, msg) in candidates(&node, counter) {
+                    if node.heeds(sender, &msg) {
+                        continue;
+                    }
+                    let c = ctx(node.id, slot);
+                    let mut with = node.clone();
+                    let _ = with.begin_slot(&c, &mut FixedRng(false));
+                    with.end_slot(&c, &[(sender, msg)]);
+                    let mut without = node.clone();
+                    let _ = without.begin_slot(&c, &mut FixedRng(false));
+                    without.end_slot(&c, &[]);
+                    prop_assert_eq!(
+                        snapshot(&with),
+                        snapshot(&without),
+                        "state {}: unheeded {:?} from {}", i, msg, sender
+                    );
+                }
+            }
         }
     }
 }

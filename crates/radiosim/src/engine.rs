@@ -1,6 +1,6 @@
 //! The slot-synchronous simulation engine.
 
-use crate::protocol::{Action, NodeCtx, Protocol, RandSlotRng};
+use crate::protocol::{Action, NodeCtx, Protocol, RandSlotRng, SlotRng};
 use crate::stats::SimStats;
 use crate::wakeup::WakeupSchedule;
 use sinr_geometry::{NodeId, UnitDiskGraph};
@@ -36,12 +36,10 @@ impl NodeFlags {
     const TX: u8 = 1 << 3;
     /// The node transmitted in the previous slot (delta baseline).
     const PREV_TX: u8 = 1 << 4;
-    /// Cached `Protocol::empty_end_slot_is_noop()`: an empty-inbox
-    /// `end_slot` would do nothing in the node's current state, so the
-    /// delivery pass may skip the callback (and the node-state cache
-    /// traffic) entirely when nothing was received. Refreshed together
-    /// with ACTIVE.
-    const IDLE_END: u8 = 1 << 5;
+    /// The node is parked on a [`Protocol::quiet`] promise: both passes
+    /// skip it until its due slot or a reception it heeds, and its
+    /// state and generator lag at its sync slot until then.
+    const PARKED: u8 = 1 << 5;
     /// The node decided this slot — or before the run started, which
     /// counts as slot 0 — and is not yet accounted; the delivery pass
     /// records it in `newly_done` at its ascending-id turn. Never
@@ -76,10 +74,9 @@ impl NodeFlags {
         self.0 & Self::PREV_TX != 0
     }
 
-    /// The cached empty-inbox-`end_slot`-is-a-no-op bit (see
-    /// [`NodeFlags::IDLE_END`]).
-    pub fn idle_end(self) -> bool {
-        self.0 & Self::IDLE_END != 0
+    /// Whether the node is parked (see [`NodeFlags::PARKED`]).
+    pub fn parked(self) -> bool {
+        self.0 & Self::PARKED != 0
     }
 
     fn just_done(self) -> bool {
@@ -106,30 +103,47 @@ impl NodeFlags {
         }
     }
 
-    fn set_idle_end(&mut self, idle: bool) {
-        if idle {
-            self.insert(Self::IDLE_END);
-        } else {
-            self.remove(Self::IDLE_END);
-        }
-    }
-
     /// SWAR test over eight packed flag bytes at once: a nonzero lane
     /// marks a node the delivery pass must visit even with an empty
-    /// inbox — a pending JUST_DONE, an awake active node whose empty
-    /// `end_slot` is not a no-op, or an awake inactive node still owed
-    /// the done poll. Sleeping nodes and the done idle tail produce zero
-    /// lanes, so a zero word lets the pass hop eight nodes on a single
-    /// load.
+    /// inbox — a pending JUST_DONE, an awake active node that ran
+    /// `begin_slot` this slot (it is not parked), or an awake inactive
+    /// node still owed the done poll. Sleeping nodes, parked nodes and
+    /// the silent done tail produce zero lanes, so a zero word lets the
+    /// pass hop eight nodes on a single load.
     fn needs_visit_word(w: u64) -> u64 {
         const LANES: u64 = 0x0101_0101_0101_0101;
         let aw = w & LANES;
         let ac = (w >> 1) & LANES;
         let dn = (w >> 2) & LANES;
-        let id = (w >> 5) & LANES;
+        let pk = (w >> 5) & LANES;
         let jd = (w >> 6) & LANES;
-        jd | (aw & ac & (id ^ LANES)) | (aw & (ac ^ LANES) & (dn ^ LANES))
+        jd | (aw & ac & (pk ^ LANES)) | (aw & (ac ^ LANES) & (dn ^ LANES))
     }
+}
+
+/// How many coins a parked node draws ahead at most: a node whose coin
+/// has not succeeded within this many slots is visited at the last one
+/// and draws again. Bounds the work one park decision can cost.
+const DRAW_AHEAD: u64 = 4096;
+
+/// The first slot in `next..end`, at most [`DRAW_AHEAD`] of them, whose
+/// `chance(coin)` succeeds on a copy of `rng`, where `rng` is positioned
+/// at slot `next`'s draw; else the first slot not drawn. Every slot
+/// before the returned one draws one failing coin. A coin `≤ 0` draws
+/// nothing and never succeeds, so every slot is known to fail.
+// lint:hot — per-park loop, runs once per parked interval
+fn draw_ahead(rng: &StdRng, coin: f64, next: u64, end: u64) -> u64 {
+    if coin <= 0.0 {
+        return u64::MAX;
+    }
+    let mut copy = rng.clone();
+    let mut ahead = RandSlotRng(&mut copy);
+    let stop = end.min(next.saturating_add(DRAW_AHEAD));
+    let mut t = next;
+    while t < stop && !ahead.chance(coin) {
+        t += 1;
+    }
+    t
 }
 
 /// Everything that happened in one simulated slot.
@@ -268,7 +282,10 @@ pub struct RunOutcome {
 /// ascending id order — actions, then delivery — whether or not a
 /// [`Recorder`] is attached. A recorder only receives the events and
 /// spans those passes emit; with [`NoopRecorder`] the emission compiles
-/// away.
+/// away. Both passes skip a node parked on a [`Protocol::quiet`] promise
+/// until its due slot or a reception it heeds (see the [`Protocol`]
+/// docs); every public entry point catches parked nodes up before it
+/// returns.
 pub struct Simulator<P: Protocol, M: InterferenceModel> {
     graph: UnitDiskGraph,
     model: M,
@@ -282,6 +299,15 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // loops' per-node `wake`/`is_active` probes.
     flags: Vec<NodeFlags>,
     done_count: usize,
+    // Park state, read only while the node's PARKED bit is set: the slot
+    // it must next run (`due`), the first slot not yet applied to it
+    // (`sync`; its generator sits at that slot's draw), the coin it was
+    // parked with, and the first slot whose drawn-ahead coin is not known
+    // to fail (`ahead`, reused when a heeded reception wakes it early).
+    due: Vec<u64>,
+    sync: Vec<u64>,
+    coin: Vec<f64>,
+    ahead: Vec<u64>,
     // Dense per-slot buffers, reused across slots so the steady-state hot
     // loop performs no allocation (previously a fresh HashMap + Vecs per
     // slot).
@@ -342,7 +368,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             .map(|nd| {
                 let mut f = NodeFlags::default();
                 f.set_active(nd.is_active());
-                f.set_idle_end(nd.empty_end_slot_is_noop());
                 // A node done before the run starts, asleep or awake, is
                 // accounted in slot 0 with the nodes that decide there.
                 if nd.is_done() {
@@ -361,6 +386,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             stats,
             flags,
             done_count: 0,
+            due: vec![0; n],
+            sync: vec![0; n],
+            coin: vec![0.0; n],
+            ahead: vec![0; n],
             // Hot-loop buffers are preallocated to their hard bounds (n
             // transmitters, max-degree receptions per inbox) so the
             // warmed-up slot loop never grows them.
@@ -422,11 +451,16 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     }
 
     /// The protocol instances, indexed by node id.
+    ///
+    /// Exact between calls. Inside a run (from a `run_observed` or
+    /// `run_recorded` observer) a parked node reads as of its last real
+    /// slot: only state that quiet slots leave unchanged is current (see
+    /// [`Protocol::quiet`]).
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
 
-    /// The protocol instance of node `v`.
+    /// The protocol instance of node `v`, as [`Simulator::nodes`] sees it.
     ///
     /// # Panics
     ///
@@ -435,7 +469,8 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         &self.nodes[v]
     }
 
-    /// Statistics accumulated so far.
+    /// Statistics accumulated so far. Exact between calls; inside a run a
+    /// parked node's `listen_slots` lag at its last real slot.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -461,6 +496,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// Executes one slot and returns what happened.
     pub fn step(&mut self) -> StepView<'_> {
         self.step_impl(&mut NoopRecorder);
+        self.flush();
         self.view()
     }
 
@@ -509,8 +545,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             self.flags[v].insert(NodeFlags::AWAKE);
             let active = self.nodes[v].is_active();
             self.flags[v].set_active(active);
-            let idle = self.nodes[v].empty_end_slot_is_noop();
-            self.flags[v].set_idle_end(idle);
             if obs {
                 rec.event(slot, &ObsEvent::Wake { node: v });
             }
@@ -694,7 +728,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// delta, accounts tx/listen activity, and emits the Transmit events
     /// in ascending node order. The awake∧active gate is one byte load
     /// from the [`NodeFlags`] column per node; the ACTIVE bits are
-    /// refreshed after every callback so the column stays exact.
+    /// refreshed after every callback so the column stays exact. A parked
+    /// node costs one due-slot load until its due slot, where it catches
+    /// up and runs: its coin succeeds there, or its promise or the
+    /// draw-ahead horizon ends.
     // lint:hot — per-node action loop, runs every slot for every node
     fn phase_actions_fused<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
         let n = self.graph.len();
@@ -704,6 +741,13 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             let f = self.flags[v];
             if !f.runnable() {
                 continue;
+            }
+            if f.parked() {
+                if self.due[v] > slot {
+                    continue;
+                }
+                self.catch_up(v, slot);
+                self.flags[v].remove(NodeFlags::PARKED);
             }
             let ctx = NodeCtx {
                 id: v,
@@ -729,25 +773,98 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             };
             // Activity is re-checked after begin_slot so a node that
             // deactivates inside the callback is not billed a listen
-            // slot.
+            // slot. Done transitions inside begin_slot are caught by the
+            // delivery pass, which visits every node that ran here.
             let active = self.nodes[v].is_active();
             if listened && active {
                 self.stats.listen_slots[v] += 1;
             }
-            let idle = self.nodes[v].empty_end_slot_is_noop();
-            let mut fl = self.flags[v];
-            fl.set_active(active);
-            fl.set_idle_end(idle);
-            // Done transitions that happen inside begin_slot (MW nodes
-            // color themselves there) are caught here, while the node's
-            // state is still cache-hot — but only for nodes the delivery
-            // pass may idle-skip; non-idle nodes run end_slot anyway and
-            // are checked there. JUST_DONE defers the accounting to the
-            // delivery pass so `newly_done` stays ascending.
-            if idle && !fl.done() && self.nodes[v].is_done() {
-                fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+            self.flags[v].set_active(active);
+        }
+    }
+
+    /// Applies the quiet slots `sync[v]..slot` that parked node `v`
+    /// skipped: replays their coins on its real generator with the coin
+    /// it was parked with (each failed when drawn ahead), lets the
+    /// protocol skip them, and bills them as listen slots. Leaves the
+    /// PARKED bit alone.
+    // lint:hot — catch-up loop, runs once per parked interval
+    fn catch_up(&mut self, v: NodeId, slot: u64) {
+        let k = slot - self.sync[v];
+        if k == 0 {
+            return;
+        }
+        let coin = self.coin[v];
+        let mut rng = RandSlotRng(&mut self.rngs[v]);
+        for _ in 0..k {
+            let hit = rng.chance(coin);
+            debug_assert!(!hit, "node {v}: a coin drawn ahead as a failure succeeded");
+        }
+        self.nodes[v].skip_quiet(k);
+        self.stats.listen_slots[v] += k;
+        self.sync[v] = slot;
+    }
+
+    /// Parks node `v` after its visit in `slot` if it promises at least
+    /// one quiet slot, and returns whether it did. Its coins are drawn
+    /// ahead on a copy of its generator, and its due slot is the first
+    /// success, the end of the promise or the draw-ahead horizon,
+    /// whichever comes first. `woken` marks a visit forced by a heeded
+    /// reception while parked: that slot was quiet, so each slot since
+    /// the last draw-ahead drew exactly one coin, and with the same coin
+    /// that draw still holds from here to its first success.
+    fn park(&mut self, v: NodeId, slot: u64, woken: bool) -> bool {
+        let Some(quiet) = self.nodes[v].quiet() else {
+            return false;
+        };
+        let next = slot + 1;
+        let end = next.saturating_add(quiet.slots);
+        let ahead = if woken && self.coin[v].to_bits() == quiet.coin.to_bits() {
+            debug_assert!(self.ahead[v] > slot, "a woken node was due later");
+            self.ahead[v]
+        } else {
+            draw_ahead(&self.rngs[v], quiet.coin, next, end)
+        };
+        let due = ahead.min(end);
+        if due <= next {
+            return false;
+        }
+        self.due[v] = due;
+        self.sync[v] = next;
+        self.coin[v] = quiet.coin;
+        self.ahead[v] = ahead;
+        true
+    }
+
+    /// Runs this slot's `begin_slot` for a parked node a heeded reception
+    /// woke, after catching it up through the previous slot. The slot is
+    /// quiet and its coin was drawn ahead as a failure, so the node
+    /// listens.
+    fn wake_parked(&mut self, v: NodeId, ctx: &NodeCtx) {
+        self.catch_up(v, ctx.global_slot);
+        let mut rng = RandSlotRng(&mut self.rngs[v]);
+        let action = self.nodes[v].begin_slot(ctx, &mut rng);
+        debug_assert!(
+            !action.is_transmit(),
+            "node {v}: a quiet slot before its due slot transmitted"
+        );
+        debug_assert!(
+            self.nodes[v].is_active(),
+            "node {v}: a quiet slot deactivated it"
+        );
+        self.stats.listen_slots[v] += 1;
+    }
+
+    /// Catches every parked node up to the next slot, so node state,
+    /// generators and statistics are exact between calls. The nodes stay
+    /// parked: their drawn-ahead coins still hold.
+    // lint:hot — flush loop, runs once per `step` and at the end of a run
+    fn flush(&mut self) {
+        let slot = self.slot;
+        for v in 0..self.flags.len() {
+            if self.flags[v].parked() {
+                self.catch_up(v, slot);
             }
-            self.flags[v] = fl;
         }
     }
 
@@ -756,15 +873,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// search), emits the Receive events, runs `end_slot`, and accounts
     /// every node that decided this slot into `newly_done`.
     ///
+    /// Every node that ran `begin_slot` this slot gets its `end_slot`
+    /// here, and its done-ness and park decision are taken after it.
     /// Sleeping nodes are skipped unless a pending JUST_DONE needs
     /// accounting: a node's `is_done` cannot change before its first
     /// callback, and nodes done at construction carry JUST_DONE into
-    /// slot 0. Nodes whose cached IDLE_END bit says an empty-inbox
-    /// `end_slot` is a no-op are skipped too when nothing was received:
-    /// no callback runs, so neither their activity nor their done state
-    /// can have moved since the action pass refreshed both, and the pass
-    /// touches only their flag byte — O(n) in flag bytes but
-    /// O(receivers + listeners) in node-state traffic.
+    /// slot 0. A parked node is visited only when the table names it: its
+    /// receptions are counted and emitted, and it wakes only if it heeds
+    /// one of them; otherwise it stays parked and runs no callback.
     // lint:hot — per-node delivery loop, runs every slot for every node
     fn phase_delivery_fused<R: Recorder + ?Sized>(
         &mut self,
@@ -782,8 +898,9 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         while v < n {
             // Eight-node hop: when no byte in the next flag word needs a
             // visit and no reception targets the window, skip it on one
-            // u64 load — the colored long tail costs one word test per
-            // eight nodes instead of eight flag loads and branches.
+            // u64 load — parked nodes and the silent tail cost one word
+            // test per eight nodes instead of eight flag loads and
+            // branches.
             if v + 8 <= n && (p >= pairs.len() || pairs[p].0 >= v + 8) {
                 let c = &self.flags[v..v + 8];
                 let w = u64::from_le_bytes([
@@ -805,13 +922,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                         p += 1;
                     }
                     let has_rx = p < pairs.len() && pairs[p].0 == v;
-                    if f.active() && (has_rx || !f.idle_end()) {
+                    if f.active() && (has_rx || !f.parked()) {
                         inbox.clear();
+                        let mut heeded = !f.parked();
                         while p < pairs.len() && pairs[p].0 == v {
                             let sender = pairs[p].1;
                             let msg = self.tx_msg[sender]
                                 .as_ref()
                                 .expect("reception from a node that transmitted");
+                            heeded = heeded || self.nodes[v].heeds(sender, msg);
                             inbox.push((sender, msg.clone()));
                             if obs {
                                 rec.event(
@@ -825,26 +944,31 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                             p += 1;
                         }
                         self.stats.receptions += inbox.len() as u64;
-                        let ctx = NodeCtx {
-                            id: v,
-                            global_slot: slot,
-                            local_slot: slot - self.wake[v],
-                        };
-                        self.nodes[v].end_slot(&ctx, &inbox);
-                        fl.set_active(self.nodes[v].is_active());
-                        fl.set_idle_end(self.nodes[v].empty_end_slot_is_noop());
-                        if !f.done() && self.nodes[v].is_done() {
-                            fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                        if heeded {
+                            let ctx = NodeCtx {
+                                id: v,
+                                global_slot: slot,
+                                local_slot: slot - self.wake[v],
+                            };
+                            if f.parked() {
+                                self.wake_parked(v, &ctx);
+                                fl.remove(NodeFlags::PARKED);
+                            }
+                            self.nodes[v].end_slot(&ctx, &inbox);
+                            let active = self.nodes[v].is_active();
+                            fl.set_active(active);
+                            if !f.done() && self.nodes[v].is_done() {
+                                fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                            }
+                            if active && self.park(v, slot, f.parked()) {
+                                fl.insert(NodeFlags::PARKED);
+                            }
                         }
                     } else if !f.active() && !f.done() && self.nodes[v].is_done() {
                         // Awake-but-inactive nodes ran no callback in this
                         // pass, but one may have decided while going
-                        // silent in its `on_wake`, or in this slot's
-                        // `begin_slot` without being idle (the action pass
-                        // checks only idle nodes), so they are polled.
-                        // Active idle-skipped nodes need no poll: their
-                        // done state cannot have moved since the action
-                        // pass checked it.
+                        // silent in its `on_wake` or `begin_slot`, so they
+                        // are polled.
                         fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
                     }
                 }
@@ -869,6 +993,11 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// Like [`Simulator::run`], but calls `observe(&self, &view)` after
     /// every slot — the hook the experiment harness uses for per-slot
     /// audits (independence checks, interference measurements).
+    ///
+    /// The observer sees a parked node as of its last real slot (see
+    /// [`Simulator::nodes`]): it should read only state that quiet slots
+    /// leave unchanged, or nodes that ran this slot, such as the
+    /// `newly_done` ones. The run catches every node up before it returns.
     pub fn run_observed(
         &mut self,
         max_slots: u64,
@@ -896,13 +1025,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         mut observe: impl FnMut(&Self, &StepView<'_>, &mut R),
     ) -> RunOutcome {
         let start = self.slot;
-        while self.slot - start < max_slots {
-            if self.all_done() {
-                return RunOutcome {
-                    all_done: true,
-                    slots: self.slot - start,
-                };
-            }
+        while self.slot - start < max_slots && !self.all_done() {
             self.step_impl(rec);
             // The view is rebuilt from the shared borrow so the observer
             // can also see the simulator itself.
@@ -912,6 +1035,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             // protocol-level metrics (mw.*, probe.*) are already recorded.
             rec.series_tick(view.slot);
         }
+        self.flush();
         RunOutcome {
             all_done: self.all_done(),
             slots: self.slot - start,
@@ -950,7 +1074,6 @@ fn count_u64(x: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SlotRng;
     use sinr_geometry::{placement, Point};
     use sinr_model::{GraphModel, IdealModel};
 

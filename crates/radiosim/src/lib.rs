@@ -13,7 +13,9 @@
 //! order.
 //!
 //! * [`Protocol`] — the per-node automaton interface (`begin_slot` decides
-//!   transmit/listen, `end_slot` consumes this slot's receptions).
+//!   transmit/listen, `end_slot` consumes this slot's receptions; a
+//!   [`Quiet`] promise lets the engine park the node between
+//!   transmissions).
 //! * [`Simulator`] — drives all nodes slot by slot against an
 //!   [`InterferenceModel`](sinr_model::InterferenceModel).
 //! * [`WakeupSchedule`] — synchronous, uniformly random, or staggered
@@ -61,6 +63,6 @@ pub mod stats;
 pub mod wakeup;
 
 pub use engine::{NodeFlags, RunOutcome, Simulator, StepView};
-pub use protocol::{Action, NodeCtx, Protocol, SlotRng};
+pub use protocol::{Action, NodeCtx, Protocol, Quiet, SlotRng};
 pub use stats::SimStats;
 pub use wakeup::WakeupSchedule;

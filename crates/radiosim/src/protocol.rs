@@ -74,6 +74,23 @@ impl<R: sinr_rng::Rng> SlotRng for RandSlotRng<R> {
     }
 }
 
+/// A protocol's promise about its next slots (see [`Protocol::quiet`]).
+///
+/// Each of the next `slots` slots in which the node heeds nothing is a
+/// *quiet slot*. In a quiet slot `begin_slot` makes exactly one
+/// `chance(coin)` draw — none when `coin ≤ 0`, exactly as
+/// [`RandSlotRng::chance`] — and transmits iff that draw succeeds; the
+/// node stays active and keeps its `is_done` answer; and a quiet slot in
+/// which it listens changes the node only in the way
+/// [`Protocol::skip_quiet`] applies for `k` such slots at once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quiet {
+    /// The send probability of every quiet slot.
+    pub coin: f64,
+    /// How many slots the promise covers (`u64::MAX`: unbounded).
+    pub slots: u64,
+}
+
 /// A node's protocol automaton.
 ///
 /// Driven by the [`Simulator`](crate::Simulator): once per slot (while the
@@ -87,6 +104,20 @@ impl<R: sinr_rng::Rng> SlotRng for RandSlotRng<R> {
 /// Protocols are plain single-threaded automata: the engine steps every
 /// node on the calling thread, in ascending id order, so neither the
 /// protocol nor its messages need to be `Send` or `Sync`.
+///
+/// # Parked nodes
+///
+/// A protocol that promises quiet slots ([`Protocol::quiet`]) lets the
+/// engine *park* the node: its coins are drawn ahead on a copy of its
+/// generator, and the engine skips it until its first transmission, the
+/// end of the promise, or a reception it [heeds](Protocol::heeds). On
+/// waking, the engine replays the skipped coins on the real generator and
+/// applies [`Protocol::skip_quiet`], so callbacks, generator streams and
+/// statistics are exactly those of a node visited every slot. `run`,
+/// `run_observed`, `run_recorded` and `step` catch every parked node up
+/// before they return. An observer *inside* a run sees a parked node as
+/// of its last real slot, so it should read only state that quiet slots
+/// leave unchanged.
 pub trait Protocol {
     /// The message type broadcast by this protocol.
     type Message: Clone;
@@ -110,9 +141,7 @@ pub trait Protocol {
 
     /// Consumes this slot's receptions: `(sender, message)` pairs, empty if
     /// nothing was decoded (or the node transmitted). Called after every
-    /// `begin_slot`, in the same slot, except where
-    /// [`Protocol::empty_end_slot_is_noop`] lets the engine skip an empty
-    /// call.
+    /// `begin_slot`, in the same slot, while the node is active.
     fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, Self::Message)]);
 
     /// Whether the node has irrevocably produced its output. Done nodes
@@ -128,19 +157,26 @@ pub trait Protocol {
         true
     }
 
-    /// Whether `end_slot` with an *empty* reception list would be a no-op
-    /// in the node's current state. The engine skips the whole
-    /// end-of-slot callback for nodes that report `true` and received
-    /// nothing, recorded runs included, turning the delivery pass from a
-    /// full node-state sweep into a one-byte flag scan for them —
-    /// decisive for long-tailed protocols like MW, whose color classes
-    /// spend most of the run announcing with nothing to process.
-    /// Defaults to `false`
-    /// (never skip), which preserves exact behaviour for protocols that
-    /// do per-slot work in `end_slot` even without receptions.
-    fn empty_end_slot_is_noop(&self) -> bool {
-        false
+    /// How the node's next slots go while it hears nothing it heeds (see
+    /// [`Quiet`]), asked after every `end_slot`. Defaults to `None`: no
+    /// promise, so the engine visits the node every slot.
+    fn quiet(&self) -> Option<Quiet> {
+        None
     }
+
+    /// Whether `end_slot` could act on `msg` from `sender`. Returning
+    /// `false` promises that `end_slot` would ignore the message: with it
+    /// the call does exactly what it does without it. May read only state
+    /// that quiet slots leave unchanged, because the engine asks a parked
+    /// node before catching it up. Defaults to `true`.
+    fn heeds(&self, _sender: NodeId, _msg: &Self::Message) -> bool {
+        true
+    }
+
+    /// Applies `slots` quiet slots in which the node listened and heard
+    /// nothing it heeds, at once (see [`Quiet`]). The engine has already
+    /// made their `chance` draws. Defaults to doing nothing.
+    fn skip_quiet(&mut self, _slots: u64) {}
 }
 
 #[cfg(test)]

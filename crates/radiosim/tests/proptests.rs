@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::{GraphModel, IdealModel, SinrConfig, SinrModel};
 use sinr_obs::ObsEvent;
-use sinr_radiosim::{Action, NodeCtx, Protocol, Simulator, SlotRng, WakeupSchedule};
+use sinr_radiosim::{Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, WakeupSchedule};
 
 mod reference;
 use reference::ReferenceSim;
@@ -118,31 +118,34 @@ proptest! {
     }
 
     /// Engine-vs-oracle differential: the engine reads activity and done
-    /// bits from its packed `NodeFlags` column and skips idle nodes, while
-    /// the reference stepper queries the protocol live and never skips.
-    /// Both must produce identical outcomes, stats, and inbox histories,
-    /// with and without a recorder attached, and the recorded run must
-    /// emit exactly the oracle's events. Some masks make nodes done at
-    /// construction, which the engine accounts in slot 0.
+    /// bits from its packed `NodeFlags` column and parks nodes on their
+    /// [`Quiet`] promises, while the reference stepper queries the
+    /// protocol live, runs every callback every slot and never parks.
+    /// Both must produce identical outcomes, stats, node states and inbox
+    /// histories, with and without a recorder attached, and the recorded
+    /// run must emit exactly the oracle's events. A third engine runs the
+    /// same slots in segments of random length, so parked nodes are
+    /// caught up between calls and then stay parked. Some masks make
+    /// nodes done at construction, which the engine accounts in slot 0;
+    /// others make nodes send only noise, which every receiver ignores.
     #[test]
-    fn fused_flag_column_matches_phased_live_queries(
+    fn parked_engine_matches_the_reference_stepper(
         pts in arb_points(),
         seed in 0u64..500,
-        p in 0.05..0.9f64,
-        rounds in 1u64..20,
-        born_done in (any::<bool>(), 0u64..1 << 20)
-            .prop_map(|(on, mask)| if on { mask } else { 0 }),
+        coins in (0.05..0.9f64, 0usize..4, 0.05..0.9f64).prop_map(|(p, kind, q)| {
+            [p, [0.0, 1.0, q, p][kind]]
+        }),
+        (rounds, done_at) in (1u64..60).prop_flat_map(|r| (Just(r), 1..r + 1)),
+        masks in (any::<bool>(), 0u64..1 << 20, 0u64..1 << 20)
+            .prop_map(|(on, born, noisy)| (if on { born } else { 0 }, noisy)),
     ) {
+        let (born_done, noisy) = masks;
         let cfg = SinrConfig::default_unit();
         let graph = UnitDiskGraph::new(pts, cfg.r_t());
         let n = graph.len();
         let schedule = WakeupSchedule::UniformRandom { window: 10 };
-        let mk = |v: NodeId| Quieting {
-            p,
-            rounds,
-            born_done: born_done >> v & 1 == 1,
-            acted: 0,
-            heard: Vec::new(),
+        let mk = |v: NodeId| {
+            Promiser::new(coins, rounds, done_at, born_done >> v & 1 == 1, noisy >> v & 1 == 1)
         };
         let mk_sim = || Simulator::new(graph.clone(), SinrModel::new(cfg), schedule, seed, mk);
 
@@ -157,13 +160,20 @@ proptest! {
         let mut rec = sinr_obs::FullRecorder::with_ring_capacity(1 << 16);
         let recorded_out = recorded.run_recorded(5_000, &mut rec, |_, _, _| {});
 
+        let mut segmented = mk_sim();
+        let mut slots = 0;
+        while !segmented.all_done() {
+            slots += segmented.run(1 + seed % 7).slots;
+        }
+
         prop_assert_eq!(plain_out, oracle_out);
         prop_assert_eq!(recorded_out, oracle_out);
-        prop_assert_eq!(plain.stats(), oracle.stats());
-        prop_assert_eq!(recorded.stats(), oracle.stats());
-        for v in 0..n {
-            prop_assert_eq!(&plain.node(v).heard, &oracle.node(v).heard);
-            prop_assert_eq!(&recorded.node(v).heard, &oracle.node(v).heard);
+        prop_assert_eq!(slots, oracle_out.slots);
+        for sim in [&plain, &recorded, &segmented] {
+            prop_assert_eq!(sim.stats(), oracle.stats());
+            for v in 0..n {
+                prop_assert_eq!(sim.node(v).state(), oracle.node(v).state(), "node {}", v);
+            }
         }
         prop_assert_eq!(rec.events_dropped(), 0);
         let events: Vec<(u64, ObsEvent)> = rec.events().copied().collect();
@@ -171,66 +181,128 @@ proptest! {
     }
 }
 
-/// Like [`Chatter`], but deactivates for good once it has acted `rounds`
-/// times: its terminal state is silent, so the activity gates (live
-/// `is_active()` in the reference stepper, the cached ACTIVE flag bit in
-/// the engine) actually discriminate between nodes mid-run. A
-/// `born_done` node is done at construction but still acts `rounds`
-/// times.
+/// A protocol with deadlines, two coins and noise: it alternates between
+/// two phases with their own send probabilities, each lasting a random
+/// number of slots drawn in its last slot, which is therefore not quiet.
+/// A node marked `noisy` sends only noise, which `end_slot` ignores; any
+/// other reception is recorded and extends the current phase, and one
+/// stamped with a multiple of 3 also switches the phase. The node is done
+/// once it has acted `done_at` times and goes silent at `rounds`.
 #[derive(Debug, Clone)]
-struct Quieting {
-    p: f64,
+struct Promiser {
+    coins: [f64; 2],
+    phase: usize,
+    /// Slots left in the current phase, its last slot included.
+    left: u64,
     rounds: u64,
+    done_at: u64,
     born_done: bool,
+    noisy: bool,
     acted: u64,
     heard: Vec<(u64, NodeId)>,
+    begin_calls: u64,
+    end_calls: u64,
 }
 
-impl Protocol for Quieting {
-    type Message = u64;
-    fn begin_slot<R: SlotRng + ?Sized>(&mut self, ctx: &NodeCtx, rng: &mut R) -> Action<u64> {
+/// A slot stamp and whether the message is noise.
+type Stamped = (u64, bool);
+
+impl Promiser {
+    fn new(coins: [f64; 2], rounds: u64, done_at: u64, born_done: bool, noisy: bool) -> Self {
+        Promiser {
+            coins,
+            phase: 0,
+            left: 3,
+            rounds,
+            done_at,
+            born_done,
+            noisy,
+            acted: 0,
+            heard: Vec::new(),
+            begin_calls: 0,
+            end_calls: 0,
+        }
+    }
+
+    /// Everything but the callback counts, which parking changes.
+    fn state(&self) -> (usize, u64, u64, &[(u64, NodeId)]) {
+        (self.phase, self.left, self.acted, &self.heard)
+    }
+}
+
+impl Protocol for Promiser {
+    type Message = Stamped;
+    fn begin_slot<R: SlotRng + ?Sized>(&mut self, ctx: &NodeCtx, rng: &mut R) -> Action<Stamped> {
+        self.begin_calls += 1;
         self.acted += 1;
-        if rng.chance(self.p) {
-            Action::Transmit(ctx.global_slot)
+        self.left -= 1;
+        if self.left == 0 {
+            self.phase ^= 1;
+            self.left = 1 + rng.pick(12);
+        }
+        if rng.chance(self.coins[self.phase]) {
+            Action::Transmit((ctx.global_slot, self.noisy))
         } else {
             Action::Listen
         }
     }
-    fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, u64)]) {
-        for &(s, slot_stamp) in received {
-            assert_eq!(slot_stamp, ctx.global_slot);
+    fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, Stamped)]) {
+        self.end_calls += 1;
+        for &(s, (stamp, noise)) in received {
+            assert_eq!(stamp, ctx.global_slot);
+            if noise {
+                continue;
+            }
             self.heard.push((ctx.global_slot, s));
+            self.left += 2;
+            if stamp % 3 == 0 {
+                self.phase ^= 1;
+            }
         }
     }
     fn is_done(&self) -> bool {
-        self.born_done || self.acted >= self.rounds
+        self.born_done || self.acted >= self.done_at
     }
     fn is_active(&self) -> bool {
         self.acted < self.rounds
     }
-    fn empty_end_slot_is_noop(&self) -> bool {
-        // `end_slot` only appends receptions, so an empty inbox really is
-        // a no-op in every state — this opts the differential test into
-        // the engine's idle-skip path, which the reference stepper never
-        // takes.
-        true
+    fn quiet(&self) -> Option<Quiet> {
+        // Quiet up to the phase's last slot, and before the slots that
+        // make the node done or silent.
+        let mut slots = (self.left - 1).min(self.rounds - self.acted - 1);
+        if self.acted < self.done_at {
+            slots = slots.min(self.done_at - self.acted - 1);
+        }
+        Some(Quiet {
+            coin: self.coins[self.phase],
+            slots,
+        })
+    }
+    fn heeds(&self, _sender: NodeId, msg: &Stamped) -> bool {
+        !msg.1
+    }
+    fn skip_quiet(&mut self, slots: u64) {
+        self.acted += slots;
+        self.left -= slots;
     }
 }
 
-/// Counts `end_slot` calls and flips its idle report mid-run, so the
-/// engine's skip decision is directly observable: with nothing ever
-/// transmitted, the callback must run exactly while the protocol reports
-/// it as meaningful — and in the reference stepper, every slot.
+/// Listens with coin 0 and promises the next `every − 1` slots quiet after
+/// each callback, up to the slot that makes it done and silent; a node
+/// with `every == 0` promises nothing.
 #[derive(Debug)]
-struct IdleAware {
+struct Ticker {
+    every: u64,
     rounds: u64,
     acted: u64,
+    begin_calls: u64,
     end_calls: u64,
 }
 
-impl Protocol for IdleAware {
+impl Protocol for Ticker {
     type Message = u64;
     fn begin_slot<R: SlotRng + ?Sized>(&mut self, _ctx: &NodeCtx, _rng: &mut R) -> Action<u64> {
+        self.begin_calls += 1;
         self.acted += 1;
         Action::Listen
     }
@@ -240,19 +312,32 @@ impl Protocol for IdleAware {
     fn is_done(&self) -> bool {
         self.acted >= self.rounds
     }
-    fn empty_end_slot_is_noop(&self) -> bool {
-        self.acted > 4
+    fn is_active(&self) -> bool {
+        self.acted < self.rounds
+    }
+    fn quiet(&self) -> Option<Quiet> {
+        (self.every > 0).then(|| Quiet {
+            coin: 0.0,
+            slots: (self.every - 1).min(self.rounds - self.acted - 1),
+        })
+    }
+    fn skip_quiet(&mut self, slots: u64) {
+        self.acted += slots;
     }
 }
 
 #[test]
-fn idle_skip_elides_exactly_the_reported_noops() {
+fn parking_makes_exactly_the_promised_calls() {
+    // Ten isolated nodes: nothing is ever received, so only the promises
+    // decide which slots the engine visits.
     let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 3.0, 0.0)).collect();
     let cfg = SinrConfig::default_unit();
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
-    let mk = |_: NodeId| IdleAware {
+    let mk = |v: NodeId| Ticker {
+        every: v as u64 % 5,
         rounds: 20,
         acted: 0,
+        begin_calls: 0,
         end_calls: 0,
     };
     let mk_sim = || {
@@ -264,11 +349,16 @@ fn idle_skip_elides_exactly_the_reported_noops() {
             mk,
         )
     };
+    // Visits at slot 0, then every `every` slots, then slot 19, where
+    // the 20th action makes the node done and silent: with `every = 4`
+    // that is slots 0, 4, 8, 12, 16 and 19. Without a promise, or with
+    // `every = 1`, every slot. A node that goes silent in `begin_slot`
+    // gets no `end_slot`, so each node has one `end_slot` call fewer.
+    let expected = |every: u64| match every {
+        0 | 1 => 20,
+        e => 1 + 18 / e + 1,
+    };
 
-    // `end_slot` runs only while the idle report is false — the action
-    // pass refreshes the cached bit after `begin_slot`, so the flip after
-    // the 5th action (acted > 4) takes effect the same slot. A recorder
-    // rides the same passes, so it sees the same 4 calls.
     let mut plain = mk_sim();
     let plain_out = plain.run(100);
     assert!(plain_out.all_done);
@@ -277,13 +367,18 @@ fn idle_skip_elides_exactly_the_reported_noops() {
     let mut rec = sinr_obs::FullRecorder::new();
     let recorded_out = recorded.run_recorded(100, &mut rec, |_, _, _| {});
     assert_eq!(recorded_out, plain_out);
-    for v in 0..graph.len() {
-        assert_eq!(plain.node(v).end_calls, 4, "node {v}");
-        assert_eq!(recorded.node(v).end_calls, 4, "node {v}, recorded");
+    for sim in [&plain, &recorded] {
+        assert_eq!(sim.stats(), recorded.stats());
+        for v in 0..graph.len() {
+            let node = sim.node(v);
+            assert_eq!(node.acted, 20, "node {v}: quiet slots are applied");
+            assert_eq!(node.begin_calls, expected(node.every), "node {v}");
+            assert_eq!(node.end_calls, node.begin_calls - 1, "node {v}");
+        }
     }
 
-    // The reference stepper calls `end_slot` every slot, idle report or
-    // not: same outcome, full call count.
+    // The reference stepper runs every callback every slot: same outcome
+    // and stats, full call counts.
     let mut oracle = ReferenceSim::new(
         graph.clone(),
         IdealModel::new(),
@@ -294,7 +389,49 @@ fn idle_skip_elides_exactly_the_reported_noops() {
     assert_eq!(oracle.run(100), plain_out);
     assert_eq!(oracle.stats(), plain.stats());
     for v in 0..graph.len() {
-        assert_eq!(oracle.node(v).end_calls, 20, "node {v}");
+        assert_eq!(oracle.node(v).begin_calls, 20, "node {v}");
+        assert_eq!(oracle.node(v).end_calls, 19, "node {v}");
+    }
+}
+
+#[test]
+fn coins_beyond_the_draw_ahead_horizon_stay_exact() {
+    // Rare coins on three isolated nodes and one pair of neighbours over
+    // more slots than one draw-ahead covers: nodes are revisited at the
+    // horizon, transmit at their first success and hear each other.
+    let pts = vec![
+        Point::new(0.0, 0.0),
+        Point::new(5.0, 0.0),
+        Point::new(10.0, 0.0),
+        Point::new(15.0, 0.0),
+        Point::new(15.5, 0.0),
+    ];
+    let cfg = SinrConfig::default_unit();
+    let graph = UnitDiskGraph::new(pts, cfg.r_t());
+    let mk = |v: NodeId| Promiser {
+        left: 12_000,
+        ..Promiser::new([2e-4 * (v + 1) as f64, 1e-3], 12_000, 11_000, false, false)
+    };
+    let mut sim = Simulator::new(
+        graph.clone(),
+        IdealModel::new(),
+        WakeupSchedule::Synchronous,
+        3,
+        mk,
+    );
+    let mut oracle =
+        ReferenceSim::new(graph, IdealModel::new(), WakeupSchedule::Synchronous, 3, mk);
+    let out = sim.run(20_000);
+    assert!(out.all_done);
+    assert_eq!(oracle.run(20_000), out);
+    assert_eq!(sim.stats(), oracle.stats());
+    assert!(sim.stats().transmissions > 0);
+    for v in 0..5 {
+        assert_eq!(sim.node(v).state(), oracle.node(v).state(), "node {v}");
+        assert!(
+            sim.node(v).begin_calls < oracle.node(v).begin_calls / 100,
+            "node {v} was parked for most of the run"
+        );
     }
 }
 

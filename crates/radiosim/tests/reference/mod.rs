@@ -4,7 +4,7 @@
 //!
 //! Every slot it wakes the nodes due, asks every awake active node for an
 //! action, resolves the transmitter set with no delta, calls `end_slot`
-//! on every awake active node (never skipping an idle one), and then
+//! on every awake active node (never parking one), and then
 //! polls `is_done()` on every node. Activity and termination are live
 //! protocol queries; nothing is cached. Per-node RNG seeds and wake slots
 //! are derived exactly as the engine derives them, so the two must agree
