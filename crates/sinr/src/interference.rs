@@ -85,8 +85,16 @@ pub fn total_received_power(cfg: &SinrConfig, at: Point, transmitters: &[Point])
 #[inline]
 pub fn sinr_from_total(cfg: &SinrConfig, at: Point, sender: Point, total_power: f64) -> f64 {
     let signal = received_power(cfg.power(), at.distance(sender), cfg.alpha());
-    let interference = (total_power - signal).max(0.0);
-    signal / (cfg.noise() + interference)
+    sinr_from_signal(cfg.noise(), signal, total_power)
+}
+
+/// The SINR of a received `signal` against the `total` received power
+/// (signal included) and ambient `noise`: [`sinr_from_total`] for a
+/// caller that already holds the signal's power.
+#[inline]
+pub(crate) fn sinr_from_signal(noise: f64, signal: f64, total: f64) -> f64 {
+    let interference = (total - signal).max(0.0);
+    signal / (noise + interference)
 }
 
 /// Whether receiver `at` decodes `sender` per the paper's reception rule:

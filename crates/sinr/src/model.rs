@@ -53,6 +53,13 @@ impl ReceptionTable {
         self.pairs = pairs;
     }
 
+    /// Builds a table from pairs already sorted by receiver, as the exact
+    /// kernel emits them: checked in debug builds, never sorted.
+    pub(crate) fn from_sorted_pairs(pairs: Vec<(NodeId, NodeId)>) -> Self {
+        debug_assert!(pairs.is_sorted(), "reception pairs out of order");
+        ReceptionTable { pairs }
+    }
+
     /// All senders heard by `receiver` this slot, in ascending id order.
     pub fn heard_by(&self, receiver: NodeId) -> &[(NodeId, NodeId)] {
         let start = self.pairs.partition_point(|&(r, _)| r < receiver);
@@ -232,11 +239,12 @@ impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
 /// strongest qualifying sender is delivered.
 ///
 /// Every candidate receiver is decoded by the exact kernel
-/// [`FastSinrModel`](crate::FastSinrModel) falls back to: an `O(k)` power
-/// sum in `transmitting` order over scratch reused across slots. The
-/// scratch sits behind a `RefCell`, so the model is `Send` but not `Sync`;
-/// through [`InterferenceModel::resolve_delta_into`] a steady-state slot
-/// allocates nothing.
+/// [`FastSinrModel`](crate::FastSinrModel) falls back to: one `O(k)` pass
+/// in `transmitting` order over scratch reused across slots, or, when one
+/// node transmits, a per-slot certificate that all its neighbors hear it.
+/// The scratch sits behind a `RefCell`, so the model is `Send` but not
+/// `Sync`; through [`InterferenceModel::resolve_delta_into`] a
+/// steady-state slot allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SinrModel {
     cfg: SinrConfig,
@@ -264,8 +272,8 @@ impl SinrModel {
         &self.cfg
     }
 
-    /// Fills `pairs` (cleared first) with the slot's receptions in
-    /// candidate discovery order.
+    /// Fills `pairs` (cleared first) with the slot's receptions, sorted
+    /// by receiver.
     fn resolve_into(
         &self,
         g: &UnitDiskGraph,
@@ -275,8 +283,8 @@ impl SinrModel {
         let ctx = ExactCtx::new(&self.cfg, g, transmitting);
         let mut kernel = self.kernel.borrow_mut();
         kernel.begin_slot(g, transmitting);
-        kernel.finish_slot(&self.pool, transmitting, pairs, |u, _| {
-            decode_exact(&ctx, u)
+        kernel.finish_slot(&self.pool, &ctx, pairs, |u, cs| {
+            decode_exact(&ctx, u, &mut cs.links)
         });
     }
 }
@@ -285,7 +293,7 @@ impl InterferenceModel for SinrModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
         let mut pairs = Vec::new();
         self.resolve_into(g, transmitting, &mut pairs);
-        ReceptionTable::from_pairs(pairs)
+        ReceptionTable::from_sorted_pairs(pairs)
     }
 
     fn resolve_delta_into(
@@ -300,7 +308,7 @@ impl InterferenceModel for SinrModel {
         let _ = delta;
         let mut pairs = out.take_pairs();
         self.resolve_into(g, transmitting, &mut pairs);
-        out.set_pairs(pairs);
+        *out = ReceptionTable::from_sorted_pairs(pairs);
     }
 
     fn name(&self) -> &'static str {

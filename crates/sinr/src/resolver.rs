@@ -53,14 +53,14 @@
 //! entry lists and compacts the occupied-cell index, bounding any drift
 //! in layout quality over arbitrarily long runs.
 //!
-//! All scratch state (the kernel's transmitter bitmap, candidate marks and
-//! pair buffers, the transmitter grid, the stamped near lists) lives
+//! All scratch state (the kernel's transmitter bitmap, candidate bitset,
+//! link and pair buffers, the transmitter grid, the stamped near lists) lives
 //! behind a `RefCell` and is reused across slots, so a steady-state slot
 //! resolved through [`InterferenceModel::resolve_delta_into`] performs no
 //! allocation.
 
 use crate::config::SinrConfig;
-use crate::interference::{received_power, received_power_d2, sinr_from_total};
+use crate::interference::{received_power, received_power_d2, sinr_from_signal};
 use crate::kernel::{decode_exact, ChunkScratch, ExactCtx, ExactKernel};
 use crate::model::{InterferenceModel, ReceptionTable, TxDelta};
 use sinr_geometry::{CellGrid, NodeId, UnitDiskGraph};
@@ -243,7 +243,7 @@ impl GridState {
 struct Scratch {
     /// Persistent incremental grid state (see [`GridState`]).
     gs: GridState,
-    /// The exact kernel's marks, candidate list and per-thread buffers.
+    /// The exact kernel's bitmaps, candidate list and per-thread buffers.
     kernel: ExactKernel,
     stats: ResolverStats,
 }
@@ -308,11 +308,15 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) -> Opt
         let mut certified: Option<NodeId> = None;
         let mut possible = 0u64;
         for &v in &cs.sender_buf {
-            if positions[v].distance_squared(pu) <= exact.adjacency_r2 {
-                let optimistic = sinr_from_total(exact.cfg, pu, positions[v], total_low);
+            let d2 = positions[v].distance_squared(pu);
+            if d2 <= exact.adjacency_r2 {
+                // One signal per link serves both bounds; `d2.sqrt()` is
+                // the distance the exact decode takes.
+                let signal = received_power(exact.power, d2.sqrt(), exact.alpha);
+                let optimistic = sinr_from_signal(exact.noise, signal, total_low);
                 if optimistic >= exact.beta {
                     possible += 1;
-                    let pessimistic = sinr_from_total(exact.cfg, pu, positions[v], total_high);
+                    let pessimistic = sinr_from_signal(exact.noise, signal, total_high);
                     if pessimistic >= exact.beta && certified.is_none() {
                         certified = Some(v);
                     }
@@ -337,7 +341,7 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) -> Opt
     }
     // Exact fallback: the decode `SinrModel` runs on every candidate.
     cs.counts.fallbacks += 1;
-    decode_exact(exact, u)
+    decode_exact(exact, u, &mut cs.links)
 }
 
 /// Stamps this slot's candidate cells and builds their near lists: every
@@ -506,7 +510,7 @@ impl FastSinrModel {
 
     /// Shared implementation of `resolve` / `resolve_delta` /
     /// `resolve_delta_into`: fills `pairs` (cleared first) with the
-    /// slot's receptions in candidate discovery order. The caller owns
+    /// slot's receptions, sorted by receiver. The caller owns
     /// the buffer so a driver that recycles one table performs no
     /// allocation here once scratch capacities have grown to the
     /// instance's working size — the module contract above.
@@ -583,7 +587,7 @@ impl FastSinrModel {
             ),
             k,
         };
-        let counts = kernel.finish_slot(&self.pool, transmitting, pairs, |u, cs| {
+        let counts = kernel.finish_slot(&self.pool, &ctx.exact, pairs, |u, cs| {
             resolve_candidate(&ctx, u, cs)
         });
         stats.fast_path_hits += counts.fast_hits;
@@ -738,7 +742,7 @@ impl InterferenceModel for FastSinrModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
         let mut pairs = Vec::new();
         self.resolve_inner(g, transmitting, None, &mut pairs);
-        ReceptionTable::from_pairs(pairs)
+        ReceptionTable::from_sorted_pairs(pairs)
     }
 
     fn resolve_delta(
@@ -749,7 +753,7 @@ impl InterferenceModel for FastSinrModel {
     ) -> ReceptionTable {
         let mut pairs = Vec::new();
         self.resolve_inner(g, transmitting, Some(delta), &mut pairs);
-        ReceptionTable::from_pairs(pairs)
+        ReceptionTable::from_sorted_pairs(pairs)
     }
 
     fn resolve_delta_into(
@@ -760,11 +764,10 @@ impl InterferenceModel for FastSinrModel {
         out: &mut ReceptionTable,
     ) {
         // Recycle the caller's buffer: once it has grown to the slot
-        // working set, a steady-state slot allocates nothing (in-place
-        // `sort_unstable` inside `set_pairs` included).
+        // working set, a steady-state slot allocates nothing.
         let mut pairs = out.take_pairs();
         self.resolve_inner(g, transmitting, Some(delta), &mut pairs);
-        out.set_pairs(pairs);
+        *out = ReceptionTable::from_sorted_pairs(pairs);
     }
 
     fn name(&self) -> &'static str {
@@ -1150,6 +1153,52 @@ mod tests {
         assert_eq!(s.fast_path_hits, 0);
         assert_eq!(s.cells_scanned, 0);
         assert!(s.exact_fallbacks > 0);
+    }
+
+    #[test]
+    fn resolver_stats_are_pinned_on_a_fixed_slot_sequence() {
+        // Grid slots above SMALL_SLOT_EXACT_CUTOFF, exact slots at or
+        // below it, two lone transmitters and an empty slot, with epoch
+        // rebuilds in between. The counters are fixed numbers: neither
+        // candidate order nor the exact kernel's lone-transmitter path may
+        // move one of them, at any thread count.
+        let c = cfg();
+        let g = UnitDiskGraph::new(scatter(300, 8.0, 17), c.r_t());
+        let shifted = |k: usize, step: usize| -> Vec<NodeId> {
+            (0..k).map(|i| (i * 300 / k + step) % 300).collect()
+        };
+        let slots = [
+            spread_tx(300, 40),
+            vec![7],
+            vec![],
+            shifted(60, 1),
+            shifted(SMALL_SLOT_EXACT_CUTOFF + 1, 2),
+            vec![150],
+            shifted(SMALL_SLOT_EXACT_CUTOFF, 3),
+            shifted(120, 4),
+            shifted(90, 4),
+        ];
+        let naive = SinrModel::new(c);
+        for threads in [1usize, 2] {
+            let mut fast = FastSinrModel::with_pool(c, Pool::new(threads));
+            fast.set_epoch_interval(4);
+            for (i, tx) in slots.iter().enumerate() {
+                assert_eq!(fast.resolve(&g, tx), naive.resolve(&g, tx), "slot {i}");
+            }
+            assert_eq!(
+                fast.stats(),
+                ResolverStats {
+                    fast_path_hits: 952,
+                    exact_fallbacks: 146,
+                    cells_scanned: 23622,
+                    delta_started: 193,
+                    delta_stopped: 66,
+                    epoch_rebuilds: 2,
+                    full_rebuilds: 0,
+                },
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]
