@@ -27,7 +27,6 @@ use sinr_coloring::mw::{
 use sinr_model::{FastSinrModel, InterferenceModel, SinrModel};
 use sinr_obs::alloc::CountingAlloc;
 use sinr_obs::{FullRecorder, NoopRecorder, Recorder};
-use sinr_pool::Pool;
 use sinr_radiosim::WakeupSchedule;
 
 // Bench targets are binaries, so the counting allocator is sanctioned
@@ -95,27 +94,6 @@ struct SizeResult {
     alloc: AllocNumbers,
 }
 
-/// One thread-count measurement at the largest size (schema v3).
-struct ThreadRow {
-    threads: usize,
-    resolve_ns_per_slot: f64,
-    slots_per_sec: f64,
-    /// Reception tables on every captured slot equal the threads=1 run.
-    bit_identical: bool,
-}
-
-struct ThreadScaling {
-    n: usize,
-    /// Replay cost of a threads=1 pool relative to the plain sequential
-    /// resolver (must stay ~1.0: the pool spawns no workers at 1 thread).
-    pool_overhead_threads1: f64,
-    rows: Vec<ThreadRow>,
-}
-
-/// PR 2's single-threaded fast baseline at n=2048 (BENCH_resolver.json,
-/// schema v2) — the reference point for pool overhead and scaling claims.
-const PRE_POOL_FAST_SLOTS_PER_SEC_N2048: f64 = 4700.8;
-
 /// The slot cap for a row of size `n`, if any.
 fn slot_cap(n: usize, quick: bool) -> Option<u64> {
     match (quick, n >= LARGE_N) {
@@ -169,26 +147,21 @@ fn time_replay<M: InterferenceModel>(
     (best, checksum)
 }
 
-/// Times full fixed-seed MW runs under models built by `make_model`;
-/// returns the fastest repetition's slots/sec.
+/// Times one full fixed-seed MW run, model construction included, under
+/// the model `make_model` builds; returns its slots/sec.
 fn time_end_to_end<M: InterferenceModel>(
     make_model: impl Fn() -> M,
     inst: &Instance,
     config: &MwConfig,
-    reps: usize,
 ) -> f64 {
-    let mut best = 0f64;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let out = run_mw(
-            &inst.graph,
-            make_model(),
-            config,
-            WakeupSchedule::Synchronous,
-        );
-        best = best.max(out.slots as f64 / start.elapsed().as_secs_f64().max(1e-9));
-    }
-    best
+    let start = Instant::now();
+    let out = run_mw(
+        &inst.graph,
+        make_model(),
+        config,
+        WakeupSchedule::Synchronous,
+    );
+    out.slots as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
 fn bench_size(n: usize, quick: bool) -> SizeResult {
@@ -243,18 +216,16 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
     let mut fast_sps = 0f64;
     let mut auto_sps = 0f64;
     for _ in 0..e2e_reps {
-        naive_sps = naive_sps.max(time_end_to_end(|| SinrModel::new(inst.cfg), &inst, &cfg, 1));
+        naive_sps = naive_sps.max(time_end_to_end(|| SinrModel::new(inst.cfg), &inst, &cfg));
         fast_sps = fast_sps.max(time_end_to_end(
             || FastSinrModel::new(inst.cfg),
             &inst,
             &cfg,
-            1,
         ));
         auto_sps = auto_sps.max(time_end_to_end(
             || FastSinrModel::auto(inst.cfg, &inst.graph),
             &inst,
             &cfg,
-            1,
         ));
     }
 
@@ -301,66 +272,6 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
         fast_path_hit_rate: hit_rate,
         slot_cap: slot_cap(n, quick),
         alloc,
-    }
-}
-
-/// Thread-scaling measurements at size `n`: replay + end-to-end for each
-/// thread count, bit-identity against threads=1, and the threads=1 pool
-/// tax against the plain sequential resolver.
-fn bench_threads(n: usize, quick: bool) -> ThreadScaling {
-    let seed = 1000 + n as u64;
-    let inst = Instance::uniform(n, 12.0, seed);
-    let cfg = config(&inst, seed, quick);
-    let reps = if quick { 2 } else { REPS };
-    let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-
-    let slots = capture_slots(&inst, &cfg);
-    // Pool overhead at threads=1: plain construction vs the pool-carrying
-    // one. The repetitions are interleaved (plain, pooled, plain, …) so
-    // clock drift and background load hit both sides equally — the two
-    // paths are a few branches apart, and a sequential A-block/B-block
-    // measurement would report scheduler noise as overhead.
-    let plain = FastSinrModel::new(inst.cfg);
-    let pooled1 = FastSinrModel::with_pool(inst.cfg, Pool::new(1));
-    let mut plain_ns = f64::INFINITY;
-    let mut pooled1_ns = f64::INFINITY;
-    let mut plain_sum = 0u64;
-    for _ in 0..reps.max(5) {
-        let (ns, sum) = time_replay(&plain, &inst, &slots, 1);
-        plain_ns = plain_ns.min(ns);
-        plain_sum = sum;
-        let (ns, sum) = time_replay(&pooled1, &inst, &slots, 1);
-        pooled1_ns = pooled1_ns.min(ns);
-        assert_eq!(plain_sum, sum, "n={n}: threads=1 checksum diverges");
-    }
-
-    let baseline: Vec<_> = slots
-        .iter()
-        .map(|tx| plain.resolve(&inst.graph, tx))
-        .collect();
-    let mut rows = Vec::new();
-    for &t in thread_counts {
-        let model = FastSinrModel::with_pool(inst.cfg, Pool::new(t));
-        let bit_identical = slots
-            .iter()
-            .zip(&baseline)
-            .all(|(tx, expect)| &model.resolve(&inst.graph, tx) == expect);
-        let (ns, sum) = time_replay(&model, &inst, &slots, reps);
-        assert_eq!(sum, plain_sum, "n={n} threads={t}: checksum diverges");
-        let cfg_t = cfg.with_threads(t);
-        let sps = time_end_to_end(|| FastSinrModel::new(inst.cfg), &inst, &cfg_t, reps);
-        rows.push(ThreadRow {
-            threads: t,
-            resolve_ns_per_slot: ns,
-            slots_per_sec: sps,
-            bit_identical,
-        });
-    }
-
-    ThreadScaling {
-        n,
-        pool_overhead_threads1: pooled1_ns / plain_ns.max(1e-9),
-        rows,
     }
 }
 
@@ -412,16 +323,11 @@ fn speedup_e2e(r: &SizeResult) -> f64 {
     r.auto.slots_per_sec / r.naive.slots_per_sec.max(1e-9)
 }
 
-fn render_json(
-    results: &[SizeResult],
-    scaling: &ThreadScaling,
-    overhead: &RecorderOverhead,
-    quick: bool,
-) -> String {
+fn render_json(results: &[SizeResult], overhead: &RecorderOverhead, quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"resolver\",\n");
-    s.push_str("  \"schema_version\": 6,\n");
+    s.push_str("  \"schema_version\": 7,\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"workload\": \"MW coloring, uniform placement, expected degree 12, synchronous wakeup, seed 1000+n\",\n");
     s.push_str("  \"results\": [\n");
@@ -489,24 +395,6 @@ fn render_json(
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"threads\": {{\n    \"n\": {},\n    \"pool_overhead_threads1\": {:.3},\n    \
-         \"pre_pool_fast_slots_per_sec_n2048\": {PRE_POOL_FAST_SLOTS_PER_SEC_N2048},\n    \
-         \"rows\": [\n",
-        scaling.n, scaling.pool_overhead_threads1
-    ));
-    for (i, row) in scaling.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"threads\": {}, \"resolve_ns_per_slot\": {:.1}, \
-             \"slots_per_sec\": {:.1}, \"bit_identical\": {} }}{}\n",
-            row.threads,
-            row.resolve_ns_per_slot,
-            row.slots_per_sec,
-            row.bit_identical,
-            if i + 1 == scaling.rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    s.push_str(&format!(
         "  \"recorder_overhead\": {{ \"n\": {}, \"noop_slots_per_sec\": {:.1}, \
          \"full_slots_per_sec\": {:.1}, \"full_over_noop\": {:.3} }}\n",
         overhead.n,
@@ -549,27 +437,13 @@ fn main() {
         results.push(r);
     }
 
-    // Thread scaling and recorder overhead stay pinned to the largest
-    // *uncapped* size: the committed pre-pool baseline and the recorder
+    // Recorder overhead stays pinned to the largest *uncapped* size: its
     // comparisons are n=2048 complete runs, and moving them to a capped
-    // large-n row would silently change what the trend lines measure.
+    // large-n row would silently change what the trend line measures.
     let largest = *sizes
         .iter()
         .rfind(|&&n| n < LARGE_N)
         .expect("at least one small size");
-    eprintln!("thread scaling: n = {largest} ...");
-    let scaling = bench_threads(largest, quick);
-    eprintln!(
-        "  pool overhead at threads=1: {:.3}x",
-        scaling.pool_overhead_threads1
-    );
-    for row in &scaling.rows {
-        eprintln!(
-            "  threads {:>2}: resolve {:>10.1} ns/slot   e2e {:>8.1} slots/sec   bit-identical {}",
-            row.threads, row.resolve_ns_per_slot, row.slots_per_sec, row.bit_identical
-        );
-    }
-
     eprintln!("recorder overhead: n = {largest} ...");
     let overhead = bench_recorder_overhead(largest, quick);
     eprintln!(
@@ -579,18 +453,10 @@ fn main() {
         overhead.noop_slots_per_sec / overhead.full_slots_per_sec.max(1e-9)
     );
 
-    // Regression gates. Every thread count must replay the exact baseline
-    // tables, and the shipped auto model must never lose to the naive
-    // resolver end-to-end at any tracked size (the n=256 regression this
-    // mode was introduced for). Quick mode keeps a small noise margin so
-    // the CI bench-smoke stays green on shared runners.
-    for row in &scaling.rows {
-        assert!(
-            row.bit_identical,
-            "threads={} produced different reception tables",
-            row.threads
-        );
-    }
+    // Regression gates. The shipped auto model must never lose to the
+    // naive resolver end-to-end at any tracked size (the n=256 regression
+    // this mode was introduced for). Quick mode keeps a small noise margin
+    // so the CI bench-smoke stays green on shared runners.
     for r in &results {
         // Large-n rows gate at 1.0 even in quick mode: a capped n=16384
         // run is seconds long (measured quick speedup ~1.36 vs ~1.0 at
@@ -618,7 +484,7 @@ fn main() {
         }
     }
 
-    let json = render_json(&results, &scaling, &overhead, quick);
+    let json = render_json(&results, &overhead, quick);
     let path = std::env::var("BENCH_RESOLVER_JSON")
         .unwrap_or_else(|_| format!("{}/../../BENCH_resolver.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&path, &json).expect("write BENCH_resolver.json");

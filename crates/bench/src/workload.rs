@@ -87,8 +87,8 @@ pub fn resolver_hit_rate(outs: &[MwOutcome]) -> Option<f64> {
 
 /// Runs `f(seed)` for `seeds` seeds across the global worker pool and
 /// returns the results in seed order (deterministic regardless of the
-/// pool's thread count — the seeds are statically partitioned and each
-/// result lands in its own slot).
+/// pool's thread count — the seeds are statically partitioned and the
+/// chunks merge in seed order).
 ///
 /// The pool size comes from `SINR_THREADS` (or
 /// [`sinr_pool::set_global_threads`], e.g. via `--threads` on the

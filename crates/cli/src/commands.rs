@@ -38,19 +38,20 @@ COMMANDS:
   info      --input FILE [--alpha A --beta B --rho R]
             print graph statistics for a placement
   color     --input FILE [--seed S] [--model sinr|sinr-fast|sinr-auto|graph|ideal]
-            [--distance D] [--threads N] [--obs SPEC] [--seeds A..B]
+            [--distance D] [--obs SPEC] [--seeds A..B [--threads N]]
             run the MW coloring; emit 'node color' per line on stdout.
             --seeds A..B batches one run per seed in the half-open range
-            across the worker pool (graph built once; output is '# seed N'
-            blocks in seed order, identical at any --threads)
+            across --threads N worker threads (default: SINR_THREADS, else
+            1; graph built once; output is '# seed N' blocks in seed
+            order, identical at any --threads)
   report    --input FILE [--seed S] [--model sinr|sinr-fast|sinr-auto|graph|ideal]
-            [--threads N] [--thm1-stride K] [--ring CAP] [--obs SPEC]
+            [--thm1-stride K] [--ring CAP] [--obs SPEC]
             run a fully observed MW coloring; emit the machine-readable
             run report (docs/OBS_SCHEMA.md) as JSON on stdout
-  trace     --input FILE [--seed S] [--model ...] [--threads N] [--ring CAP]
+  trace     --input FILE [--seed S] [--model ...] [--ring CAP]
             run a fully observed MW coloring; emit the span timeline as
             Chrome trace-event JSON on stdout (open in Perfetto)
-  profile   --input FILE [--seed S] [--model ...] [--threads N] [--top K]
+  profile   --input FILE [--seed S] [--model ...] [--top K]
             run the MW coloring under the allocation profiler; emit the
             profile_report JSON (per-phase heap traffic, warmup/steady
             classification, top-K allocating slots, struct sizes)
@@ -77,9 +78,8 @@ R_T is normalized to 1.
 
 Models: sinr is the exact reference resolver; sinr-fast adds the
 grid-tiled fast path (bit-identical tables); sinr-auto picks between
-them by instance size. --threads N (default: SINR_THREADS, else 1)
-runs slot resolution on N worker threads — outputs are identical for
-every N.
+them by instance size. Every run is single-threaded: a slot needs the
+one before it, so only whole runs (--seeds) go parallel.
 
 Observability: SPEC is a comma-separated sink list — jsonl:PATH (event
 stream as JSON Lines), metrics:PATH (metrics registry dump), trace:PATH
@@ -239,7 +239,7 @@ fn run_model(
     }
 }
 
-/// Worker-thread count for slot resolution: `--threads` when given,
+/// Worker-thread count for `color --seeds`: `--threads` when given,
 /// otherwise the `SINR_THREADS` environment variable, otherwise 1.
 fn thread_count(args: &Args) -> Result<usize, crate::CliError> {
     let threads: usize = args.get_parsed("threads", sinr_pool::threads_from_env())?;
@@ -247,6 +247,18 @@ fn thread_count(args: &Args) -> Result<usize, crate::CliError> {
         return Err(err("--threads must be at least 1"));
     }
     Ok(threads)
+}
+
+/// The `--distance` factor of `color`, 1 when absent: a finite number at
+/// least 1.
+fn distance_factor(args: &Args) -> Result<f64, crate::CliError> {
+    let distance: f64 = args.get_parsed("distance", 1.0)?;
+    if !(distance.is_finite() && distance >= 1.0) {
+        return Err(err(format!(
+            "--distance must be a finite number at least 1, got {distance}"
+        )));
+    }
+    Ok(distance)
 }
 
 /// The `--obs`-derived run mode shared by `color` and `report`.
@@ -309,8 +321,7 @@ fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
             "--obs is not supported with --seeds; observe one seed at a time",
         ));
     }
-    let distance: f64 = args.get_parsed("distance", 1.0)?;
-    if (distance - 1.0).abs() > 1e-12 {
+    if (distance_factor(args)? - 1.0).abs() > 1e-12 {
         return Err(err("--distance > 1 is not supported with --seeds"));
     }
     // Validate the model name before the fan-out so a typo fails fast
@@ -388,7 +399,7 @@ pub fn color(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let distance: f64 = args.get_parsed("distance", 1.0)?;
+    let distance = distance_factor(args)?;
     let model = args.get("model").unwrap_or("sinr");
     let spec = match args.get("obs") {
         Some(s) => Some(ObsSpec::parse(s)?),
@@ -416,9 +427,7 @@ pub fn color(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     } else {
         let graph = UnitDiskGraph::new(pts.clone(), cfg.r_t());
         let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
-        let mw_cfg = MwConfig::new(params)
-            .with_seed(seed)
-            .with_threads(thread_count(args)?);
+        let mw_cfg = MwConfig::new(params).with_seed(seed);
         let mode = match &spec {
             Some(s) => obs_mode(args, Some(s))?,
             None => RunMode::Plain,
@@ -473,9 +482,7 @@ pub fn report(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResul
 
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
-    let mw_cfg = MwConfig::new(params)
-        .with_seed(seed)
-        .with_threads(thread_count(args)?);
+    let mw_cfg = MwConfig::new(params).with_seed(seed);
     let mode = obs_mode(args, spec.as_ref())?;
     let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode)?;
     let rec = rec.expect("report always records");
@@ -516,7 +523,7 @@ pub fn report(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResul
 /// Chrome trace-event JSON (load into Perfetto / `chrome://tracing`).
 ///
 /// The timeline is slot-time (1 slot = 1 µs in the viewer) and therefore
-/// byte-identical for every `--threads` value.
+/// byte-identical on every run of the same inputs.
 pub fn trace(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult {
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
@@ -525,9 +532,7 @@ pub fn trace(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
 
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
-    let mw_cfg = MwConfig::new(params)
-        .with_seed(seed)
-        .with_threads(thread_count(args)?);
+    let mw_cfg = MwConfig::new(params).with_seed(seed);
     let mode = obs_mode(args, None)?;
     let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode)?;
     let rec = rec.expect("trace always records");
@@ -586,11 +591,10 @@ pub fn profile(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     let seed: u64 = args.get_parsed("seed", 0)?;
     let model = args.get("model").unwrap_or("sinr-fast");
     let top: usize = args.get_parsed("top", 8)?;
-    let threads = thread_count(args)?;
 
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
-    let mw_cfg = MwConfig::new(params).with_seed(seed).with_threads(threads);
+    let mw_cfg = MwConfig::new(params).with_seed(seed);
     let counting = sinr_obs::alloc::is_counting();
     let (outcome, prof) = run_profiled_model(&graph, model, cfg, &mw_cfg)?;
 
@@ -613,7 +617,7 @@ pub fn profile(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     writeln!(
         out,
         "{}",
-        crate::profile::profile_report(model, seed, threads, top, counting, &outcome, &prof)
+        crate::profile::profile_report(model, seed, top, counting, &outcome, &prof)
     )?;
     if outcome.all_done {
         Ok(())
@@ -1051,6 +1055,17 @@ mod tests {
             let (r, _, _) = run(&tokens);
             assert!(r.is_err(), "expected rejection with {extra:?}");
         }
+        let (r, _, _) = run(&[
+            "color",
+            "--input",
+            f.path(),
+            "--seeds",
+            "0..2",
+            "--distance",
+            "nan",
+        ]);
+        let msg = format!("{}", r.unwrap_err());
+        assert!(msg.contains("--distance"), "{msg}");
         for bad in ["3", "5..5", "7..2", "a..b"] {
             let (r, _, _) = run(&["color", "--input", f.path(), "--seeds", bad]);
             assert!(r.is_err(), "expected rejection of --seeds {bad}");
@@ -1254,6 +1269,11 @@ mod tests {
             "stderr",
         ]);
         assert!(r.is_err());
+        for bad in ["0", "-1", "nan"] {
+            let (r, _, _) = run(&["color", "--input", f.path(), "--distance", bad]);
+            let msg = format!("{}", r.unwrap_err());
+            assert!(msg.contains("--distance"), "--distance {bad}: {msg}");
+        }
     }
 
     #[test]
@@ -1357,26 +1377,6 @@ mod tests {
         assert!(r.is_err());
         let (r, _, _) = run(&["trace", "--input", f.path(), "--model", "psychic"]);
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn trace_is_identical_across_thread_counts() {
-        let f = tmp_positions(20);
-        let (r1, base, _) = run(&["trace", "--input", f.path(), "--seed", "3"]);
-        assert!(r1.is_ok());
-        for threads in ["2", "4"] {
-            let (r2, threaded, _) = run(&[
-                "trace",
-                "--input",
-                f.path(),
-                "--seed",
-                "3",
-                "--threads",
-                threads,
-            ]);
-            assert!(r2.is_ok());
-            assert_eq!(base, threaded, "trace must not depend on thread count");
-        }
     }
 
     #[test]
@@ -1487,48 +1487,17 @@ mod tests {
     }
 
     #[test]
-    fn color_threads_do_not_change_the_output() {
-        let f = tmp_positions(30);
-        for model in ["sinr", "sinr-fast"] {
-            let (r1, base, _) = run(&["color", "--input", f.path(), "--model", model]);
-            assert!(r1.is_ok());
-            for threads in ["2", "4"] {
-                let (r2, threaded, _) = run(&[
-                    "color",
-                    "--input",
-                    f.path(),
-                    "--model",
-                    model,
-                    "--threads",
-                    threads,
-                ]);
-                assert!(r2.is_ok());
-                assert_eq!(base, threaded, "{model} with {threads} threads diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn report_threads_emit_identical_json() {
-        let f = tmp_positions(20);
-        let (r1, base, _) = run(&["report", "--input", f.path(), "--seed", "2"]);
-        let (r2, threaded, _) = run(&[
-            "report",
-            "--input",
-            f.path(),
-            "--seed",
-            "2",
-            "--threads",
-            "4",
-        ]);
-        assert!(r1.is_ok() && r2.is_ok());
-        assert_eq!(base, threaded, "run report must not depend on thread count");
-    }
-
-    #[test]
     fn color_rejects_zero_threads() {
         let f = tmp_positions(10);
-        let (r, _, _) = run(&["color", "--input", f.path(), "--threads", "0"]);
+        let (r, _, _) = run(&[
+            "color",
+            "--input",
+            f.path(),
+            "--seeds",
+            "0..2",
+            "--threads",
+            "0",
+        ]);
         assert!(r.is_err());
     }
 }

@@ -42,11 +42,11 @@ fn push_phase(s: &mut String, name: &str, st: &AllocStats) {
 /// `counting` says whether the counting allocator is installed in this
 /// process (see [`sinr_obs::alloc::is_counting`]); when false every
 /// counter is zero by construction and the report says so instead of
-/// claiming an allocation-free run.
+/// claiming an allocation-free run. `run.threads` is always 1: every run
+/// is single-threaded, and the field stays so the schema is unchanged.
 pub fn profile_report(
     model: &str,
     seed: u64,
-    threads: usize,
     top: usize,
     counting: bool,
     out: &MwOutcome,
@@ -58,7 +58,7 @@ pub fn profile_report(
     ));
 
     s.push_str(&format!(
-        "\"run\":{{\"nodes\":{},\"model\":\"{model}\",\"seed\":{seed},\"threads\":{threads},\
+        "\"run\":{{\"nodes\":{},\"model\":\"{model}\",\"seed\":{seed},\"threads\":1,\
          \"all_done\":{},\"slots\":{}}},",
         out.node_reports.len(),
         out.all_done,

@@ -8,7 +8,6 @@ use sinr_geometry::UnitDiskGraph;
 use sinr_model::{InterferenceModel, ResolverStats};
 use sinr_obs::alloc::{self, AllocScope, AllocStats};
 use sinr_obs::Recorder;
-use sinr_pool::Pool;
 use sinr_radiosim::engine::{EngineAllocProfile, RunOutcome};
 use sinr_radiosim::{Simulator, StepView, WakeupSchedule};
 
@@ -21,21 +20,15 @@ pub struct MwConfig {
     pub seed: u64,
     /// Hard slot cap; `None` uses [`MwConfig::default_max_slots`].
     pub max_slots: Option<u64>,
-    /// Worker threads for the parallel step/resolve phases (1 = fully
-    /// sequential, no pool involvement). Outcomes are bit-identical for
-    /// every value — this is purely a wall-clock knob.
-    pub threads: usize,
 }
 
 impl MwConfig {
-    /// Creates a configuration with seed 0, the default slot cap, and
-    /// sequential execution.
+    /// Creates a configuration with seed 0 and the default slot cap.
     pub fn new(params: MwParams) -> Self {
         MwConfig {
             params,
             seed: 0,
             max_slots: None,
-            threads: 1,
         }
     }
 
@@ -48,12 +41,6 @@ impl MwConfig {
     /// Sets an explicit slot cap.
     pub fn with_max_slots(mut self, max_slots: u64) -> Self {
         self.max_slots = Some(max_slots);
-        self
-    }
-
-    /// Sets the worker thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -244,9 +231,6 @@ where
         node.reserve(graph.degree(id));
         node
     });
-    if config.threads > 1 {
-        sim.set_pool(&Pool::new(config.threads));
-    }
     let run = sim.run_observed(config.slot_cap(), observe);
     package_outcome(&sim, run)
 }
@@ -276,11 +260,6 @@ pub fn run_mw_recorded<M: InterferenceModel>(
         node.reserve(graph.degree(id));
         node
     });
-    if config.threads > 1 {
-        // Only the resolver fans out; the engine's passes, and so the
-        // event order, are sequential at every thread count.
-        sim.set_pool(&Pool::new(config.threads));
-    }
     let mut probes = MwProbes::new(graph.len(), &params, probe_cfg);
     let run = sim.run_recorded(config.slot_cap(), rec, |sim, view, rec| {
         probes.observe(sim, view, rec)
@@ -296,8 +275,9 @@ pub fn run_mw_recorded<M: InterferenceModel>(
 /// its global allocator; in an uninstrumented build every field is zero.
 ///
 /// This data deliberately lives **outside** [`MwOutcome`]: outcomes are
-/// compared byte-for-byte across thread counts and build flavors, and
-/// allocation counts are a property of the build, not of the seed.
+/// compared byte-for-byte between profiled and plain runs and across
+/// build flavors, and allocation counts are a property of the build, not
+/// of the seed.
 #[derive(Debug, Clone, Default)]
 pub struct MwAllocProfile {
     /// Traffic before slot 0: graph clone, node construction, simulator
@@ -344,9 +324,6 @@ pub fn run_mw_profiled<M: InterferenceModel>(
             node.reserve(graph.degree(id));
             node
         });
-        if config.threads > 1 {
-            sim.set_pool(&Pool::new(config.threads));
-        }
         sim.enable_alloc_profile(cap.min(PROFILE_SAMPLE_CAP) as usize);
         sim
     };
@@ -650,47 +627,6 @@ mod tests {
         }
         // Aggregate transmissions match the per-node counters.
         assert_eq!(out.stats.tx_slots.iter().sum::<u64>(), out.transmissions);
-    }
-
-    #[test]
-    fn threads_do_not_change_the_outcome() {
-        // Large enough that the resolver's candidate chunks engage;
-        // capped so the test stays quick. The whole
-        // MwOutcome (coloring, stats, node reports, resolver counters)
-        // must match the sequential run exactly.
-        let c = cfg();
-        let graph = UnitDiskGraph::new(placement::uniform(300, 8.0, 8.0, 7), c.r_t());
-        let params = MwParams::practical(&c, graph.len(), graph.max_degree());
-        let base_cfg = MwConfig::new(params).with_seed(3).with_max_slots(300);
-        let naive_base = run_mw(
-            &graph,
-            SinrModel::new(c),
-            &base_cfg,
-            WakeupSchedule::Synchronous,
-        );
-        let fast_base = run_mw(
-            &graph,
-            sinr_model::FastSinrModel::new(c),
-            &base_cfg,
-            WakeupSchedule::Synchronous,
-        );
-        for threads in [2usize, 4] {
-            let cfg_t = base_cfg.with_threads(threads);
-            let naive = run_mw(
-                &graph,
-                SinrModel::new(c),
-                &cfg_t,
-                WakeupSchedule::Synchronous,
-            );
-            assert_eq!(naive, naive_base, "naive model, threads {threads}");
-            let fast = run_mw(
-                &graph,
-                sinr_model::FastSinrModel::new(c),
-                &cfg_t,
-                WakeupSchedule::Synchronous,
-            );
-            assert_eq!(fast, fast_base, "fast model, threads {threads}");
-        }
     }
 
     #[test]

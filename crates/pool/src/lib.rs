@@ -1,29 +1,33 @@
 #![warn(missing_docs)]
 
-//! Deterministic multi-core execution for the SINR coloring workspace.
+//! Deterministic seed fan-out for the SINR coloring workspace.
 //!
-//! Every parallel code path in the workspace — the SINR resolvers'
-//! candidate chunking and the experiment driver's seed fan-out — runs on
-//! the [`Pool`] defined here, and nowhere else (`cargo xtask lint` rule
-//! L6 bans `std::thread` / `std::sync` outside this crate). The pool is
-//! designed so that parallel runs are **bit-identical** to sequential
-//! ones:
+//! Slots are synchronous (§II of the paper): a slot's receptions depend on
+//! that slot's whole transmitter set, so every slot waits for the one
+//! before it and a coloring run is single-threaded. The only independent
+//! unit of work is a whole run, one per seed, and [`Pool::par_seeds`]
+//! spreads those across threads. Every parallel code path in the
+//! workspace runs here and nowhere else (`cargo xtask lint` rule L6 bans
+//! `std::thread` / `std::sync` outside this crate). The fan-out is
+//! **bit-identical** to a sequential loop:
 //!
 //! * **Static partitioning, no work stealing.** Work of size `len` is split
-//!   into at most `threads` contiguous chunks by [`chunk_range`], a pure
-//!   function of `(len, threads, t)`. Which thread computes which items
-//!   never depends on timing.
-//! * **Chunk-ordered merges.** Callers combine per-chunk outputs in chunk
-//!   index order (see [`Pool::map_indexed`] and the per-chunk scratch type
-//!   [`PerThread`]), so merged results are independent of completion order.
-//! * **No hidden concurrency.** A pool with one thread executes everything
-//!   inline on the caller's stack — no worker threads are spawned, no
-//!   synchronization is performed, so `threads = 1` through the pool is the
-//!   pre-pool sequential path.
+//!   into at most `threads` contiguous chunks, a pure function of
+//!   `(len, threads)`. Which thread computes which items never depends on
+//!   timing.
+//! * **Chunk-ordered merge.** [`Pool::map_indexed`] concatenates the
+//!   chunks' outputs in chunk order, so results come back in index order
+//!   whatever order the threads finish in.
+//! * **No hidden concurrency.** At one thread everything runs inline on
+//!   the caller's stack and no thread is spawned.
+//!
+//! Workers are scoped threads spawned per call and joined before the call
+//! returns, so no thread outlives the borrows it was handed. A spawn
+//! costs microseconds, and each call fans out whole runs.
 //!
 //! Thread count is explicit: binaries pass `--threads` or read the
 //! `SINR_THREADS` environment variable (see [`Pool::from_env`] and
-//! [`global`]); libraries default to [`Pool::sequential`].
+//! [`global`]).
 //!
 //! # Example
 //!
@@ -38,21 +42,15 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
+use std::thread::{Builder, ScopedJoinHandle};
 
-mod per_thread;
-
-pub use per_thread::PerThread;
-
-/// The contiguous index range worked on by thread `t` out of `threads`
+/// The contiguous index range worked on by chunk `t` out of `threads`
 /// when `len` items are statically partitioned.
 ///
 /// Pure function: chunks are contiguous, ascending, cover `0..len` exactly,
-/// and differ in size by at most one item. Every parallel construct in this
-/// crate partitions with this function, so "which thread owns item `i`" is
-/// deterministic.
-pub fn chunk_range(len: usize, threads: usize, t: usize) -> Range<usize> {
+/// and differ in size by at most one item.
+fn chunk_range(len: usize, threads: usize, t: usize) -> Range<usize> {
     let threads = threads.max(1);
     if t >= threads {
         return len..len;
@@ -64,194 +62,21 @@ pub fn chunk_range(len: usize, threads: usize, t: usize) -> Range<usize> {
     start..(start + size).min(len)
 }
 
-/// A raw pointer that may cross thread boundaries. Safety rests on the
-/// pool's static partitioning: distinct threads only ever touch disjoint
-/// chunks behind the pointer, and [`Pool::broadcast`] does not return until
-/// every worker has finished.
-#[derive(Clone, Copy)]
-struct AcrossThreads<T>(T);
-unsafe impl<T> Send for AcrossThreads<T> {}
-unsafe impl<T> Sync for AcrossThreads<T> {}
-
-impl<T: Copy> AcrossThreads<T> {
-    /// Reads the wrapped value. Going through a method (rather than field
-    /// access) makes closures capture the whole `Sync` wrapper instead of
-    /// the raw pointer inside it.
-    fn get(&self) -> T {
-        self.0
-    }
-}
-
-/// A lifetime-erased borrow of the closure being broadcast. Valid only
-/// while the originating [`Pool::broadcast`] call is on the stack — the
-/// call waits for all workers before returning, upholding the borrow.
-type JobPtr = AcrossThreads<*const (dyn Fn(usize) + Sync)>;
-
-struct JobState {
-    /// Bumped once per broadcast; workers run each epoch exactly once.
-    epoch: u64,
-    job: Option<JobPtr>,
-    /// Workers still running the current epoch's job.
-    remaining: usize,
-    /// The first panic payload captured from any thread this epoch.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<JobState>,
-    /// Signalled when a new epoch begins (or on shutdown).
-    start: Condvar,
-    /// Signalled when the last worker of an epoch finishes.
-    done: Condvar,
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock (a worker
-/// panic must not cascade into an abort; the payload is re-raised on the
-/// caller's thread by `broadcast` instead).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn worker_loop(shared: &Shared, index: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.job;
-                }
-                st = wait(&shared.start, st);
-            }
-        };
-        let outcome = job.map(|job| {
-            // Safety: `broadcast` keeps the closure alive until every
-            // worker has reported back below.
-            let f = unsafe { &*job.0 };
-            catch_unwind(AssertUnwindSafe(|| f(index)))
-        });
-        let mut st = lock(&shared.state);
-        if let Some(Err(payload)) = outcome {
-            st.panic.get_or_insert(payload);
-        }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-struct Workers {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Drop for Workers {
-    fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-        }
-        self.shared.start.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-struct Inner {
-    /// Total thread count including the caller's thread (workers + 1).
-    threads: usize,
-    /// `None` when `threads == 1`: everything runs inline.
-    workers: Option<Workers>,
-}
-
-/// A deterministic scoped-broadcast worker pool (see the crate docs).
-///
-/// Cheap to clone: clones share the same worker threads. Workers are
-/// parked between broadcasts and joined when the last clone is dropped.
-#[derive(Clone)]
+/// A deterministic fan-out of independent work over scoped threads (see
+/// the crate docs). It is only a thread count: each call spawns its own
+/// workers and joins them before returning.
+#[derive(Debug, Clone, Copy)]
 pub struct Pool {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads())
-            .finish()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::sequential()
-    }
+    threads: usize,
 }
 
 impl Pool {
-    /// The inline pool: one thread, no workers, no synchronization.
-    pub fn sequential() -> Pool {
-        Pool {
-            inner: Arc::new(Inner {
-                threads: 1,
-                workers: None,
-            }),
-        }
-    }
-
-    /// Creates a pool of `threads` total threads (the caller's thread plus
-    /// `threads - 1` parked workers). `threads <= 1` — or a failure to
-    /// spawn every worker — degrades gracefully toward [`Pool::sequential`]:
-    /// the pool uses however many threads it actually has.
+    /// Creates a pool of `threads` total threads, the caller's included
+    /// (`0` means 1). A call whose worker fails to spawn runs that chunk
+    /// on the caller instead, with the same result.
     pub fn new(threads: usize) -> Pool {
-        if threads <= 1 {
-            return Pool::sequential();
-        }
-        let shared = Arc::new(Shared {
-            state: Mutex::new(JobState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let mut handles = Vec::with_capacity(threads - 1);
-        for index in 1..threads {
-            let shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("sinr-pool-{index}"))
-                .spawn(move || worker_loop(&shared, index));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                // Out of threads: run with what we got. Chunk assignment
-                // only depends on the *final* thread count, so this stays
-                // deterministic for a given realized pool size.
-                Err(_) => break,
-            }
-        }
-        if handles.is_empty() {
-            return Pool::sequential();
-        }
-        let threads = handles.len() + 1;
         Pool {
-            inner: Arc::new(Inner {
-                threads,
-                workers: Some(Workers { shared, handles }),
-            }),
+            threads: threads.max(1),
         }
     }
 
@@ -264,101 +89,54 @@ impl Pool {
 
     /// Total thread count, including the calling thread.
     pub fn threads(&self) -> usize {
-        self.inner.threads
+        self.threads
     }
 
-    /// Runs `f(t)` for every thread index `t in 0..threads`, concurrently,
-    /// and returns once all calls have completed. `f(0)` runs on the
-    /// calling thread. With one thread this is exactly `f(0)` inline.
+    /// Maps `f` over `0..len` and returns the results in index order,
+    /// regardless of thread count or completion order.
     ///
-    /// If any invocation panics, the first captured payload is re-raised
-    /// on the calling thread — after every worker has finished, so borrows
-    /// held by `f` stay valid for as long as any thread can touch them.
-    pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        let Some(workers) = &self.inner.workers else {
-            f(0);
-            return;
-        };
-        let shared = &workers.shared;
-        {
-            let mut st = lock(&shared.state);
-            // Safety: the erased borrow outlives this call, and this call
-            // does not return until `remaining == 0` below.
-            st.job = Some(AcrossThreads(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(f as *const _)
-            }));
-            st.epoch = st.epoch.wrapping_add(1);
-            st.remaining = self.inner.threads - 1;
-            shared.start.notify_all();
-        }
-        let main_outcome = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let payload = {
-            let mut st = lock(&shared.state);
-            while st.remaining > 0 {
-                st = wait(&shared.done, st);
-            }
-            st.job = None;
-            st.panic.take()
-        };
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-        if let Err(payload) = main_outcome {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Statically partitions `0..len` with [`chunk_range`] and runs
-    /// `f(t, range)` concurrently for every non-empty chunk.
-    pub fn run_chunks(&self, len: usize, f: impl Fn(usize, Range<usize>) + Sync) {
-        if len == 0 {
-            return;
-        }
-        if self.threads() == 1 {
-            f(0, 0..len);
-            return;
-        }
-        let threads = self.threads();
-        self.broadcast(&|t| {
-            let range = chunk_range(len, threads, t);
-            if !range.is_empty() {
-                f(t, range);
-            }
-        });
-    }
-
-    /// Splits `data` into the pool's static chunks and runs
-    /// `f(t, chunk_start, chunk)` concurrently on each. The chunk starting
-    /// at index `chunk_start` is exactly `chunk_range(len, threads, t)`.
-    pub fn chunks_mut<T: Send>(&self, data: &mut [T], f: impl Fn(usize, usize, &mut [T]) + Sync) {
-        let len = data.len();
-        let base = AcrossThreads(data.as_mut_ptr());
-        self.run_chunks(len, |t, range| {
-            // Safety: `chunk_range` yields disjoint ranges for distinct
-            // `t`, `run_chunks` invokes each `t` at most once per call,
-            // and `data` is mutably borrowed for the whole call.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
-            f(t, range.start, chunk);
-        });
-    }
-
-    /// Maps `f` over `0..len` on the pool and returns the results in index
-    /// order, regardless of thread count or completion order.
+    /// Chunk 0 runs on the calling thread and chunks `1..` on scoped
+    /// workers. If any chunk panics, the first panicking chunk's payload
+    /// is re-raised on the calling thread once every worker has joined.
     pub fn map_indexed<T: Send>(&self, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
-        self.chunks_mut(&mut out, |_t, start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(f(start + i));
+        let threads = self.threads.min(len);
+        if threads <= 1 {
+            return (0..len).map(f).collect();
+        }
+        let run = |range: Range<usize>| range.map(&f).collect::<Vec<T>>();
+        let chunks = std::thread::scope(|scope| {
+            // A worker that fails to spawn hands its range back, and that
+            // chunk runs on the caller when its turn in the merge comes.
+            let workers: Vec<Result<ScopedJoinHandle<'_, Vec<T>>, Range<usize>>> = (1..threads)
+                .map(|t| {
+                    let range = chunk_range(len, threads, t);
+                    let chunk = range.clone();
+                    Builder::new()
+                        .name(format!("sinr-pool-{t}"))
+                        .spawn_scoped(scope, move || run(chunk))
+                        .map_err(|_| range)
+                })
+                .collect();
+            let mut chunks = Vec::with_capacity(threads);
+            chunks.push(catch_unwind(AssertUnwindSafe(|| {
+                run(chunk_range(len, threads, 0))
+            })));
+            for worker in workers {
+                chunks.push(match worker {
+                    Ok(handle) => handle.join(),
+                    Err(range) => catch_unwind(AssertUnwindSafe(|| run(range))),
+                });
             }
+            chunks
         });
-        // Every index 0..len was visited exactly once above.
-        let collected: Vec<T> = out.into_iter().flatten().collect();
-        debug_assert_eq!(collected.len(), len);
-        collected
+        let mut out = Vec::with_capacity(len);
+        for chunk in chunks {
+            match chunk {
+                Ok(mut items) => out.append(&mut items),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        out
     }
 
     /// Runs `f` once per seed in `seeds` on the pool and returns the
@@ -428,7 +206,7 @@ pub fn set_global_threads(threads: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn chunk_ranges_partition_exactly() {
@@ -457,43 +235,47 @@ mod tests {
     }
 
     #[test]
-    fn sequential_pool_runs_inline() {
-        let pool = Pool::sequential();
+    fn one_thread_runs_inline() {
+        let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
         let caller = std::thread::current().id();
-        pool.broadcast(&|t| {
-            assert_eq!(t, 0);
-            assert_eq!(std::thread::current().id(), caller);
-        });
+        let seen = pool.map_indexed(5, |i| (i, std::thread::current().id()));
+        for (i, (index, thread)) in seen.into_iter().enumerate() {
+            assert_eq!(index, i);
+            assert_eq!(thread, caller, "index {i}");
+        }
     }
 
     #[test]
-    fn broadcast_runs_every_thread_index_once() {
+    fn map_indexed_calls_every_index_once() {
         let pool = Pool::new(4);
-        let hits: Vec<AtomicU64> = (0..pool.threads()).map(|_| AtomicU64::new(0)).collect();
+        let hits: Vec<AtomicU64> = (0..41).map(|_| AtomicU64::new(0)).collect();
         for _ in 0..50 {
-            pool.broadcast(&|t| {
-                hits[t].fetch_add(1, Ordering::SeqCst);
-            });
+            pool.map_indexed(hits.len(), |i| hits[i].fetch_add(1, Ordering::SeqCst));
         }
-        for (t, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::SeqCst), 50, "thread {t}");
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), 50, "index {i}");
         }
     }
 
     #[test]
     fn map_indexed_is_order_deterministic() {
-        let expected: Vec<usize> = (0..97).map(|i| i * 3 + 1).collect();
-        for threads in [1, 2, 3, 4, 8] {
-            let pool = Pool::new(threads);
-            assert_eq!(
-                pool.map_indexed(97, |i| i * 3 + 1),
-                expected,
-                "threads {threads}"
-            );
+        // 97 items split unevenly; 3 items leave most of 8 threads idle;
+        // a single item runs inline.
+        for len in [97usize, 3, 1] {
+            let expected: Vec<usize> = (0..len).map(|i| i * 3 + 1).collect();
+            for threads in [1, 2, 3, 4, 8] {
+                let pool = Pool::new(threads);
+                assert_eq!(
+                    pool.map_indexed(len, |i| i * 3 + 1),
+                    expected,
+                    "len {len} threads {threads}"
+                );
+            }
         }
         // Reusing one pool across calls is fine too.
         let pool = Pool::new(3);
+        let expected: Vec<usize> = (0..97).map(|i| i * 3 + 1).collect();
         for _ in 0..10 {
             assert_eq!(pool.map_indexed(97, |i| i * 3 + 1), expected);
         }
@@ -524,57 +306,35 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_sees_disjoint_chunks_with_correct_offsets() {
-        let pool = Pool::new(4);
-        let mut data = vec![0usize; 41];
-        pool.chunks_mut(&mut data, |_t, start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = start + i;
-            }
-        });
-        assert_eq!(data, (0..41).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_work_is_a_no_op() {
         let pool = Pool::new(2);
-        pool.run_chunks(0, |_, _| unreachable!("no chunks for empty work"));
-        assert!(pool.map_indexed(0, |i| i).is_empty());
+        let out: Vec<()> = pool.map_indexed(0, |_| unreachable!("no calls for empty work"));
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn worker_panic_propagates_to_caller() {
+    fn worker_panic_reaches_the_caller_with_its_payload() {
         let pool = Pool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(&|t| {
-                if t == 1 {
+        // Index 7 of 10 lies in chunk 1, which runs on the worker.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_indexed(10, |i| {
+                if i == 7 {
                     panic!("worker boom");
                 }
-            });
+                i
+            })
         }));
-        assert!(result.is_err());
-        // The pool survives a panicked broadcast and keeps working.
+        let payload = result.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker boom"));
+        // The pool keeps working after a panicked call.
         let sum: usize = pool.map_indexed(10, |i| i).iter().sum();
         assert_eq!(sum, 45);
     }
 
     #[test]
-    fn degenerate_sizes_clamp_to_sequential() {
+    fn degenerate_sizes_clamp_to_one_thread() {
         assert_eq!(Pool::new(0).threads(), 1);
         assert_eq!(Pool::new(1).threads(), 1);
-        assert!(Pool::default().threads() == 1);
-    }
-
-    #[test]
-    fn pool_clones_share_workers() {
-        let pool = Pool::new(3);
-        let clone = pool.clone();
-        assert_eq!(clone.threads(), 3);
-        let count = AtomicU64::new(0);
-        clone.broadcast(&|_| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 3);
     }
 
     #[test]

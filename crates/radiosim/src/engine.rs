@@ -8,7 +8,6 @@ use sinr_model::{InterferenceModel, ReceptionTable, ResolverStats, TxDelta};
 use sinr_obs::alloc::{self, AllocSnapshot, AllocStats};
 use sinr_obs::span::{names as span_names, SpanRecord, SpanTrack};
 use sinr_obs::{keys, NoopRecorder, ObsEvent, Recorder, QUARTERS_PER_SLOT};
-use sinr_pool::Pool;
 use sinr_rng::rngs::StdRng;
 use sinr_rng::SeedableRng;
 
@@ -327,8 +326,7 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // Previous slot's resolver-stats snapshot, kept only while a recorder
     // is enabled: per-slot diffing of the cumulative counters yields the
     // resolver-internal spans (delta apply, rebuilds, fallbacks) without
-    // touching the resolver itself. The counters are thread-invariant, so
-    // the derived spans are too.
+    // touching the resolver itself.
     prev_resolver: Option<ResolverStats>,
     // The last slot's reception table and newly-done list, reused across
     // slots (mem::take'd during the step, put back before the view is
@@ -430,14 +428,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// further profiling).
     pub fn take_alloc_profile(&mut self) -> Option<Box<EngineAllocProfile>> {
         self.alloc_profile.take()
-    }
-
-    /// Forwards a worker pool to the interference model, which may split
-    /// each slot's candidate receivers into static chunks merged in chunk
-    /// order (bit-identical to a sequential resolve). The engine's node
-    /// passes stay sequential.
-    pub fn set_pool(&mut self, pool: &Pool) {
-        self.model.set_pool(pool);
     }
 
     /// The communication graph being simulated.

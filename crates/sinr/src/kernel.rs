@@ -35,28 +35,22 @@
 //!    graph built at the configured `R_T` passes it with a factor of 2 to
 //!    spare; a context whose adjacency radius reaches past the lone-decode
 //!    range [`SinrConfig::r_max`] fails it and takes the exact decode.
-//! 4. **Dispatch and merge** ([`ExactKernel::finish_slot`]): candidates
-//!    are decoded in order, or in static chunks on the worker pool with
-//!    the per-thread pair buffers concatenated in chunk order, so every
-//!    thread count yields the sequential list.
 //!
-//! Each candidate decodes at most one sender and the candidates come in
-//! ascending order, so the pairs come out sorted by receiver and the
-//! reception table takes them without a sort. The naive model decodes
-//! every candidate exactly; the fast model first tries its certified grid
-//! bounds and falls back to [`decode_exact`]. Once the scratch has grown
-//! to the graph, a slot that refills a recycled table allocates nothing.
+//! [`ExactKernel::finish_slot`] decodes the candidates in ascending order
+//! and each decodes at most one sender, so the pairs come out sorted by
+//! receiver and the reception table takes them without a sort. The naive
+//! model decodes every candidate exactly; the fast model first tries its
+//! certified grid bounds and falls back to [`decode_exact`]. Once the
+//! scratch has grown to the graph, a slot that refills a recycled table
+//! allocates nothing.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, sinr_from_signal};
-use crate::model::PAR_CANDIDATE_CUTOFF;
 use crate::resolver::SUM_SLACK;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
-use sinr_pool::{PerThread, Pool};
 
-/// Per-chunk resolver counters of one slot. The fast model adds them to
-/// its [`ResolverStats`](crate::ResolverStats); the naive model ignores
-/// them.
+/// Resolver counters of one slot. The fast model adds them to its
+/// [`ResolverStats`](crate::ResolverStats); the naive model ignores them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SlotCounts {
     /// Candidates decided from the certified grid bounds.
@@ -68,27 +62,17 @@ pub(crate) struct SlotCounts {
     pub(crate) cells: u64,
 }
 
-impl SlotCounts {
-    fn add(&mut self, other: SlotCounts) {
-        self.fast_hits += other.fast_hits;
-        self.fallbacks += other.fallbacks;
-        self.cells += other.cells;
-    }
-}
-
-/// Per-thread (per-chunk) working state for one slot.
+/// The working state a candidate's decode reuses: its buffers and the
+/// slot's counters.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ChunkScratch {
+pub(crate) struct DecodeScratch {
     /// Potential senders of the current candidate on the fast model's
     /// grid path (reused).
     pub(crate) sender_buf: Vec<NodeId>,
     /// The adjacent links `(sender, received power)` of the candidate
     /// [`decode_exact`] is decoding (reused).
     pub(crate) links: Vec<(NodeId, f64)>,
-    /// Receptions decoded by this chunk on the pooled path, in candidate
-    /// order (the sequential path writes straight to the caller's list).
-    pairs: Vec<(NodeId, NodeId)>,
-    /// This chunk's counters for the slot.
+    /// The counters of the slot in progress.
     pub(crate) counts: SlotCounts,
 }
 
@@ -132,8 +116,7 @@ impl<'a> ExactCtx<'a> {
 /// the interference summed in `transmitting` order and ties kept by the
 /// first sender. `links` is scratch for the adjacent links.
 ///
-/// Pure in `(ctx, u)`, so a receiver decodes the same on any thread and
-/// in any chunk. `u` must not transmit (candidates never do).
+/// Pure in `(ctx, u)`. `u` must not transmit (candidates never do).
 // lint:hot — exact decode, runs once per candidate (naive) or per fallback (fast)
 #[inline]
 pub(crate) fn decode_exact(
@@ -180,8 +163,8 @@ fn certified_lone_sender(ctx: &ExactCtx<'_>) -> Option<NodeId> {
 }
 
 /// Reusable scratch of the exact kernel: the transmitter bitmap, the
-/// candidate bitset and list, and per-thread chunk scratch.
-#[derive(Debug, Clone)]
+/// candidate bitset and list, and the decode scratch.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ExactKernel {
     /// Dense transmitter bitmap, unmarked after every slot.
     is_tx: Vec<bool>,
@@ -190,31 +173,14 @@ pub(crate) struct ExactKernel {
     candidate_bits: Vec<u64>,
     /// Candidate receivers of the slot in progress, in ascending order.
     candidates: Vec<NodeId>,
-    /// One scratch slot per pool thread; the sequential path uses slot
-    /// 0's buffers and counters.
-    thread: PerThread<ChunkScratch>,
+    /// The buffers and counters every candidate's decode reuses.
+    scratch: DecodeScratch,
 }
 
 impl ExactKernel {
-    /// Empty scratch for a pool of `threads`; it grows to the graph on
-    /// the first slot.
-    pub(crate) fn new(threads: usize) -> Self {
-        ExactKernel {
-            is_tx: Vec::new(),
-            candidate_bits: Vec::new(),
-            candidates: Vec::new(),
-            thread: PerThread::new(threads, |_| ChunkScratch::default()),
-        }
-    }
-
-    /// Re-creates the per-thread scratch for a pool of `threads`, with
-    /// the pooled path's pair buffers sized to the graph seen so far.
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        let cap = if threads > 1 { self.is_tx.len() } else { 0 };
-        self.thread = PerThread::new(threads, |_| ChunkScratch {
-            pairs: Vec::with_capacity(cap),
-            ..ChunkScratch::default()
-        });
+    /// Empty scratch; it grows to the graph on the first slot.
+    pub(crate) fn new() -> Self {
+        ExactKernel::default()
     }
 
     /// Starts a slot: marks `transmitting` and lists the candidate
@@ -229,18 +195,11 @@ impl ExactKernel {
             // decodes at most one pair: one reservation up front keeps
             // every later slot allocation-free however dense it gets.
             self.candidates.reserve(n);
-            if self.thread.len() > 1 {
-                for cs in self.thread.iter_mut() {
-                    cs.pairs.reserve(n);
-                }
-            }
         }
         // A candidate's adjacent senders are among its neighbors.
-        let max_links = g.max_degree();
-        for cs in self.thread.iter_mut() {
-            if cs.links.capacity() < max_links {
-                cs.links.reserve(max_links);
-            }
+        let links = &mut self.scratch.links;
+        if links.capacity() < g.max_degree() {
+            links.reserve(g.max_degree());
         }
         for &t in transmitting {
             debug_assert!(!self.is_tx[t], "node {t} transmits twice in one slot");
@@ -278,12 +237,11 @@ impl ExactKernel {
         &self.candidates
     }
 
-    /// Grows every thread's sender buffer to hold at least `cap` ids.
+    /// Grows the sender buffer to hold at least `cap` ids.
     pub(crate) fn reserve_senders(&mut self, cap: usize) {
-        for cs in self.thread.iter_mut() {
-            if cs.sender_buf.capacity() < cap {
-                cs.sender_buf.reserve(cap);
-            }
+        let senders = &mut self.scratch.sender_buf;
+        if senders.capacity() < cap {
+            senders.reserve(cap);
         }
     }
 
@@ -291,72 +249,44 @@ impl ExactKernel {
     /// `ctx.transmitting`: `decode` returns the sender each candidate
     /// hears, if any; `pairs` (cleared first) receives the receptions
     /// sorted by receiver. Unmarks the transmitters and returns the
-    /// summed chunk counters.
+    /// slot's counters.
     ///
     /// A slot whose lone transmitter [`certified_lone_sender`] returns emits
     /// `(u, t)` for every candidate without calling `decode`, and counts
-    /// them as exact decodes. Otherwise, with more than one pool thread
-    /// and at least [`PAR_CANDIDATE_CUTOFF`] candidates, the candidate
-    /// list is cut into static chunks. Every slot first resets all
-    /// per-thread outputs (chunks at the tail can be empty and are then
-    /// skipped by the pool), and the merge walks the slots in thread =
-    /// chunk = candidate order, so pairs and counters match the
-    /// sequential loop exactly.
-    // lint:hot — dispatch and merge, runs once per slot
+    /// them as exact decodes. Otherwise every candidate is decoded in
+    /// ascending order.
+    // lint:hot — candidate decode loop, runs once per slot
     pub(crate) fn finish_slot<F>(
         &mut self,
-        pool: &Pool,
         ctx: &ExactCtx<'_>,
         pairs: &mut Vec<(NodeId, NodeId)>,
-        decode: F,
+        mut decode: F,
     ) -> SlotCounts
     where
-        F: Fn(NodeId, &mut ChunkScratch) -> Option<NodeId> + Sync,
+        F: FnMut(NodeId, &mut DecodeScratch) -> Option<NodeId>,
     {
-        let mut counts = SlotCounts::default();
         pairs.clear();
+        let scratch = &mut self.scratch;
+        scratch.counts = SlotCounts::default();
         if let Some(t) = certified_lone_sender(ctx) {
             pairs.extend(self.candidates.iter().map(|&u| (u, t)));
-            counts.fallbacks = self.candidates.len() as u64;
-        } else if pool.threads() > 1 && self.candidates.len() >= PAR_CANDIDATE_CUTOFF {
-            for cs in self.thread.iter_mut() {
-                cs.pairs.clear();
-                cs.counts = SlotCounts::default();
-            }
-            let candidates: &[NodeId] = &self.candidates;
-            let thread = &self.thread;
-            pool.run_chunks(candidates.len(), |t, range| {
-                thread.with(t, |cs| {
-                    for &u in &candidates[range] {
-                        if let Some(v) = decode(u, cs) {
-                            cs.pairs.push((u, v));
-                        }
-                    }
-                })
-            });
-            for cs in self.thread.iter_mut() {
-                pairs.append(&mut cs.pairs);
-                counts.add(cs.counts);
-            }
+            scratch.counts.fallbacks = self.candidates.len() as u64;
         } else {
             // Each candidate decodes at most one pair: a fresh list grows
             // once here, and a recycled list that holds the slot not at
             // all.
             pairs.reserve(self.candidates.len());
-            let cs = self.thread.get_mut(0);
-            cs.counts = SlotCounts::default();
             for &u in &self.candidates {
-                if let Some(v) = decode(u, cs) {
+                if let Some(v) = decode(u, scratch) {
                     pairs.push((u, v));
                 }
             }
-            counts.add(cs.counts);
         }
 
         for &t in ctx.transmitting {
             self.is_tx[t] = false;
         }
-        counts
+        scratch.counts
     }
 }
 
@@ -400,7 +330,7 @@ mod tests {
             .collect()
     }
 
-    /// One slot through the kernel, sequentially.
+    /// One slot through the kernel.
     fn kernel_pairs(
         kernel: &mut ExactKernel,
         g: &UnitDiskGraph,
@@ -408,9 +338,7 @@ mod tests {
     ) -> Vec<(NodeId, NodeId)> {
         kernel.begin_slot(g, ctx.transmitting);
         let mut pairs = Vec::new();
-        kernel.finish_slot(&Pool::sequential(), ctx, &mut pairs, |u, cs| {
-            decode_exact(ctx, u, &mut cs.links)
-        });
+        kernel.finish_slot(ctx, &mut pairs, |u, cs| decode_exact(ctx, u, &mut cs.links));
         pairs
     }
 
@@ -424,7 +352,7 @@ mod tests {
         let tx = [12];
         let ctx = ctx_with_radius(&cfg, g.positions(), &tx, radius);
         assert_eq!(certified_lone_sender(&ctx), None);
-        let pairs = kernel_pairs(&mut ExactKernel::new(1), &g, &ctx);
+        let pairs = kernel_pairs(&mut ExactKernel::new(), &g, &ctx);
         assert_eq!(pairs, decode_every_node(&ctx));
         assert_eq!(pairs, vec![(7, 12), (11, 12), (13, 12), (17, 12)]);
         assert_eq!(g.neighbors(12).len(), 8);
@@ -438,7 +366,7 @@ mod tests {
         let tx = [12];
         let ctx = ExactCtx::new(&cfg, &g, &tx);
         assert_eq!(certified_lone_sender(&ctx), Some(12));
-        let pairs = kernel_pairs(&mut ExactKernel::new(1), &g, &ctx);
+        let pairs = kernel_pairs(&mut ExactKernel::new(), &g, &ctx);
         assert_eq!(pairs, vec![(7, 12), (11, 12), (13, 12), (17, 12)]);
         assert_eq!(pairs, decode_every_node(&ctx));
     }
@@ -474,7 +402,7 @@ mod tests {
             &[63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 74, 76, 78, 80],
             &[80],
         ];
-        let mut kernel = ExactKernel::new(1);
+        let mut kernel = ExactKernel::new();
         for tx in slots {
             let ctx = ExactCtx::new(&cfg, &g, tx);
             let pairs = kernel_pairs(&mut kernel, &g, &ctx);

@@ -52,9 +52,6 @@ pub mod resolver;
 
 pub use config::SinrConfig;
 pub use fading::FadingSinrModel;
-pub use model::{
-    GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrModel, TxDelta,
-    PAR_CANDIDATE_CUTOFF,
-};
+pub use model::{GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrModel, TxDelta};
 pub use power::{NonUniformSinrModel, PowerAssignment};
 pub use resolver::{FastSinrModel, ResolverStats, AUTO_TX_DENSITY_FACTOR, EPOCH_REBUILD_SLOTS};

@@ -5,13 +5,7 @@ use crate::config::SinrConfig;
 use crate::kernel::{decode_exact, ExactCtx, ExactKernel};
 use crate::resolver::ResolverStats;
 use sinr_geometry::{NodeId, UnitDiskGraph};
-use sinr_pool::Pool;
 use std::cell::RefCell;
-
-/// Minimum number of candidate receivers in a slot before a resolver
-/// fans work out to the pool. Below this the per-broadcast wake/merge
-/// cost exceeds the work being split.
-pub const PAR_CANDIDATE_CUTOFF: usize = 64;
 
 /// The outcome of one time slot: which receivers heard which senders.
 ///
@@ -184,14 +178,6 @@ pub trait InterferenceModel {
     fn resolver_stats(&self) -> Option<ResolverStats> {
         None
     }
-
-    /// Installs a worker pool for models that can resolve receivers in
-    /// parallel. The default is a no-op: purely local models (graph,
-    /// ideal) ignore it. Parallel resolution must stay bit-identical to
-    /// the sequential run — chunks are static and merged in chunk order.
-    fn set_pool(&mut self, pool: &Pool) {
-        let _ = pool;
-    }
 }
 
 impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
@@ -225,10 +211,6 @@ impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
     fn resolver_stats(&self) -> Option<ResolverStats> {
         (**self).resolver_stats()
     }
-
-    fn set_pool(&mut self, pool: &Pool) {
-        (**self).set_pool(pool)
-    }
 }
 
 /// The paper's physical model: receiver `u` decodes sender `v` iff
@@ -248,22 +230,15 @@ impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
 #[derive(Debug, Clone)]
 pub struct SinrModel {
     cfg: SinrConfig,
-    pool: Pool,
     kernel: RefCell<ExactKernel>,
 }
 
 impl SinrModel {
-    /// Creates the model from a physical configuration (sequential).
+    /// Creates the model from a physical configuration.
     pub fn new(cfg: SinrConfig) -> Self {
-        Self::with_pool(cfg, Pool::sequential())
-    }
-
-    /// Creates the model with a worker pool for parallel resolution.
-    pub fn with_pool(cfg: SinrConfig, pool: Pool) -> Self {
         SinrModel {
             cfg,
-            kernel: RefCell::new(ExactKernel::new(pool.threads())),
-            pool,
+            kernel: RefCell::new(ExactKernel::new()),
         }
     }
 
@@ -283,9 +258,7 @@ impl SinrModel {
         let ctx = ExactCtx::new(&self.cfg, g, transmitting);
         let mut kernel = self.kernel.borrow_mut();
         kernel.begin_slot(g, transmitting);
-        kernel.finish_slot(&self.pool, &ctx, pairs, |u, cs| {
-            decode_exact(&ctx, u, &mut cs.links)
-        });
+        kernel.finish_slot(&ctx, pairs, |u, cs| decode_exact(&ctx, u, &mut cs.links));
     }
 }
 
@@ -313,11 +286,6 @@ impl InterferenceModel for SinrModel {
 
     fn name(&self) -> &'static str {
         "sinr"
-    }
-
-    fn set_pool(&mut self, pool: &Pool) {
-        self.pool = pool.clone();
-        self.kernel.get_mut().set_threads(pool.threads());
     }
 }
 
@@ -571,24 +539,6 @@ mod tests {
         // Box forwarding preserves the answer.
         let boxed: Box<dyn InterferenceModel> = Box::new(GraphModel::new());
         assert!(boxed.resolver_stats().is_none());
-    }
-
-    #[test]
-    fn parallel_resolution_is_bit_identical() {
-        // A 20×20 lattice with ~266 candidate receivers, comfortably over
-        // PAR_CANDIDATE_CUTOFF so the pooled path actually engages.
-        let pts: Vec<Point> = (0..400)
-            .map(|i| Point::new((i % 20) as f64 * 0.4, (i / 20) as f64 * 0.4))
-            .collect();
-        let g = graph(pts);
-        let tx: Vec<NodeId> = (0..g.len()).step_by(3).collect();
-        assert!(g.len() - tx.len() >= PAR_CANDIDATE_CUTOFF);
-        let cfg = SinrConfig::default_unit();
-        let expected = SinrModel::new(cfg).resolve(&g, &tx);
-        for threads in [2usize, 4] {
-            let par = SinrModel::with_pool(cfg, Pool::new(threads));
-            assert_eq!(par.resolve(&g, &tx), expected, "threads {threads}");
-        }
     }
 
     #[test]

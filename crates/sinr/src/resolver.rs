@@ -40,9 +40,8 @@
 //!    interference sum **in the same iteration order as the naive
 //!    resolver**, so the produced [`ReceptionTable`] is bit-identical in
 //!    every case — the fast path is a pure strength reduction, never an
-//!    approximation. Candidate discovery, that fallback and the parallel
-//!    dispatch are the exact kernel `SinrModel` runs too
-//!    (`crate::kernel`).
+//!    approximation. Candidate discovery and that fallback are the exact
+//!    kernel `SinrModel` runs too (`crate::kernel`).
 //!
 //! The persistent state is defensively certified: an externally supplied
 //! delta is validated element-by-element against the grid's own membership
@@ -61,10 +60,9 @@
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_signal};
-use crate::kernel::{decode_exact, ChunkScratch, ExactCtx, ExactKernel};
+use crate::kernel::{decode_exact, DecodeScratch, ExactCtx, ExactKernel};
 use crate::model::{InterferenceModel, ReceptionTable, TxDelta};
 use sinr_geometry::{CellGrid, NodeId, UnitDiskGraph};
-use sinr_pool::Pool;
 use std::cell::RefCell;
 
 /// Default near-window half-width, in grid cells (cell side = `R_T`).
@@ -243,12 +241,12 @@ impl GridState {
 struct Scratch {
     /// Persistent incremental grid state (see [`GridState`]).
     gs: GridState,
-    /// The exact kernel's bitmaps, candidate list and per-thread buffers.
+    /// The exact kernel's bitmaps, candidate list and decode buffers.
     kernel: ExactKernel,
     stats: ResolverStats,
 }
 
-/// Immutable per-slot context shared by every chunk: the exact decode's
+/// Immutable per-slot context of every candidate: the exact decode's
 /// inputs, the stamped near lists, and the precomputed bounds.
 struct SlotCtx<'a> {
     exact: ExactCtx<'a>,
@@ -264,10 +262,9 @@ struct SlotCtx<'a> {
 /// counters go to `cs`.
 ///
 /// Pure in `(ctx, u)`: the same candidate produces the same reception and
-/// counter increments on any thread, which together with static chunking
-/// and chunk-order merging keeps parallel runs bit-identical.
+/// counter increments whatever slot or candidate came before it.
 // lint:hot — resolver inner loop, runs once per candidate per slot
-fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) -> Option<NodeId> {
+fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Option<NodeId> {
     let exact = &ctx.exact;
     let positions = exact.positions;
     let pu = positions[u];
@@ -409,7 +406,6 @@ pub struct FastSinrModel {
     near_reach: i64,
     grid_enabled: bool,
     epoch_interval: u64,
-    pool: Pool,
     scratch: RefCell<Scratch>,
 }
 
@@ -438,20 +434,12 @@ impl FastSinrModel {
             near_reach: near_reach_cells,
             grid_enabled: true,
             epoch_interval: EPOCH_REBUILD_SLOTS,
-            pool: Pool::sequential(),
             scratch: RefCell::new(Scratch {
                 gs: GridState::empty(),
-                kernel: ExactKernel::new(1),
+                kernel: ExactKernel::new(),
                 stats: ResolverStats::default(),
             }),
         }
-    }
-
-    /// Creates the resolver with a worker pool for parallel resolution.
-    pub fn with_pool(cfg: SinrConfig, pool: Pool) -> Self {
-        let mut model = Self::new(cfg);
-        model.set_pool(&pool);
-        model
     }
 
     /// Creates the resolver with the grid heuristic sized for the given
@@ -537,8 +525,8 @@ impl FastSinrModel {
         let use_grid = k > SMALL_SLOT_EXACT_CUTOFF && gs.grid.is_some();
         if use_grid {
             // A candidate's sender scan yields at most the bound-node
-            // population of its 3×3 cell window; size every thread's
-            // collection buffer to that bind-time bound once so a
+            // population of its 3×3 cell window; size the collection
+            // buffer to that bind-time bound once so a
             // record-density window late in the run cannot grow it.
             if let Some(grid) = &gs.grid {
                 kernel.reserve_senders(grid.max_window_population());
@@ -587,9 +575,7 @@ impl FastSinrModel {
             ),
             k,
         };
-        let counts = kernel.finish_slot(&self.pool, &ctx.exact, pairs, |u, cs| {
-            resolve_candidate(&ctx, u, cs)
-        });
+        let counts = kernel.finish_slot(&ctx.exact, pairs, |u, cs| resolve_candidate(&ctx, u, cs));
         stats.fast_path_hits += counts.fast_hits;
         stats.exact_fallbacks += counts.fallbacks;
         stats.cells_scanned += counts.cells;
@@ -777,11 +763,6 @@ impl InterferenceModel for FastSinrModel {
     fn resolver_stats(&self) -> Option<ResolverStats> {
         Some(self.stats())
     }
-
-    fn set_pool(&mut self, pool: &Pool) {
-        self.pool = pool.clone();
-        self.scratch.get_mut().kernel.set_threads(pool.threads());
-    }
 }
 
 #[cfg(test)]
@@ -957,25 +938,6 @@ mod tests {
     #[should_panic(expected = "at least the R_T disk")]
     fn zero_reach_rejected() {
         let _ = FastSinrModel::with_near_reach(cfg(), 0);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bit_identically() {
-        let c = cfg();
-        let g = UnitDiskGraph::new(scatter(400, 8.0, 5), c.r_t());
-        for threads in [2usize, 4] {
-            let seq = FastSinrModel::new(c);
-            let par = FastSinrModel::with_pool(c, Pool::new(threads));
-            for &k in &[1usize, 13, 80, 200, 400] {
-                let tx = spread_tx(400, k);
-                assert_eq!(
-                    par.resolve(&g, &tx),
-                    seq.resolve(&g, &tx),
-                    "threads {threads} k {k}"
-                );
-            }
-            assert_eq!(par.stats(), seq.stats(), "stats at threads {threads}");
-        }
     }
 
     #[test]
@@ -1161,7 +1123,7 @@ mod tests {
         // below it, two lone transmitters and an empty slot, with epoch
         // rebuilds in between. The counters are fixed numbers: neither
         // candidate order nor the exact kernel's lone-transmitter path may
-        // move one of them, at any thread count.
+        // move one of them.
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 17), c.r_t());
         let shifted = |k: usize, step: usize| -> Vec<NodeId> {
@@ -1179,26 +1141,23 @@ mod tests {
             shifted(90, 4),
         ];
         let naive = SinrModel::new(c);
-        for threads in [1usize, 2] {
-            let mut fast = FastSinrModel::with_pool(c, Pool::new(threads));
-            fast.set_epoch_interval(4);
-            for (i, tx) in slots.iter().enumerate() {
-                assert_eq!(fast.resolve(&g, tx), naive.resolve(&g, tx), "slot {i}");
-            }
-            assert_eq!(
-                fast.stats(),
-                ResolverStats {
-                    fast_path_hits: 952,
-                    exact_fallbacks: 146,
-                    cells_scanned: 23622,
-                    delta_started: 193,
-                    delta_stopped: 66,
-                    epoch_rebuilds: 2,
-                    full_rebuilds: 0,
-                },
-                "threads {threads}"
-            );
+        let mut fast = FastSinrModel::new(c);
+        fast.set_epoch_interval(4);
+        for (i, tx) in slots.iter().enumerate() {
+            assert_eq!(fast.resolve(&g, tx), naive.resolve(&g, tx), "slot {i}");
         }
+        assert_eq!(
+            fast.stats(),
+            ResolverStats {
+                fast_path_hits: 952,
+                exact_fallbacks: 146,
+                cells_scanned: 23622,
+                delta_started: 193,
+                delta_stopped: 66,
+                epoch_rebuilds: 2,
+                full_rebuilds: 0,
+            }
+        );
     }
 
     #[test]

@@ -16,7 +16,6 @@ use sinr_model::{
     FastSinrModel, GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrConfig,
     SinrModel, TxDelta,
 };
-use sinr_pool::Pool;
 use std::collections::BTreeSet;
 
 fn arb_points(max_n: usize, extent: f64) -> impl Strategy<Value = Vec<Point>> {
@@ -44,8 +43,7 @@ const BETAS: [f64; 3] = [1.0, 1.5, 3.0];
 /// A placement over a range of densities with co-located duplicates and
 /// isolated nodes, and a slot sequence over it: an empty slot, a lone
 /// transmitter, the isolated nodes alone, then random transmitter sets,
-/// which routinely exceed both the fast resolver's small-slot cutoff and
-/// the pooled path's candidate cutoff.
+/// which routinely exceed the fast resolver's small-slot cutoff.
 fn arb_slot_sequence() -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> {
     (2.0..12.0f64)
         .prop_flat_map(|extent| {
@@ -94,25 +92,20 @@ fn arb_lattice_sequence() -> impl Strategy<Value = (usize, usize, Vec<Vec<NodeId
         })
 }
 
-/// The SINR resolvers under test on one pool: the naive model, the
-/// grid-tiled model at `reach`, and the auto model sized for `g`.
+/// The SINR resolvers under test: the naive model, the grid-tiled model
+/// at `reach`, and the auto model sized for `g`.
 fn resolvers(
     cfg: SinrConfig,
     g: &UnitDiskGraph,
     reach: i64,
-    pool: &Pool,
 ) -> Vec<(&'static str, Box<dyn InterferenceModel>)> {
-    let mut fast = FastSinrModel::with_near_reach(cfg, reach);
-    fast.set_pool(pool);
-    let mut auto = FastSinrModel::auto(cfg, g);
-    auto.set_pool(pool);
     vec![
+        ("SinrModel", Box::new(SinrModel::new(cfg))),
         (
-            "SinrModel",
-            Box::new(SinrModel::with_pool(cfg, pool.clone())),
+            "FastSinrModel",
+            Box::new(FastSinrModel::with_near_reach(cfg, reach)),
         ),
-        ("FastSinrModel", Box::new(fast)),
-        ("FastSinrModel::auto", Box::new(auto)),
+        ("FastSinrModel::auto", Box::new(FastSinrModel::auto(cfg, g))),
     ]
 }
 
@@ -124,53 +117,48 @@ fn delta_between(prev: &[NodeId], now: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) 
     (started, stopped)
 }
 
-/// Runs `slots` on pools of 1, 2 and 4 threads through the reference and
-/// through every resolver under test, twice: by `resolve` on one instance,
-/// and by `resolve_delta_into` on another that refills one recycled table
-/// with the true delta. Every table must equal the reference's bit for bit.
+/// Runs `slots` through the reference and through every resolver under
+/// test, twice: by `resolve` on one instance, and by `resolve_delta_into`
+/// on another that refills one recycled table with the true delta. Every
+/// table must equal the reference's bit for bit.
 fn check_against_reference(
     cfg: SinrConfig,
     g: &UnitDiskGraph,
     slots: &[Vec<NodeId>],
     reach: i64,
 ) -> TestCaseResult {
-    for threads in [1usize, 2, 4] {
-        let pool = Pool::new(threads);
-        let oracle = ReferenceSinrModel::with_pool(cfg, pool.clone());
-        let by_resolve = resolvers(cfg, g, reach, &pool);
-        let by_delta = resolvers(cfg, g, reach, &pool);
-        let mut tables = vec![ReceptionTable::default(); by_delta.len()];
-        let mut prev: Vec<NodeId> = Vec::new();
-        for (slot, tx) in slots.iter().enumerate() {
-            let expected = oracle.resolve(g, tx);
-            let (started, stopped) = delta_between(&prev, tx);
-            let delta = TxDelta {
-                started: &started,
-                stopped: &stopped,
-            };
-            for (((name, fresh), (_, recycled)), table) in
-                by_resolve.iter().zip(&by_delta).zip(&mut tables)
-            {
-                prop_assert_eq!(
-                    &fresh.resolve(g, tx),
-                    &expected,
-                    "{} resolve, slot {}, {} threads",
-                    name,
-                    slot,
-                    threads
-                );
-                recycled.resolve_delta_into(g, tx, delta, table);
-                prop_assert_eq!(
-                    &*table,
-                    &expected,
-                    "{} resolve_delta_into, slot {}, {} threads",
-                    name,
-                    slot,
-                    threads
-                );
-            }
-            prev.clone_from(tx);
+    let oracle = ReferenceSinrModel::new(cfg);
+    let by_resolve = resolvers(cfg, g, reach);
+    let by_delta = resolvers(cfg, g, reach);
+    let mut tables = vec![ReceptionTable::default(); by_delta.len()];
+    let mut prev: Vec<NodeId> = Vec::new();
+    for (slot, tx) in slots.iter().enumerate() {
+        let expected = oracle.resolve(g, tx);
+        let (started, stopped) = delta_between(&prev, tx);
+        let delta = TxDelta {
+            started: &started,
+            stopped: &stopped,
+        };
+        for (((name, fresh), (_, recycled)), table) in
+            by_resolve.iter().zip(&by_delta).zip(&mut tables)
+        {
+            prop_assert_eq!(
+                &fresh.resolve(g, tx),
+                &expected,
+                "{} resolve, slot {}",
+                name,
+                slot
+            );
+            recycled.resolve_delta_into(g, tx, delta, table);
+            prop_assert_eq!(
+                &*table,
+                &expected,
+                "{} resolve_delta_into, slot {}",
+                name,
+                slot
+            );
         }
+        prev.clone_from(tx);
     }
     Ok(())
 }

@@ -12,8 +12,7 @@
 
 use sinr_geometry::{NodeId, UnitDiskGraph};
 use sinr_model::interference::{received_power, sinr_from_total};
-use sinr_model::{InterferenceModel, ReceptionTable, SinrConfig, PAR_CANDIDATE_CUTOFF};
-use sinr_pool::{PerThread, Pool};
+use sinr_model::{InterferenceModel, ReceptionTable, SinrConfig};
 
 /// The oracle: receiver `u` decodes sender `v` iff `δ(u, v) ≤ R_T` and the
 /// SINR against *all* simultaneous transmitters plus ambient noise is at
@@ -21,19 +20,16 @@ use sinr_pool::{PerThread, Pool};
 #[derive(Debug, Clone)]
 pub struct ReferenceSinrModel {
     cfg: SinrConfig,
-    pool: Pool,
 }
 
 impl ReferenceSinrModel {
-    /// Creates the oracle with a worker pool for parallel resolution.
-    pub fn with_pool(cfg: SinrConfig, pool: Pool) -> Self {
-        ReferenceSinrModel { cfg, pool }
+    /// Creates the oracle.
+    pub fn new(cfg: SinrConfig) -> Self {
+        ReferenceSinrModel { cfg }
     }
 
     /// Decodes one candidate receiver `u`: the strongest sender within
     /// `R_T` whose SINR against the whole transmitter set clears `β`.
-    /// Pure in `(u, transmitting)`, so per-receiver results are the same
-    /// no matter which thread (or chunk) computes them.
     fn decode_at(&self, g: &UnitDiskGraph, transmitting: &[NodeId], u: NodeId) -> Option<NodeId> {
         let positions = g.positions();
         // Total received power at u from every transmitter.
@@ -88,34 +84,10 @@ impl InterferenceModel for ReferenceSinrModel {
             }
         }
 
-        let pairs: Vec<(NodeId, NodeId)> =
-            if self.pool.threads() > 1 && candidates.len() >= PAR_CANDIDATE_CUTOFF {
-                // Static chunks over the candidate list; each thread decodes
-                // its receivers in candidate order and the per-thread pair
-                // lists are concatenated in chunk order, so the merged list
-                // matches the sequential one exactly.
-                let outputs: PerThread<Vec<(NodeId, NodeId)>> =
-                    PerThread::new(self.pool.threads(), |_| Vec::new());
-                self.pool.run_chunks(candidates.len(), |t, range| {
-                    outputs.with(t, |out| {
-                        for &u in &candidates[range] {
-                            if let Some(v) = self.decode_at(g, transmitting, u) {
-                                out.push((u, v));
-                            }
-                        }
-                    })
-                });
-                let mut merged = Vec::new();
-                for chunk in outputs.into_iter() {
-                    merged.extend(chunk);
-                }
-                merged
-            } else {
-                candidates
-                    .iter()
-                    .filter_map(|&u| self.decode_at(g, transmitting, u).map(|v| (u, v)))
-                    .collect()
-            };
+        let pairs = candidates
+            .iter()
+            .filter_map(|&u| self.decode_at(g, transmitting, u).map(|v| (u, v)))
+            .collect();
         ReceptionTable::from_pairs(pairs)
     }
 

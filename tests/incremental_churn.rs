@@ -6,12 +6,11 @@
 //! random start/stop churn — including adversarially *wrong* deltas and
 //! forced epoch rebuilds every couple of slots — and require every
 //! reception table to stay bit-identical to the stateless naive
-//! resolver, at thread counts 1, 2, and 4.
+//! resolver.
 
 use proptest::prelude::*;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel, TxDelta};
-use sinr_pool::Pool;
 
 /// A placement plus a sequence of per-slot transmitter sets. Consecutive
 /// sets are drawn independently, so the churn between them is maximal —
@@ -105,44 +104,6 @@ proptest! {
                 TxDelta { started: &started, stopped: &stopped },
             );
             prop_assert_eq!(&got, &naive.resolve(&g, tx), "slot {}", slot);
-        }
-    }
-
-    /// The same churned sequence resolved by pools of 1, 2, and 4 threads
-    /// produces identical tables slot for slot. Dense placements push
-    /// candidate counts past the parallel cutoff, so the threaded merge
-    /// path is genuinely exercised, not just the sequential fallback.
-    #[test]
-    fn churned_sequences_bit_identical_across_thread_counts(
-        (pts, sets) in arb_churn_sequence(90, 8),
-    ) {
-        let cfg = SinrConfig::default_unit();
-        let g = UnitDiskGraph::new(pts, cfg.r_t());
-        let mut models: Vec<FastSinrModel> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                let mut m = FastSinrModel::with_pool(cfg, Pool::new(t));
-                m.set_epoch_interval(2);
-                m
-            })
-            .collect();
-
-        let mut prev: Vec<NodeId> = Vec::new();
-        for (slot, tx) in sets.iter().enumerate() {
-            let (started, stopped) = true_delta(&prev, tx);
-            let delta = TxDelta { started: &started, stopped: &stopped };
-            let baseline = models[0].resolve_delta(&g, tx, delta);
-            for (i, m) in models.iter_mut().enumerate().skip(1) {
-                let got = m.resolve_delta(&g, tx, delta);
-                prop_assert_eq!(
-                    &got,
-                    &baseline,
-                    "threads={} diverges at slot {}",
-                    [1, 2, 4][i],
-                    slot
-                );
-            }
-            prev = tx.clone();
         }
     }
 }

@@ -7,14 +7,13 @@
 //! the engine parks, and once wrapped in [`Eager`], which promises nothing
 //! and so is visited every slot. Outcome, statistics, every node's
 //! diagnostics and the engine's event stream must agree exactly, for both
-//! resolvers, synchronous and random wake-up, and 1, 2 and 4 threads.
+//! resolvers and for synchronous and random wake-up.
 
 use sinr_coloring::mw::MwNode;
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, NodeId, UnitDiskGraph};
 use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::{FullRecorder, ObsEvent, SpanRecord};
-use sinr_pool::Pool;
 use sinr_radiosim::{
     Action, NodeCtx, Protocol, RunOutcome, SimStats, Simulator, SlotRng, WakeupSchedule,
 };
@@ -83,20 +82,15 @@ fn run<P: Protocol, M: InterferenceModel>(
     model: impl Fn() -> M,
     params: MwParams,
     schedule: WakeupSchedule,
-    threads: usize,
     wrap: impl Fn(MwNode) -> P,
     inner: impl Fn(&P) -> &MwNode,
 ) -> Run {
     let sim = || {
-        let mut sim = Simulator::new(graph.clone(), model(), schedule, 11, |id| {
+        Simulator::new(graph.clone(), model(), schedule, 11, |id| {
             let mut node = MwNode::new(id, params);
             node.reserve(graph.degree(id));
             wrap(node)
-        });
-        if threads > 1 {
-            sim.set_pool(&Pool::new(threads));
-        }
-        sim
+        })
     };
     let cap = 200_000;
     let mut plain = sim();
@@ -128,22 +122,14 @@ fn compare<M: InterferenceModel>(graph: &UnitDiskGraph, model: impl Fn() -> M + 
         WakeupSchedule::Synchronous,
         WakeupSchedule::UniformRandom { window: 400 },
     ] {
-        for threads in [1, 2, 4] {
-            let parked = run(graph, model, params, schedule, threads, |n| n, |n| n);
-            let eager = run(graph, model, params, schedule, threads, Eager, |e| &e.0);
-            assert!(parked.stats.transmissions > 0);
-            assert_eq!(
-                parked.outcome, eager.outcome,
-                "{schedule:?}, {threads} threads"
-            );
-            assert_eq!(parked.stats, eager.stats, "{schedule:?}, {threads} threads");
-            assert_eq!(parked.nodes, eager.nodes, "{schedule:?}, {threads} threads");
-            assert_eq!(
-                parked.events, eager.events,
-                "{schedule:?}, {threads} threads"
-            );
-            assert_eq!(parked.spans, eager.spans, "{schedule:?}, {threads} threads");
-        }
+        let parked = run(graph, model, params, schedule, |n| n, |n| n);
+        let eager = run(graph, model, params, schedule, Eager, |e| &e.0);
+        assert!(parked.stats.transmissions > 0);
+        assert_eq!(parked.outcome, eager.outcome, "{schedule:?}");
+        assert_eq!(parked.stats, eager.stats, "{schedule:?}");
+        assert_eq!(parked.nodes, eager.nodes, "{schedule:?}");
+        assert_eq!(parked.events, eager.events, "{schedule:?}");
+        assert_eq!(parked.spans, eager.spans, "{schedule:?}");
     }
 }
 
