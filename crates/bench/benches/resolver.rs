@@ -1,5 +1,6 @@
-//! Perf baseline for the SINR resolvers: naive `SinrModel` vs the
-//! grid-tiled `FastSinrModel`, on transmit sets captured from real MW runs.
+//! Perf baseline for the SINR model with its grid off and on, on
+//! transmit sets captured from real MW runs, and a check that the grid
+//! pick of `SinrModel::new` is the faster side end to end.
 //!
 //! Emits a machine-readable `BENCH_resolver.json` (schema documented in
 //! `docs/PERFORMANCE.md`) so every PR has a tracked perf trajectory:
@@ -15,8 +16,9 @@
 //! few thousand slots — which include the dense compete/request phases —
 //! not a complete coloring.
 //!
-//! The replay phase also re-checks bit-identity: both resolvers must
-//! produce equal `ReceptionTable`s on every captured slot.
+//! The replay phase also re-checks bit-identity: the grid off, on, and
+//! at the default pick must produce equal `ReceptionTable`s on every
+//! captured slot.
 
 use std::time::Instant;
 
@@ -24,7 +26,8 @@ use sinr_bench::workload::Instance;
 use sinr_coloring::mw::{
     run_mw, run_mw_observed, run_mw_profiled, run_mw_recorded, MwConfig, MwProbeConfig,
 };
-use sinr_model::{FastSinrModel, InterferenceModel, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::alloc::CountingAlloc;
 use sinr_obs::{FullRecorder, NoopRecorder, Recorder};
 use sinr_radiosim::WakeupSchedule;
@@ -81,12 +84,13 @@ struct SizeResult {
     /// trajectory — the MwNode diet moves this number, and a field added
     /// to the hot struct raises it at every tracked size.
     bytes_per_slot: usize,
-    naive: ModelNumbers,
-    fast: ModelNumbers,
-    /// The shipped configuration (`FastSinrModel::auto`): grid only where
-    /// it pays. This is what `speedup_end_to_end` is computed from.
-    auto: ModelNumbers,
-    auto_grid_enabled: bool,
+    /// The model with its grid forced off: the exact kernel alone.
+    off: ModelNumbers,
+    /// The model with its grid forced on at the default near window.
+    on: ModelNumbers,
+    /// Whether `SinrModel::new` built its grid during this row's run;
+    /// `speedup_end_to_end` divides the picked side by the other.
+    picked_on: bool,
     fast_path_hit_rate: Option<f64>,
     /// Slot cap applied to this row (`None` = complete run). Large-n rows
     /// are always capped; see [`LARGE_SLOTS`].
@@ -112,12 +116,22 @@ fn config(inst: &Instance, seed: u64, quick: bool) -> MwConfig {
     }
 }
 
+/// The model with its grid forced off.
+fn grid_off(cfg: SinrConfig) -> SinrModel {
+    SinrModel::with_grid(cfg, None)
+}
+
+/// The model with its grid forced on at the default near window.
+fn grid_on(cfg: SinrConfig) -> SinrModel {
+    SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS))
+}
+
 /// Captures the per-slot transmitter sets of a fixed-seed MW run.
 fn capture_slots(inst: &Instance, config: &MwConfig) -> Vec<Vec<usize>> {
     let mut slots = Vec::new();
     run_mw_observed(
         &inst.graph,
-        FastSinrModel::new(inst.cfg),
+        SinrModel::new(inst.cfg),
         config,
         WakeupSchedule::Synchronous,
         |_, view| slots.push(view.transmitters.to_vec()),
@@ -174,33 +188,30 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
     let slots = capture_slots(&inst, &cfg);
     let total_tx: usize = slots.iter().map(Vec::len).sum();
 
-    let naive_model = SinrModel::new(inst.cfg);
-    let fast_model = FastSinrModel::new(inst.cfg);
-    let auto_model = FastSinrModel::auto(inst.cfg, &inst.graph);
+    let off_model = grid_off(inst.cfg);
+    let on_model = grid_on(inst.cfg);
+    let default_model = SinrModel::new(inst.cfg);
 
     // Bit-identity audit over every captured slot (outside the timed loop).
     for (i, tx) in slots.iter().enumerate() {
-        let a = naive_model.resolve(&inst.graph, tx);
-        let b = fast_model.resolve(&inst.graph, tx);
-        let c = auto_model.resolve(&inst.graph, tx);
+        let a = off_model.resolve(&inst.graph, tx);
+        let b = on_model.resolve(&inst.graph, tx);
+        let c = default_model.resolve(&inst.graph, tx);
         assert_eq!(a, b, "n={n}: reception tables diverge at captured slot {i}");
-        assert_eq!(a, c, "n={n}: auto tables diverge at captured slot {i}");
+        assert_eq!(a, c, "n={n}: default tables diverge at captured slot {i}");
     }
-    fast_model.reset_stats();
-    auto_model.reset_stats();
+    on_model.reset_stats();
 
-    let (naive_ns, naive_sum) = time_replay(&naive_model, &inst, &slots, reps);
-    let (fast_ns, fast_sum) = time_replay(&fast_model, &inst, &slots, reps);
-    let (auto_ns, auto_sum) = time_replay(&auto_model, &inst, &slots, reps);
-    assert_eq!(naive_sum, fast_sum, "n={n}: reception checksums diverge");
-    assert_eq!(naive_sum, auto_sum, "n={n}: auto checksums diverge");
-    let hit_rate = fast_model.stats().hit_rate();
+    let (off_ns, off_sum) = time_replay(&off_model, &inst, &slots, reps);
+    let (on_ns, on_sum) = time_replay(&on_model, &inst, &slots, reps);
+    assert_eq!(off_sum, on_sum, "n={n}: reception checksums diverge");
+    let hit_rate = on_model.stats().hit_rate();
 
-    // End-to-end reps are interleaved across the three models (and scaled
-    // up at small n, where a run is cheap) so clock drift and background
-    // load hit all of them equally; the speedup_end_to_end gate divides
-    // two of these figures, and a block-per-model measurement would
-    // report scheduler noise as a model regression.
+    // End-to-end reps alternate the two sides (and scale up at small n,
+    // where a run is cheap) so clock drift and background load hit both
+    // equally; the speedup_end_to_end gate divides the two figures, and a
+    // block-per-side measurement would report scheduler noise as a
+    // regression.
     // Quick mode caps runs at 400 slots, so a single end-to-end sample is
     // a few milliseconds — one scheduler hiccup skews it 30%. Many cheap
     // reps keep the best-of estimate stable there. Large-n rows are the
@@ -212,33 +223,21 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
     } else {
         reps.max(2048 / n.max(1))
     };
-    let mut naive_sps = 0f64;
-    let mut fast_sps = 0f64;
-    let mut auto_sps = 0f64;
+    let mut off_sps = 0f64;
+    let mut on_sps = 0f64;
     for _ in 0..e2e_reps {
-        naive_sps = naive_sps.max(time_end_to_end(|| SinrModel::new(inst.cfg), &inst, &cfg));
-        fast_sps = fast_sps.max(time_end_to_end(
-            || FastSinrModel::new(inst.cfg),
-            &inst,
-            &cfg,
-        ));
-        auto_sps = auto_sps.max(time_end_to_end(
-            || FastSinrModel::auto(inst.cfg, &inst.graph),
-            &inst,
-            &cfg,
-        ));
+        off_sps = off_sps.max(time_end_to_end(|| grid_off(inst.cfg), &inst, &cfg));
+        on_sps = on_sps.max(time_end_to_end(|| grid_on(inst.cfg), &inst, &cfg));
     }
 
-    // Heap traffic of the same fixed-seed run under the shipped model —
-    // `auto`, matching what `speedup_end_to_end` and the steady-alloc
-    // gate claim to cover (v5 profiled the always-grid model here, which
-    // made the n=256 row report the grid's late buffer-growth straggler
-    // even though the shipped configuration never builds that grid).
-    // Profiling reads thread-local cells only, so the outcome is the one
-    // `capture_slots` saw; the counters ride along for free.
-    let (_, prof) = run_mw_profiled(
+    // Heap traffic of the same fixed-seed run under the shipped model,
+    // `SinrModel::new` at its default pick: what the steady-alloc gate
+    // claims to cover. Profiling reads thread-local cells only, so the
+    // outcome is the one `capture_slots` saw; the counters ride along for
+    // free.
+    let (default_run, prof) = run_mw_profiled(
         &inst.graph,
-        FastSinrModel::auto(inst.cfg, &inst.graph),
+        SinrModel::new(inst.cfg),
         &cfg,
         WakeupSchedule::Synchronous,
     );
@@ -256,19 +255,16 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
         slots_captured: slots.len(),
         mean_tx_per_slot: total_tx as f64 / slots.len().max(1) as f64,
         bytes_per_slot: std::mem::size_of::<sinr_coloring::mw::MwNode>() * n,
-        naive: ModelNumbers {
-            resolve_ns_per_slot: naive_ns,
-            slots_per_sec: naive_sps,
+        off: ModelNumbers {
+            resolve_ns_per_slot: off_ns,
+            slots_per_sec: off_sps,
         },
-        fast: ModelNumbers {
-            resolve_ns_per_slot: fast_ns,
-            slots_per_sec: fast_sps,
+        on: ModelNumbers {
+            resolve_ns_per_slot: on_ns,
+            slots_per_sec: on_sps,
         },
-        auto: ModelNumbers {
-            resolve_ns_per_slot: auto_ns,
-            slots_per_sec: auto_sps,
-        },
-        auto_grid_enabled: auto_model.grid_enabled(),
+        // Only a grid tracks transmitter deltas.
+        picked_on: default_run.resolver.is_some_and(|r| r.delta_started > 0),
         fast_path_hit_rate: hit_rate,
         slot_cap: slot_cap(n, quick),
         alloc,
@@ -278,8 +274,8 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
 /// Recorder overhead on the largest instance: end-to-end slots/sec with
 /// the disabled [`NoopRecorder`] (one virtual `enabled()` call per slot)
 /// vs a [`FullRecorder`] with all probes at stride 1. The no-op figure
-/// must track `fast.slots_per_sec` closely — that gap is the cost of the
-/// observability seams themselves.
+/// must track the picked side's `slots_per_sec` closely — that gap is the
+/// cost of the observability seams themselves.
 struct RecorderOverhead {
     n: usize,
     noop_slots_per_sec: f64,
@@ -290,7 +286,7 @@ fn time_recorded(inst: &Instance, cfg: &MwConfig, rec: &mut dyn Recorder) -> f64
     let start = Instant::now();
     let out = run_mw_recorded(
         &inst.graph,
-        FastSinrModel::new(inst.cfg),
+        SinrModel::new(inst.cfg),
         cfg,
         WakeupSchedule::Synchronous,
         MwProbeConfig::default(),
@@ -317,22 +313,27 @@ fn bench_recorder_overhead(n: usize, quick: bool) -> RecorderOverhead {
     }
 }
 
-/// End-to-end speedup of the shipped configuration over the naive
-/// resolver — the number the small-n regression gate asserts on.
+/// End-to-end speedup of the side `SinrModel::new` picks over the other
+/// side — the number the regression gate asserts on.
 fn speedup_e2e(r: &SizeResult) -> f64 {
-    r.auto.slots_per_sec / r.naive.slots_per_sec.max(1e-9)
+    let (picked, other) = if r.picked_on {
+        (&r.on, &r.off)
+    } else {
+        (&r.off, &r.on)
+    };
+    picked.slots_per_sec / other.slots_per_sec.max(1e-9)
 }
 
 fn render_json(results: &[SizeResult], overhead: &RecorderOverhead, quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"resolver\",\n");
-    s.push_str("  \"schema_version\": 7,\n");
+    s.push_str("  \"schema_version\": 8,\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"workload\": \"MW coloring, uniform placement, expected degree 12, synchronous wakeup, seed 1000+n\",\n");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let speedup_resolve = r.naive.resolve_ns_per_slot / r.fast.resolve_ns_per_slot.max(1e-9);
+        let speedup_resolve = r.off.resolve_ns_per_slot / r.on.resolve_ns_per_slot.max(1e-9);
         s.push_str("    {\n");
         s.push_str(&format!("      \"n\": {},\n", r.n));
         s.push_str(&format!("      \"max_degree\": {},\n", r.max_degree));
@@ -354,17 +355,16 @@ fn render_json(results: &[SizeResult], overhead: &RecorderOverhead, quick: bool)
             r.bytes_per_slot
         ));
         s.push_str(&format!(
-            "      \"naive\": {{ \"resolve_ns_per_slot\": {:.1}, \"slots_per_sec\": {:.1} }},\n",
-            r.naive.resolve_ns_per_slot, r.naive.slots_per_sec
+            "      \"off\": {{ \"resolve_ns_per_slot\": {:.1}, \"slots_per_sec\": {:.1} }},\n",
+            r.off.resolve_ns_per_slot, r.off.slots_per_sec
         ));
         s.push_str(&format!(
-            "      \"fast\": {{ \"resolve_ns_per_slot\": {:.1}, \"slots_per_sec\": {:.1} }},\n",
-            r.fast.resolve_ns_per_slot, r.fast.slots_per_sec
+            "      \"on\": {{ \"resolve_ns_per_slot\": {:.1}, \"slots_per_sec\": {:.1} }},\n",
+            r.on.resolve_ns_per_slot, r.on.slots_per_sec
         ));
         s.push_str(&format!(
-            "      \"auto\": {{ \"resolve_ns_per_slot\": {:.1}, \"slots_per_sec\": {:.1}, \
-             \"grid_enabled\": {} }},\n",
-            r.auto.resolve_ns_per_slot, r.auto.slots_per_sec, r.auto_grid_enabled
+            "      \"picked\": \"{}\",\n",
+            if r.picked_on { "on" } else { "off" }
         ));
         s.push_str(&format!(
             "      \"fast_path_hit_rate\": {},\n",
@@ -419,13 +419,16 @@ fn main() {
         eprintln!("resolver bench: n = {n} ...");
         let r = bench_size(n, quick);
         eprintln!(
-            "  naive {:>10.1} ns/slot   fast {:>10.1} ns/slot   auto {:>10.1} ns/slot \
-             (grid {})   resolve speedup {:.2}x   e2e speedup {:.2}x   hit rate {}",
-            r.naive.resolve_ns_per_slot,
-            r.fast.resolve_ns_per_slot,
-            r.auto.resolve_ns_per_slot,
-            if r.auto_grid_enabled { "on" } else { "off" },
-            r.naive.resolve_ns_per_slot / r.fast.resolve_ns_per_slot.max(1e-9),
+            "  grid off {:>10.1} ns/slot {:>9.1} slots/s   grid on {:>10.1} ns/slot \
+             {:>9.1} slots/s   {:.2} tx/slot   picked {}   resolve speedup {:.2}x   \
+             e2e picked/other {:.3}x   hit rate {}",
+            r.off.resolve_ns_per_slot,
+            r.off.slots_per_sec,
+            r.on.resolve_ns_per_slot,
+            r.on.slots_per_sec,
+            r.mean_tx_per_slot,
+            if r.picked_on { "on" } else { "off" },
+            r.off.resolve_ns_per_slot / r.on.resolve_ns_per_slot.max(1e-9),
             speedup_e2e(&r),
             r.fast_path_hit_rate
                 .map_or_else(|| "n/a".to_string(), |h| format!("{:.1}%", 100.0 * h)),
@@ -453,22 +456,23 @@ fn main() {
         overhead.noop_slots_per_sec / overhead.full_slots_per_sec.max(1e-9)
     );
 
-    // Regression gates. The shipped auto model must never lose to the
-    // naive resolver end-to-end at any tracked size (the n=256 regression
-    // this mode was introduced for). Quick mode keeps a small noise margin
-    // so the CI bench-smoke stays green on shared runners.
+    // Regression gates. The side `SinrModel::new` picks must never lose
+    // to the other side end-to-end at any tracked size: the pick is the
+    // grid break-even, and this gate is what keeps it measured. Quick mode
+    // keeps a small noise margin so the CI bench-smoke stays green on
+    // shared runners.
     for r in &results {
         // Large-n rows gate at 1.0 even in quick mode: a capped n=16384
-        // run is seconds long (measured quick speedup ~1.36 vs ~1.0 at
-        // n=1024) and the e2e reps interleave the models, so runner noise
-        // cannot produce a false failure the way it can on
+        // run is seconds long and the e2e reps alternate the sides, so
+        // runner noise cannot produce a false failure the way it can on
         // millisecond-long small-n quick runs.
         let e2e_floor = if quick && r.n < LARGE_N { 0.9 } else { 1.0 };
         let s = speedup_e2e(r);
         assert!(
             s >= e2e_floor,
-            "end-to-end speedup {s:.3} < {e2e_floor} at n={} (auto model regressed)",
-            r.n
+            "end-to-end picked/other {s:.3} < {e2e_floor} at n={} (grid pick {} lost)",
+            r.n,
+            if r.picked_on { "on" } else { "off" }
         );
         // Dynamic zero-alloc gate: on a complete run the steady window
         // (final 25% of slots) sits long past the last buffer-growth

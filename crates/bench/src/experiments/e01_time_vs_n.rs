@@ -78,7 +78,7 @@ pub fn run(quick: bool) -> ExpReport {
     );
     if let Some(rate) = last_hit_rate {
         report.note(format!(
-            "Fast SINR resolver certified {} of candidate decodes without the \
+            "The SINR model's grid certified {} of candidate decodes without the \
              exact fallback (largest instance).",
             pct(rate)
         ));

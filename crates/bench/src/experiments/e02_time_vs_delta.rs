@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> ExpReport {
     report.note("lat/Delta stays near-constant while Δ grows ~4x: linear in Δ.");
     if let Some(rate) = last_hit_rate {
         report.note(format!(
-            "Fast SINR resolver certified {} of candidate decodes without the \
+            "The SINR model's grid certified {} of candidate decodes without the \
              exact fallback (densest instance).",
             pct(rate)
         ));

@@ -14,7 +14,7 @@
 use crate::report::{pct, ExpReport};
 use crate::workload::Instance;
 use sinr_coloring::mw::{run_mw_recorded, MwConfig, MwPhase, MwProbeConfig};
-use sinr_model::FastSinrModel;
+use sinr_model::SinrModel;
 use sinr_obs::{FullRecorder, SpanTrack, QUARTERS_PER_SLOT};
 use sinr_radiosim::WakeupSchedule;
 
@@ -53,7 +53,7 @@ pub fn run(quick: bool) -> ExpReport {
         let mut rec = FullRecorder::with_ring_capacity(1 << 20);
         let out = run_mw_recorded(
             &inst.graph,
-            FastSinrModel::auto(inst.cfg, &inst.graph),
+            SinrModel::new(inst.cfg),
             &MwConfig::new(inst.params).with_seed(3),
             WakeupSchedule::Synchronous,
             probes,

@@ -4,11 +4,11 @@
 
 use crate::workload::Instance;
 use sinr_coloring::mw::{run_mw_recorded, MwConfig, MwProbeConfig};
-use sinr_model::FastSinrModel;
+use sinr_model::SinrModel;
 use sinr_obs::{keys, FullRecorder, Stopwatch, WallSpan, OBS_SCHEMA_VERSION};
 use sinr_radiosim::WakeupSchedule;
 
-/// Runs one fully observed coloring of `inst` (fast SINR model, probes at
+/// Runs one fully observed coloring of `inst` (SINR model, probes at
 /// stride 1) and renders the `experiment_obs` JSON document: instance
 /// shape, run outcome, probe verdicts, event accounting, and the complete
 /// metrics registry.
@@ -16,7 +16,7 @@ pub fn recorded_instance_report(inst: &Instance, seed: u64) -> String {
     let mut rec = FullRecorder::new();
     let out = run_mw_recorded(
         &inst.graph,
-        FastSinrModel::new(inst.cfg),
+        SinrModel::new(inst.cfg),
         &MwConfig::new(inst.params).with_seed(seed),
         WakeupSchedule::Synchronous,
         MwProbeConfig::default(),
@@ -64,7 +64,7 @@ pub fn recorded_instance_trace(inst: &Instance, seed: u64) -> String {
     let sw = Stopwatch::start();
     let out = run_mw_recorded(
         &inst.graph,
-        FastSinrModel::new(inst.cfg),
+        SinrModel::new(inst.cfg),
         &MwConfig::new(inst.params).with_seed(seed),
         WakeupSchedule::Synchronous,
         MwProbeConfig::default(),

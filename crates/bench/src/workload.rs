@@ -3,7 +3,7 @@
 use sinr_coloring::mw::{run_mw, MwConfig, MwOutcome};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig};
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
 use sinr_radiosim::WakeupSchedule;
 
 /// The default physical configuration used by all experiments:
@@ -37,15 +37,14 @@ impl Instance {
 
     /// Runs the MW algorithm under the SINR model with the given seed.
     ///
-    /// Uses the grid-tiled [`FastSinrModel`] in `auto` mode — the grid is
-    /// skipped on small instances where snapshots cannot pay for
-    /// themselves — whose reception tables are bit-identical to the naive
-    /// `SinrModel` either way (see `docs/PERFORMANCE.md`), so experiment
-    /// outputs are unchanged while sweeps run much faster.
+    /// [`SinrModel`] runs its grid only on instances whose slots are
+    /// dense enough to pay for it; its reception tables are the same
+    /// either way (see `docs/PERFORMANCE.md`), so experiment outputs never
+    /// depend on the choice.
     pub fn run_sinr(&self, seed: u64, schedule: WakeupSchedule) -> MwOutcome {
         run_mw(
             &self.graph,
-            FastSinrModel::auto(self.cfg, &self.graph),
+            SinrModel::new(self.cfg),
             &MwConfig::new(self.params).with_seed(seed),
             schedule,
         )

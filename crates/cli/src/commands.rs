@@ -19,7 +19,7 @@ use sinr_mac::guard::theorem3_distance_factor;
 use sinr_mac::mp::{BfsLayers, Convergecast, Flooding};
 use sinr_mac::srs::{simulate_general_bundled, simulate_uniform};
 use sinr_mac::tdma::{broadcast_audit, TdmaSchedule};
-use sinr_model::{FastSinrModel, GraphModel, IdealModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::{GraphModel, IdealModel, InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::{
     diff_documents, render_diff_report, DiffPolicy, FullRecorder, SeriesConfig, StderrSink,
 };
@@ -37,14 +37,14 @@ COMMANDS:
             emit a placement (x y per line) on stdout
   info      --input FILE [--alpha A --beta B --rho R]
             print graph statistics for a placement
-  color     --input FILE [--seed S] [--model sinr|sinr-fast|sinr-auto|graph|ideal]
+  color     --input FILE [--seed S] [--model sinr|graph|ideal]
             [--distance D] [--obs SPEC] [--seeds A..B [--threads N]]
             run the MW coloring; emit 'node color' per line on stdout.
             --seeds A..B batches one run per seed in the half-open range
             across --threads N worker threads (default: SINR_THREADS, else
             1; graph built once; output is '# seed N' blocks in seed
             order, identical at any --threads)
-  report    --input FILE [--seed S] [--model sinr|sinr-fast|sinr-auto|graph|ideal]
+  report    --input FILE [--seed S] [--model sinr|graph|ideal]
             [--thm1-stride K] [--ring CAP] [--obs SPEC]
             run a fully observed MW coloring; emit the machine-readable
             run report (docs/OBS_SCHEMA.md) as JSON on stdout
@@ -76,10 +76,10 @@ COMMANDS:
 Physical options (all commands): --alpha (4), --beta (1.5), --rho (2);
 R_T is normalized to 1.
 
-Models: sinr is the exact reference resolver; sinr-fast adds the
-grid-tiled fast path (bit-identical tables); sinr-auto picks between
-them by instance size. Every run is single-threaded: a slot needs the
-one before it, so only whole runs (--seeds) go parallel.
+Models: sinr (the default) is the paper's physical model; graph and
+ideal are the graph-based and collision-free baselines. Every run is
+single-threaded: a slot needs the one before it, so only whole runs
+(--seeds) go parallel.
 
 Observability: SPEC is a comma-separated sink list — jsonl:PATH (event
 stream as JSON Lines), metrics:PATH (metrics registry dump), trace:PATH
@@ -87,6 +87,54 @@ stream as JSON Lines), metrics:PATH (metrics registry dump), trace:PATH
 --series-stride K sets the stride, default 1), stderr (mirror events
 live). Schemas: docs/OBS_SCHEMA.md.
 ";
+
+/// The interference model a run resolves its slots under, parsed once
+/// from `--model` (default `sinr`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Model {
+    Sinr,
+    Graph,
+    Ideal,
+}
+
+impl Model {
+    fn parse(args: &Args) -> Result<Model, crate::CliError> {
+        match args.get("model").unwrap_or("sinr") {
+            "sinr" => Ok(Model::Sinr),
+            "graph" => Ok(Model::Graph),
+            "ideal" => Ok(Model::Ideal),
+            other => Err(err(format!(
+                "unknown model {other}; expected sinr, graph or ideal"
+            ))),
+        }
+    }
+
+    /// The name reports carry, as `--model` spells it.
+    fn name(self) -> &'static str {
+        match self {
+            Model::Sinr => "sinr",
+            Model::Graph => "graph",
+            Model::Ideal => "ideal",
+        }
+    }
+}
+
+/// A finite number flag, `default` when absent, that `ok` accepts; the
+/// error names the flag and what it must be.
+fn finite_flag(
+    args: &Args,
+    name: &str,
+    default: f64,
+    must_be: &str,
+    ok: impl Fn(f64) -> bool,
+) -> Result<f64, crate::CliError> {
+    let value: f64 = args.get_parsed(name, default)?;
+    if value.is_finite() && ok(value) {
+        Ok(value)
+    } else {
+        Err(err(format!("--{name} must be {must_be}, got {value}")))
+    }
+}
 
 fn physical_config(args: &Args) -> Result<SinrConfig, crate::CliError> {
     let alpha = args.get_parsed("alpha", 4.0)?;
@@ -114,13 +162,15 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> CliResult {
     let kind = args.get("kind").unwrap_or("uniform");
     let pts = match kind {
         "uniform" => {
-            let degree: f64 = args.get_parsed("degree", 12.0)?;
+            let degree = finite_flag(args, "degree", 12.0, "a finite number above 0", |d| d > 0.0)?;
             placement::uniform_with_expected_degree(n, 1.0, degree, seed)
         }
         "grid" => {
             let side = (n as f64).sqrt().ceil() as usize;
-            let step: f64 = args.get_parsed("step", 0.8)?;
-            let jitter: f64 = args.get_parsed("jitter", 0.1)?;
+            let step = finite_flag(args, "step", 0.8, "a finite number above 0", |s| s > 0.0)?;
+            let jitter = finite_flag(args, "jitter", 0.1, "a finite number at least 0", |j| {
+                j >= 0.0
+            })?;
             placement::jittered_grid(side, side, step, jitter, seed)
         }
         "cluster" => {
@@ -163,16 +213,15 @@ enum RunMode {
     },
 }
 
-/// Runs the MW coloring under a model named on the command line,
-/// optionally with full observability. Returns the recorder when `mode`
-/// asked for one.
+/// Runs the MW coloring under `model`, optionally with full
+/// observability. Returns the recorder when `mode` asked for one.
 fn run_model(
     graph: &UnitDiskGraph,
-    model: &str,
+    model: Model,
     cfg: SinrConfig,
     mw_cfg: &MwConfig,
     mode: RunMode,
-) -> Result<(MwOutcome, Option<FullRecorder>), crate::CliError> {
+) -> (MwOutcome, Option<FullRecorder>) {
     fn go<M: InterferenceModel>(
         graph: &UnitDiskGraph,
         model: M,
@@ -227,15 +276,9 @@ fn run_model(
         }
     }
     match model {
-        "sinr" => Ok(go(graph, SinrModel::new(cfg), mw_cfg, mode)),
-        // Same tables as "sinr" (bit-identical), grid-tiled resolver.
-        "sinr-fast" => Ok(go(graph, FastSinrModel::new(cfg), mw_cfg, mode)),
-        // Grid-tiled resolver, but the grid is skipped on instances
-        // whose expected slot density cannot pay for it.
-        "sinr-auto" => Ok(go(graph, FastSinrModel::auto(cfg, graph), mw_cfg, mode)),
-        "graph" => Ok(go(graph, GraphModel::new(), mw_cfg, mode)),
-        "ideal" => Ok(go(graph, IdealModel::new(), mw_cfg, mode)),
-        other => Err(err(format!("unknown model {other}"))),
+        Model::Sinr => go(graph, SinrModel::new(cfg), mw_cfg, mode),
+        Model::Graph => go(graph, GraphModel::new(), mw_cfg, mode),
+        Model::Ideal => go(graph, IdealModel::new(), mw_cfg, mode),
     }
 }
 
@@ -252,13 +295,9 @@ fn thread_count(args: &Args) -> Result<usize, crate::CliError> {
 /// The `--distance` factor of `color`, 1 when absent: a finite number at
 /// least 1.
 fn distance_factor(args: &Args) -> Result<f64, crate::CliError> {
-    let distance: f64 = args.get_parsed("distance", 1.0)?;
-    if !(distance.is_finite() && distance >= 1.0) {
-        return Err(err(format!(
-            "--distance must be a finite number at least 1, got {distance}"
-        )));
-    }
-    Ok(distance)
+    finite_flag(args, "distance", 1.0, "a finite number at least 1", |d| {
+        d >= 1.0
+    })
 }
 
 /// The `--obs`-derived run mode shared by `color` and `report`.
@@ -302,15 +341,22 @@ fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, crate::CliError>
     Ok(start..end)
 }
 
+/// Seeds `color --seeds` runs per worker thread before it writes their
+/// blocks, however long the range.
+const SEEDS_PER_THREAD_WINDOW: u64 = 16;
+
 /// `color --seeds A..B`: run the MW coloring once per seed in the
 /// half-open range, fanned out across `--threads` workers.
 ///
 /// The placement, unit-disk graph, and derived parameters are built once
 /// and shared by every run — the per-seed closure only pays for the
 /// coloring itself. Each run executes single-threaded (parallelism is
-/// across seeds, not within a slot) and results merge in ascending seed
-/// order, so the concatenated output is byte-identical to a sequential
-/// `for seed in A..B { color --seed seed }` loop at any thread count.
+/// across seeds, not within a slot). Each window of
+/// [`SEEDS_PER_THREAD_WINDOW`] seeds per thread is written, in seed order,
+/// before the next starts, so memory stays bounded and the output is
+/// byte-identical to a sequential `color --seed` loop at any thread
+/// count. A failed write stops the run; a failed seed is reported once
+/// every seed has run.
 fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult {
     let seeds = parse_seed_range(args.require("seeds")?)?;
     if args.get("seed").is_some() {
@@ -324,15 +370,7 @@ fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     if (distance_factor(args)? - 1.0).abs() > 1e-12 {
         return Err(err("--distance > 1 is not supported with --seeds"));
     }
-    // Validate the model name before the fan-out so a typo fails fast
-    // instead of once per seed.
-    let model = args.get("model").unwrap_or("sinr");
-    if !matches!(
-        model,
-        "sinr" | "sinr-fast" | "sinr-auto" | "graph" | "ideal"
-    ) {
-        return Err(err(format!("unknown model {model}")));
-    }
+    let model = Model::parse(args)?;
 
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
@@ -340,10 +378,9 @@ fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
     let pool = sinr_pool::Pool::new(thread_count(args)?);
 
-    let results = pool.par_seeds(seeds, |seed| -> Result<_, String> {
+    let run_seed = |seed: u64| -> Result<_, String> {
         let mw_cfg = MwConfig::new(params).with_seed(seed);
-        let (outcome, _) = run_model(&graph, model, cfg, &mw_cfg, RunMode::Plain)
-            .map_err(|e| format!("seed {seed}: {e}"))?;
+        let (outcome, _) = run_model(&graph, model, cfg, &mw_cfg, RunMode::Plain);
         let colors = outcome
             .coloring
             .ok_or_else(|| format!("seed {seed}: coloring hit the slot cap"))?
@@ -362,20 +399,24 @@ fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
             violations
         );
         Ok((block, line, violations))
-    });
+    };
 
+    let window = (pool.threads() as u64).saturating_mul(SEEDS_PER_THREAD_WINDOW);
     let mut total_violations = 0usize;
     let mut first_err = None;
-    for res in results {
-        match res {
-            Ok((block, line, violations)) => {
-                out.write_all(block.as_bytes())?;
-                writeln!(log, "{line}")?;
-                total_violations += violations;
-            }
-            Err(msg) => {
-                if first_err.is_none() {
-                    first_err = Some(err(msg));
+    for start in seeds.clone().step_by(window as usize) {
+        let end = seeds.end.min(start.saturating_add(window));
+        for res in pool.par_seeds(start..end, run_seed) {
+            match res {
+                Ok((block, line, violations)) => {
+                    out.write_all(block.as_bytes())?;
+                    writeln!(log, "{line}")?;
+                    total_violations += violations;
+                }
+                Err(msg) => {
+                    if first_err.is_none() {
+                        first_err = Some(err(msg));
+                    }
                 }
             }
         }
@@ -400,14 +441,14 @@ pub fn color(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let distance = distance_factor(args)?;
-    let model = args.get("model").unwrap_or("sinr");
+    let model = Model::parse(args)?;
     let spec = match args.get("obs") {
         Some(s) => Some(ObsSpec::parse(s)?),
         None => None,
     };
 
     let (colors, slots, graph) = if (distance - 1.0).abs() > 1e-12 {
-        if model != "sinr" {
+        if model != Model::Sinr {
             return Err(err(
                 "--distance > 1 requires the sinr model (power scaling)",
             ));
@@ -432,7 +473,7 @@ pub fn color(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
             Some(s) => obs_mode(args, Some(s))?,
             None => RunMode::Plain,
         };
-        let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode)?;
+        let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode);
         if let (Some(spec), Some(rec)) = (&spec, &rec) {
             spec.write_outputs(rec)?;
         }
@@ -474,7 +515,7 @@ pub fn report(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResul
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let model = args.get("model").unwrap_or("sinr-fast");
+    let model = Model::parse(args)?;
     let spec = match args.get("obs") {
         Some(s) => Some(ObsSpec::parse(s)?),
         None => None,
@@ -484,7 +525,7 @@ pub fn report(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResul
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
     let mw_cfg = MwConfig::new(params).with_seed(seed);
     let mode = obs_mode(args, spec.as_ref())?;
-    let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode)?;
+    let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode);
     let rec = rec.expect("report always records");
     if let Some(spec) = &spec {
         spec.write_outputs(&rec)?;
@@ -511,7 +552,7 @@ pub fn report(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResul
         violations
     )?;
     warn_truncation(&rec, log)?;
-    writeln!(out, "{}", run_report(model, seed, &outcome, &rec))?;
+    writeln!(out, "{}", run_report(model.name(), seed, &outcome, &rec))?;
     if outcome.all_done {
         Ok(())
     } else {
@@ -528,13 +569,13 @@ pub fn trace(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let model = args.get("model").unwrap_or("sinr-fast");
+    let model = Model::parse(args)?;
 
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
     let mw_cfg = MwConfig::new(params).with_seed(seed);
     let mode = obs_mode(args, None)?;
-    let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode)?;
+    let (outcome, rec) = run_model(&graph, model, cfg, &mw_cfg, mode);
     let rec = rec.expect("trace always records");
 
     writeln!(
@@ -554,27 +595,19 @@ pub fn trace(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     }
 }
 
-/// Runs the MW coloring under the allocation profiler for a model named
-/// on the command line — the profiled sibling of [`run_model`].
+/// Runs the MW coloring under `model` and the allocation profiler — the
+/// profiled sibling of [`run_model`].
 fn run_profiled_model(
     graph: &UnitDiskGraph,
-    model: &str,
+    model: Model,
     cfg: SinrConfig,
     mw_cfg: &MwConfig,
-) -> Result<(MwOutcome, MwAllocProfile), crate::CliError> {
+) -> (MwOutcome, MwAllocProfile) {
     let s = WakeupSchedule::Synchronous;
     match model {
-        "sinr" => Ok(run_mw_profiled(graph, SinrModel::new(cfg), mw_cfg, s)),
-        "sinr-fast" => Ok(run_mw_profiled(graph, FastSinrModel::new(cfg), mw_cfg, s)),
-        "sinr-auto" => Ok(run_mw_profiled(
-            graph,
-            FastSinrModel::auto(cfg, graph),
-            mw_cfg,
-            s,
-        )),
-        "graph" => Ok(run_mw_profiled(graph, GraphModel::new(), mw_cfg, s)),
-        "ideal" => Ok(run_mw_profiled(graph, IdealModel::new(), mw_cfg, s)),
-        other => Err(err(format!("unknown model {other}"))),
+        Model::Sinr => run_mw_profiled(graph, SinrModel::new(cfg), mw_cfg, s),
+        Model::Graph => run_mw_profiled(graph, GraphModel::new(), mw_cfg, s),
+        Model::Ideal => run_mw_profiled(graph, IdealModel::new(), mw_cfg, s),
     }
 }
 
@@ -589,14 +622,14 @@ pub fn profile(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let model = args.get("model").unwrap_or("sinr-fast");
+    let model = Model::parse(args)?;
     let top: usize = args.get_parsed("top", 8)?;
 
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
     let mw_cfg = MwConfig::new(params).with_seed(seed);
     let counting = sinr_obs::alloc::is_counting();
-    let (outcome, prof) = run_profiled_model(&graph, model, cfg, &mw_cfg)?;
+    let (outcome, prof) = run_profiled_model(&graph, model, cfg, &mw_cfg);
 
     if !counting {
         writeln!(
@@ -617,7 +650,7 @@ pub fn profile(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
     writeln!(
         out,
         "{}",
-        crate::profile::profile_report(model, seed, top, counting, &outcome, &prof)
+        crate::profile::profile_report(model.name(), seed, top, counting, &outcome, &prof)
     )?;
     if outcome.all_done {
         Ok(())
@@ -1176,7 +1209,74 @@ mod tests {
     fn color_rejects_unknown_model() {
         let f = tmp_positions(10);
         let (r, _, _) = run(&["color", "--input", f.path(), "--model", "psychic"]);
+        let msg = format!("{}", r.unwrap_err());
+        for name in ["psychic", "sinr", "graph", "ideal"] {
+            assert!(msg.contains(name), "{msg}");
+        }
+    }
+
+    #[test]
+    fn generate_rejects_bad_numbers_naming_the_flag() {
+        for (kind, flag, bad) in [
+            ("uniform", "--degree", "0"),
+            ("uniform", "--degree", "-3"),
+            ("uniform", "--degree", "nan"),
+            ("uniform", "--degree", "inf"),
+            ("grid", "--step", "0"),
+            ("grid", "--step", "inf"),
+            ("grid", "--jitter", "-1"),
+            ("grid", "--jitter", "nan"),
+        ] {
+            let (r, out, _) = run(&["generate", "--kind", kind, "--n", "9", flag, bad]);
+            let msg = format!("{}", r.unwrap_err());
+            assert!(msg.contains(flag), "{kind} {flag} {bad}: {msg}");
+            assert!(out.is_empty());
+        }
+        // The bounds themselves are accepted.
+        let (r, _, _) = run(&["generate", "--kind", "grid", "--n", "9", "--jitter", "0"]);
+        assert!(r.is_ok());
+    }
+
+    /// A sink that takes one write and fails every later one.
+    struct FailsAfterFirstWrite {
+        wrote: bool,
+    }
+
+    impl Write for FailsAfterFirstWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if std::mem::replace(&mut self.wrote, true) {
+                Err(std::io::Error::other("sink closed"))
+            } else {
+                Ok(buf.len())
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn color_seeds_over_the_whole_u64_range_stops_at_a_failed_write() {
+        // The range is never collected: the first window's second block
+        // hits the failed write, and the run ends with an error.
+        let f = tmp_positions(10);
+        let tokens = [
+            "color",
+            "--input",
+            f.path(),
+            "--seeds",
+            "0..18446744073709551615",
+            "--threads",
+            "2",
+        ];
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        let mut out = FailsAfterFirstWrite { wrote: false };
+        let mut log = Vec::new();
+        let r = dispatch(&args, &mut out, &mut log);
         assert!(r.is_err());
+        let log = String::from_utf8(log).unwrap();
+        assert_eq!(log.lines().count(), 1, "{log}");
     }
 
     #[test]
@@ -1283,7 +1383,7 @@ mod tests {
         assert!(r.is_ok(), "{log}");
         let doc = out.trim();
         assert!(doc.starts_with("{\"schema_version\":2,\"kind\":\"run_report\","));
-        assert!(doc.contains("\"run\":{\"nodes\":20,\"model\":\"sinr-fast\",\"seed\":2,"));
+        assert!(doc.contains("\"run\":{\"nodes\":20,\"model\":\"sinr\",\"seed\":2,"));
         assert!(doc.contains("\"metrics\":{"));
         // The paper's invariants hold on every e2e run: all probes quiet.
         assert!(doc.contains(
@@ -1304,7 +1404,7 @@ mod tests {
         assert!(r.is_ok(), "{log}");
         let doc = out.trim();
         assert!(doc.starts_with("{\"schema_version\":2,\"kind\":\"profile_report\","));
-        assert!(doc.contains("\"run\":{\"nodes\":20,\"model\":\"sinr-fast\",\"seed\":2,"));
+        assert!(doc.contains("\"run\":{\"nodes\":20,\"model\":\"sinr\",\"seed\":2,"));
         // The test binary installs CountingAlloc (see lib.rs), so the
         // report must mark itself instrumented and see real traffic.
         assert!(
@@ -1466,24 +1566,6 @@ mod tests {
         assert!(out.contains("\"capacity\":8"));
         let (r, _, _) = run(&["report", "--input", f.path(), "--thm1-stride", "0"]);
         assert!(r.is_err(), "stride 0 is rejected");
-    }
-
-    #[test]
-    fn color_sinr_fast_matches_sinr() {
-        let f = tmp_positions(25);
-        let (r1, naive, _) = run(&["color", "--input", f.path(), "--model", "sinr"]);
-        let (r2, fast, _) = run(&["color", "--input", f.path(), "--model", "sinr-fast"]);
-        assert!(r1.is_ok() && r2.is_ok());
-        assert_eq!(naive, fast, "fast resolver yields the identical coloring");
-    }
-
-    #[test]
-    fn color_sinr_auto_matches_sinr() {
-        let f = tmp_positions(25);
-        let (r1, naive, _) = run(&["color", "--input", f.path(), "--model", "sinr"]);
-        let (r2, auto, _) = run(&["color", "--input", f.path(), "--model", "sinr-auto"]);
-        assert!(r1.is_ok() && r2.is_ok());
-        assert_eq!(naive, auto, "auto resolver yields the identical coloring");
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!
 //! for any `c ≥ 5`. These *rigorous* values make the w.h.p. proofs go
 //! through but are astronomically conservative (`φ(R_I+R_T)` is in the
-//! thousands for realistic `α, β, ρ`), so full runs with them are
-//! infeasible on any machine — and unnecessary: the experiments check the
-//! *shape* of the bounds. The [`MwParams::practical`] profile therefore
-//! keeps every functional form (`q_s ∝ 1/Δ`, windows `∝ Δ ln n`, the
-//! `σ > 2γ` ordering, the `ζ_i` asymmetry, the true `φ(2R_T)` color
+//! thousands for realistic `α, β, ρ`), so runs with them take hundreds of
+//! millions of slots even at `n = 16` — a minute of a release build,
+//! since quiet nodes park, but far too slow for sweeps. The experiments
+//! check the *shape* of the bounds, so the [`MwParams::practical`]
+//! profile keeps every functional form (`q_s ∝ 1/Δ`, windows `∝ Δ ln n`,
+//! the `σ > 2γ` ordering, the `ζ_i` asymmetry, the true `φ(2R_T)` color
 //! spread) while replacing the packing-bound-driven constants with small
 //! multipliers. The rigorous formulas remain available — and unit-tested
 //! against the paper's inequalities — via [`MwParams::rigorous`].
@@ -115,8 +116,13 @@ pub struct RigorousConstants {
 impl MwParams {
     /// The paper's literal constants (§II) for exponent `c ≥ 5`.
     ///
-    /// Feasible to *construct and inspect* for any configuration; far too
-    /// conservative to *run* at interesting sizes (see module docs).
+    /// Cheap to *construct and inspect* for any configuration; slow but
+    /// feasible to *run* at small sizes. With `c = 5` a complete coloring
+    /// of 16 nodes (expected degree 3, placement and MW seed 1,
+    /// synchronous wake-up, `Δ = 5`) takes 494 843 535 slots, about a
+    /// minute in a release build, and uses 7 colors with palette
+    /// 105 ≤ 156 and no violations (`tests/rigorous_profile.rs`, run with
+    /// `cargo test --release --test rigorous_profile -- --ignored`).
     ///
     /// Returns the parameters together with the intermediate constants.
     ///

@@ -1,6 +1,7 @@
 //! A reference stepper: the slot semantics of the simulator written as
 //! plain O(n) loops, kept only as a test oracle for the engine — the way
-//! the naive `SinrModel` is the oracle for `FastSinrModel`.
+//! the reference resolver in `crates/sinr/tests/reference/` is the oracle
+//! for `SinrModel`.
 //!
 //! Every slot it wakes the nodes due, asks every awake active node for an
 //! action, resolves the transmitter set with no delta, calls `end_slot`

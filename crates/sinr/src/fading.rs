@@ -130,7 +130,7 @@ impl InterferenceModel for FadingSinrModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SinrModel;
+    use crate::SinrModel;
     use sinr_geometry::{placement, Point};
 
     fn cfg() -> SinrConfig {

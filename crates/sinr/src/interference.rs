@@ -12,7 +12,8 @@ use sinr_geometry::{NodeId, Point};
 ///
 /// `powf` dominates the resolver's inner loop, so the α = 4 case alone is
 /// worth several ×. All SINR evaluation funnels through this function, so
-/// fast and naive resolvers stay bit-identical by construction.
+/// the grid bounds and the exact decode stay bit-identical by
+/// construction.
 #[inline]
 pub fn dist_pow_alpha(dist: f64, alpha: f64) -> f64 {
     if alpha == 4.0 {

@@ -1,5 +1,5 @@
-//! The exact SINR kernel that both [`SinrModel`](crate::SinrModel) and
-//! [`FastSinrModel`](crate::FastSinrModel) run.
+//! The exact SINR kernel that [`SinrModel`](crate::SinrModel) runs, with
+//! or without its grid.
 //!
 //! A slot costs one pass over its candidate receivers. Each part of that
 //! pass lives here once:
@@ -38,9 +38,9 @@
 //!
 //! [`ExactKernel::finish_slot`] decodes the candidates in ascending order
 //! and each decodes at most one sender, so the pairs come out sorted by
-//! receiver and the reception table takes them without a sort. The naive
-//! model decodes every candidate exactly; the fast model first tries its
-//! certified grid bounds and falls back to [`decode_exact`]. Once the
+//! receiver and the reception table takes them without a sort. A slot
+//! without a grid decodes every candidate exactly; a grid slot first
+//! tries its certified bounds and falls back to [`decode_exact`]. Once the
 //! scratch has grown to the graph, a slot that refills a recycled table
 //! allocates nothing.
 
@@ -49,14 +49,15 @@ use crate::interference::{received_power, sinr_from_signal};
 use crate::resolver::SUM_SLACK;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 
-/// Resolver counters of one slot. The fast model adds them to its
-/// [`ResolverStats`](crate::ResolverStats); the naive model ignores them.
+/// Resolver counters of one slot, which the model adds to its
+/// [`ResolverStats`](crate::ResolverStats).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SlotCounts {
     /// Candidates decided from the certified grid bounds.
     pub(crate) fast_hits: u64,
-    /// Candidates decided exactly: by [`decode_exact`], or by the
-    /// lone-transmitter certificate that stands in for it.
+    /// Candidates decided exactly: every candidate the bounds did not
+    /// decide, by [`decode_exact`] or by the lone-transmitter certificate
+    /// that stands in for it. Set when the slot finishes.
     pub(crate) fallbacks: u64,
     /// Near-list entries examined on the grid path.
     pub(crate) cells: u64,
@@ -66,8 +67,8 @@ pub(crate) struct SlotCounts {
 /// slot's counters.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodeScratch {
-    /// Potential senders of the current candidate on the fast model's
-    /// grid path (reused).
+    /// Potential senders of the current candidate on the grid path
+    /// (reused).
     pub(crate) sender_buf: Vec<NodeId>,
     /// The adjacent links `(sender, received power)` of the candidate
     /// [`decode_exact`] is decoding (reused).
@@ -117,7 +118,7 @@ impl<'a> ExactCtx<'a> {
 /// first sender. `links` is scratch for the adjacent links.
 ///
 /// Pure in `(ctx, u)`. `u` must not transmit (candidates never do).
-// lint:hot — exact decode, runs once per candidate (naive) or per fallback (fast)
+// lint:hot — exact decode, runs once per candidate without a grid, or per fallback with one
 #[inline]
 pub(crate) fn decode_exact(
     ctx: &ExactCtx<'_>,
@@ -163,7 +164,8 @@ fn certified_lone_sender(ctx: &ExactCtx<'_>) -> Option<NodeId> {
 }
 
 /// Reusable scratch of the exact kernel: the transmitter bitmap, the
-/// candidate bitset and list, and the decode scratch.
+/// candidate bitset and list, and the decode scratch. It starts empty and
+/// grows to the graph on the first slot.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactKernel {
     /// Dense transmitter bitmap, unmarked after every slot.
@@ -178,11 +180,6 @@ pub(crate) struct ExactKernel {
 }
 
 impl ExactKernel {
-    /// Empty scratch; it grows to the graph on the first slot.
-    pub(crate) fn new() -> Self {
-        ExactKernel::default()
-    }
-
     /// Starts a slot: marks `transmitting` and lists the candidate
     /// receivers in ascending order.
     // lint:hot — candidate discovery, runs once per slot
@@ -252,9 +249,10 @@ impl ExactKernel {
     /// slot's counters.
     ///
     /// A slot whose lone transmitter [`certified_lone_sender`] returns emits
-    /// `(u, t)` for every candidate without calling `decode`, and counts
-    /// them as exact decodes. Otherwise every candidate is decoded in
-    /// ascending order.
+    /// `(u, t)` for every candidate without calling `decode`. Otherwise
+    /// every candidate is decoded in ascending order. Every candidate
+    /// `decode` did not count as a fast-path hit counts as an exact
+    /// decode.
     // lint:hot — candidate decode loop, runs once per slot
     pub(crate) fn finish_slot<F>(
         &mut self,
@@ -270,7 +268,6 @@ impl ExactKernel {
         scratch.counts = SlotCounts::default();
         if let Some(t) = certified_lone_sender(ctx) {
             pairs.extend(self.candidates.iter().map(|&u| (u, t)));
-            scratch.counts.fallbacks = self.candidates.len() as u64;
         } else {
             // Each candidate decodes at most one pair: a fresh list grows
             // once here, and a recycled list that holds the slot not at
@@ -282,6 +279,8 @@ impl ExactKernel {
                 }
             }
         }
+
+        scratch.counts.fallbacks = self.candidates.len() as u64 - scratch.counts.fast_hits;
 
         for &t in ctx.transmitting {
             self.is_tx[t] = false;
@@ -352,7 +351,7 @@ mod tests {
         let tx = [12];
         let ctx = ctx_with_radius(&cfg, g.positions(), &tx, radius);
         assert_eq!(certified_lone_sender(&ctx), None);
-        let pairs = kernel_pairs(&mut ExactKernel::new(), &g, &ctx);
+        let pairs = kernel_pairs(&mut ExactKernel::default(), &g, &ctx);
         assert_eq!(pairs, decode_every_node(&ctx));
         assert_eq!(pairs, vec![(7, 12), (11, 12), (13, 12), (17, 12)]);
         assert_eq!(g.neighbors(12).len(), 8);
@@ -366,7 +365,7 @@ mod tests {
         let tx = [12];
         let ctx = ExactCtx::new(&cfg, &g, &tx);
         assert_eq!(certified_lone_sender(&ctx), Some(12));
-        let pairs = kernel_pairs(&mut ExactKernel::new(), &g, &ctx);
+        let pairs = kernel_pairs(&mut ExactKernel::default(), &g, &ctx);
         assert_eq!(pairs, vec![(7, 12), (11, 12), (13, 12), (17, 12)]);
         assert_eq!(pairs, decode_every_node(&ctx));
     }
@@ -402,7 +401,7 @@ mod tests {
             &[63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 74, 76, 78, 80],
             &[80],
         ];
-        let mut kernel = ExactKernel::new();
+        let mut kernel = ExactKernel::default();
         for tx in slots {
             let ctx = ExactCtx::new(&cfg, &g, tx);
             let pairs = kernel_pairs(&mut kernel, &g, &ctx);

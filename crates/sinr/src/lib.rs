@@ -23,14 +23,14 @@
 //!   distance, the Lemma-3 interference budget).
 //! * [`interference`] — received power, aggregate interference, SINR
 //!   evaluation, and the *probabilistic interference* `Ψ` of §IV.
-//! * [`model`] — the [`InterferenceModel`] trait with three implementations:
-//!   [`SinrModel`] (the paper's physical model), [`GraphModel`] (the
+//! * [`model`] — the [`InterferenceModel`] trait, [`GraphModel`] (the
 //!   graph-based model the original MW analysis assumed), and
 //!   [`IdealModel`] (collision-free message passing, the substrate simulated
 //!   by Corollary 1).
-//! * [`resolver`] — [`FastSinrModel`], a grid-tiled exact resolver producing
-//!   bit-identical tables to [`SinrModel`] at a fraction of the per-slot
-//!   cost (see `docs/PERFORMANCE.md`).
+//! * [`resolver`] — [`SinrModel`], the paper's physical model: an exact
+//!   kernel, plus grid-tiled interference bounds that it builds once the
+//!   slots it resolves are dense enough to pay for them (tables are
+//!   identical either way; see `docs/PERFORMANCE.md`).
 //!
 //! # Example
 //!
@@ -52,6 +52,6 @@ pub mod resolver;
 
 pub use config::SinrConfig;
 pub use fading::FadingSinrModel;
-pub use model::{GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrModel, TxDelta};
+pub use model::{GraphModel, IdealModel, InterferenceModel, ReceptionTable, TxDelta};
 pub use power::{NonUniformSinrModel, PowerAssignment};
-pub use resolver::{FastSinrModel, ResolverStats, AUTO_TX_DENSITY_FACTOR, EPOCH_REBUILD_SLOTS};
+pub use resolver::{FastSinrModel, ResolverStats, SinrModel, EPOCH_REBUILD_SLOTS};

@@ -1,11 +1,10 @@
-//! Pluggable per-slot reception resolution: the SINR physical model, the
-//! graph-based model, and an ideal collision-free model.
+//! Pluggable per-slot reception resolution: the [`InterferenceModel`]
+//! trait, the graph-based model, and an ideal collision-free model. The
+//! SINR physical model, [`SinrModel`](crate::SinrModel), lives in
+//! [`resolver`](crate::resolver).
 
-use crate::config::SinrConfig;
-use crate::kernel::{decode_exact, ExactCtx, ExactKernel};
 use crate::resolver::ResolverStats;
 use sinr_geometry::{NodeId, UnitDiskGraph};
-use std::cell::RefCell;
 
 /// The outcome of one time slot: which receivers heard which senders.
 ///
@@ -173,8 +172,8 @@ pub trait InterferenceModel {
     /// Short model name for reports.
     fn name(&self) -> &'static str;
 
-    /// Cumulative fast-path statistics, for resolvers that track them
-    /// (see [`FastSinrModel`](crate::FastSinrModel)); `None` otherwise.
+    /// Cumulative resolver statistics, for models that track them
+    /// (see [`SinrModel`](crate::SinrModel)); `None` otherwise.
     fn resolver_stats(&self) -> Option<ResolverStats> {
         None
     }
@@ -210,82 +209,6 @@ impl<M: InterferenceModel + ?Sized> InterferenceModel for Box<M> {
 
     fn resolver_stats(&self) -> Option<ResolverStats> {
         (**self).resolver_stats()
-    }
-}
-
-/// The paper's physical model: receiver `u` decodes sender `v` iff
-/// `δ(u, v) ≤ R_T` and the SINR against *all* simultaneous transmitters
-/// plus ambient noise is at least `β` (§II).
-///
-/// With `β ≥ 1` at most one sender can be decodable at any receiver, so the
-/// strongest qualifying sender is delivered.
-///
-/// Every candidate receiver is decoded by the exact kernel
-/// [`FastSinrModel`](crate::FastSinrModel) falls back to: one `O(k)` pass
-/// in `transmitting` order over scratch reused across slots, or, when one
-/// node transmits, a per-slot certificate that all its neighbors hear it.
-/// The scratch sits behind a `RefCell`, so the model is `Send` but not
-/// `Sync`; through [`InterferenceModel::resolve_delta_into`] a
-/// steady-state slot allocates nothing.
-#[derive(Debug, Clone)]
-pub struct SinrModel {
-    cfg: SinrConfig,
-    kernel: RefCell<ExactKernel>,
-}
-
-impl SinrModel {
-    /// Creates the model from a physical configuration.
-    pub fn new(cfg: SinrConfig) -> Self {
-        SinrModel {
-            cfg,
-            kernel: RefCell::new(ExactKernel::new()),
-        }
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &SinrConfig {
-        &self.cfg
-    }
-
-    /// Fills `pairs` (cleared first) with the slot's receptions, sorted
-    /// by receiver.
-    fn resolve_into(
-        &self,
-        g: &UnitDiskGraph,
-        transmitting: &[NodeId],
-        pairs: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        let ctx = ExactCtx::new(&self.cfg, g, transmitting);
-        let mut kernel = self.kernel.borrow_mut();
-        kernel.begin_slot(g, transmitting);
-        kernel.finish_slot(&ctx, pairs, |u, cs| decode_exact(&ctx, u, &mut cs.links));
-    }
-}
-
-impl InterferenceModel for SinrModel {
-    fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
-        let mut pairs = Vec::new();
-        self.resolve_into(g, transmitting, &mut pairs);
-        ReceptionTable::from_sorted_pairs(pairs)
-    }
-
-    fn resolve_delta_into(
-        &self,
-        g: &UnitDiskGraph,
-        transmitting: &[NodeId],
-        delta: TxDelta<'_>,
-        out: &mut ReceptionTable,
-    ) {
-        // The model keeps no transmitter state, so the delta is unused;
-        // only the caller's table buffer is recycled.
-        let _ = delta;
-        let mut pairs = out.take_pairs();
-        self.resolve_into(g, transmitting, &mut pairs);
-        *out = ReceptionTable::from_sorted_pairs(pairs);
-    }
-
-    fn name(&self) -> &'static str {
-        "sinr"
     }
 }
 
@@ -372,6 +295,8 @@ impl InterferenceModel for IdealModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SinrConfig;
+    use crate::SinrModel;
     use sinr_geometry::Point;
 
     fn graph(pts: Vec<Point>) -> UnitDiskGraph {
@@ -532,8 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn resolver_stats_default_to_none() {
-        assert!(sinr_model().resolver_stats().is_none());
+    fn only_the_sinr_model_reports_resolver_stats() {
+        assert_eq!(
+            sinr_model().resolver_stats(),
+            Some(ResolverStats::default())
+        );
         assert!(GraphModel::new().resolver_stats().is_none());
         assert!(IdealModel::new().resolver_stats().is_none());
         // Box forwarding preserves the answer.

@@ -156,7 +156,7 @@ impl InterferenceModel for NonUniformSinrModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SinrModel;
+    use crate::SinrModel;
     use sinr_geometry::Point;
 
     fn cfg() -> SinrConfig {

@@ -1,10 +1,12 @@
-//! A fast **exact** SINR resolver: incrementally maintained grid-tiled
-//! near/far interference bounds with a certified fast path and a
-//! bit-identical exact fallback.
-//!
-//! [`FastSinrModel`] resolves the same reception tables as
-//! [`SinrModel`](crate::SinrModel) — provably, and checked by differential
-//! proptests — while doing far less work per slot:
+//! The paper's physical model, [`SinrModel`]: the exact kernel
+//! (`crate::kernel`), plus an incrementally maintained grid of near/far
+//! interference bounds that decides most candidates without the full sum.
+//! The grid only skips work, never changes a table: [`SinrModel::new`]
+//! builds it once the slots it resolves on a graph are dense enough to pay
+//! for it ([`GRID_MIN_TX_PER_SLOT`]), and until then — or for good, when
+//! [`CellGrid::try_bind`] refuses a point set too scattered for a dense
+//! grid — every slot runs the exact decode alone. With the grid on, a
+//! dense slot costs far less than the exact pass:
 //!
 //! 1. The model binds a dense [`CellGrid`] (cell side `R_T`) to the graph's
 //!    point set **once**, and from then on maintains the transmitter set
@@ -27,21 +29,18 @@
 //!    its true contribution is strictly below the per-node cap (see
 //!    `Distributed Node Coloring in the SINR Model`, Lemma 3, and the
 //!    uniform-power tail bounds of Avin et al., arXiv:0906.2311).
-//! 3. A sender is decoded on the fast path only when the *pessimistic*
+//! 3. A sender is decoded from the bounds only when the *pessimistic*
 //!    SINR (far tail fully charged) already clears `β` **and** no other
 //!    sender clears `β` even *optimistically* (far tail zero). A slot
 //!    verdict of "nothing decodable" requires every sender to fail
 //!    optimistically. The bounds carry a relative slack of [`SUM_SLACK`]
-//!    so they bracket the naive resolver's floating-point sum (not just
+//!    so they bracket the exact decode's floating-point sum (not just
 //!    the real-valued one) regardless of summation order — which also
 //!    makes the verdicts independent of the grid's *entry order*, so the
 //!    incremental membership history cannot influence results. Whenever
-//!    the bounds disagree, the resolver falls back to the full
-//!    interference sum **in the same iteration order as the naive
-//!    resolver**, so the produced [`ReceptionTable`] is bit-identical in
-//!    every case — the fast path is a pure strength reduction, never an
-//!    approximation. Candidate discovery and that fallback are the exact
-//!    kernel `SinrModel` runs too (`crate::kernel`).
+//!    the bounds disagree, the candidate falls back to the exact decode,
+//!    so the produced [`ReceptionTable`] is bit-identical in every case —
+//!    the grid is a pure strength reduction, never an approximation.
 //!
 //! The persistent state is defensively certified: an externally supplied
 //! delta is validated element-by-element against the grid's own membership
@@ -54,9 +53,9 @@
 //!
 //! All scratch state (the kernel's transmitter bitmap, candidate bitset,
 //! link and pair buffers, the transmitter grid, the stamped near lists) lives
-//! behind a `RefCell` and is reused across slots, so a steady-state slot
-//! resolved through [`InterferenceModel::resolve_delta_into`] performs no
-//! allocation.
+//! in one box behind a `RefCell` and is reused across slots, so the model
+//! is `Send` but not `Sync`, and a steady-state slot resolved through
+//! [`InterferenceModel::resolve_delta_into`] performs no allocation.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_signal};
@@ -74,20 +73,23 @@ use std::cell::RefCell;
 /// rare (the `ResolverStats` hit rate makes this observable).
 pub const DEFAULT_NEAR_REACH_CELLS: i64 = 4;
 
-/// Below this many transmitters the naive `O(k)` sum is cheaper than
-/// stamping the slot's candidate cells, so small slots skip the fast path
-/// (grid membership is still maintained so later slots stay incremental).
+/// Below this many transmitters the exact `O(k)` sum is cheaper than
+/// stamping the slot's candidate cells, so small slots skip the grid
+/// bounds (grid membership is still maintained so later slots stay
+/// incremental).
 pub const SMALL_SLOT_EXACT_CUTOFF: usize = 12;
 
-/// Calibration constant of [`FastSinrModel::auto`]: across MW runs the
-/// steady-state slot carries about `0.18 · n / mean_degree` simultaneous
-/// transmitters (measured 31.3 at `n = 2048`, mean degree 12.2 — factor
-/// 0.186 — and 231.5 at `n = 16384`, factor 0.17; the protocol's
-/// transmission probability scales as `1/degree`, so the fraction falls
-/// with density). `auto` enables the grid only when that estimate clears
-/// [`SMALL_SLOT_EXACT_CUTOFF`], i.e. when typical slots would actually
-/// take the fast path.
-pub const AUTO_TX_DENSITY_FACTOR: f64 = 0.18;
+/// Slots [`SinrModel::new`] resolves on a graph without a grid before it
+/// checks whether their size pays for one (see [`GRID_MIN_TX_PER_SLOT`]).
+pub const GRID_SAMPLE_SLOTS: u32 = 64;
+
+/// The grid break-even, in transmitters per resolved slot: [`SinrModel::new`]
+/// builds the grid once a window of [`GRID_SAMPLE_SLOTS`] slots averages
+/// more than this, and keeps it while it resolves that graph. Read off
+/// alternated grid-on/grid-off runs (`docs/PERFORMANCE.md`, "Grid on or
+/// off"): MW windows average 27.4 at `n = 1536`, where the grid lost, and
+/// 36.6 at `n = 2048`, where it won; TDMA frames fall on the same sides.
+pub const GRID_MIN_TX_PER_SLOT: u64 = 32;
 
 /// Slots between defensive full rebuilds of the persistent transmitter
 /// grid. A rebuild re-inserts the current set in `transmitting` order,
@@ -97,21 +99,23 @@ pub const AUTO_TX_DENSITY_FACTOR: f64 = 0.18;
 pub const EPOCH_REBUILD_SLOTS: u64 = 1024;
 
 /// Relative slack applied to the interference bounds so they bracket the
-/// naive resolver's *floating-point* sum, not just the real-valued one:
+/// exact decode's *floating-point* sum, not just the real-valued one:
 /// the near sum is accumulated in near-list/entry order (and from squared
-/// distances) while the fallback sums in `transmitting` order, so the two
-/// can differ by accumulated rounding of roughly `k·ε` relative
+/// distances) while the exact decode sums in `transmitting` order, so the
+/// two can differ by accumulated rounding of roughly `k·ε` relative
 /// (`ε = 2⁻⁵²`; below `10⁻⁹` for any realistic `k ≤ 10⁶`). Only
 /// candidates whose SINR sits within the slack of `β` lose the fast path.
 pub const SUM_SLACK: f64 = 1e-9;
 
-/// Cumulative counters exposed by resolvers that track their fast path.
+/// Cumulative counters of a [`SinrModel`]: how its candidates were
+/// decided, and what its grid did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Candidate receivers decided purely from the certified bounds.
     pub fast_path_hits: u64,
     /// Candidate receivers that needed the full exact interference sum
-    /// (bound disagreement, or a small slot below the grid cutoff).
+    /// (bound disagreement, a small slot below the grid cutoff, or a slot
+    /// without a grid).
     pub exact_fallbacks: u64,
     /// Near-list entries examined during interference summation (one per
     /// near transmitter cell per fast-path candidate).
@@ -130,7 +134,6 @@ pub struct ResolverStats {
     /// zero when the driver's deltas are consistent.
     pub full_rebuilds: u64,
 }
-
 impl ResolverStats {
     /// Fraction of candidates decided on the fast path (`None` before any
     /// candidate was resolved).
@@ -187,19 +190,23 @@ struct NearRef {
 /// The persistent incremental state: the bound transmitter grid, the
 /// previous slot's transmitter list (for self-diffing), the epoch clock,
 /// and the per-slot candidate-cell stamping scratch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct GridState {
     /// Dense grid bound to the current graph's point set; `None` before
-    /// the first bind or when binding was refused (see `bind_failed`).
+    /// the first bind, while the model runs without one, or when
+    /// [`CellGrid::try_bind`] refused the point set. Every slot without a
+    /// grid is decoded exactly.
     grid: Option<CellGrid>,
-    /// The bound point set was too scattered for a dense grid
-    /// ([`CellGrid::try_bind`] returned `None`); resolve exactly until
-    /// the graph changes.
-    bind_failed: bool,
-    /// Bind fingerprint: the positions slice pointer, its length, and the
-    /// graph radius. [`UnitDiskGraph`]s are immutable, so a matching
-    /// fingerprint (re-verified with [`CellGrid::binds`]'s endpoint spot
-    /// check each slot) identifies the bound graph.
+    /// Whether the model still weighs building a grid for the bound
+    /// graph, and the slots and transmitters of its current window.
+    sampling: bool,
+    sample_slots: u32,
+    sample_tx: u64,
+    /// Bind fingerprint: the positions slice pointer (0 before the first
+    /// bind), its length, and the graph radius. [`UnitDiskGraph`]s are
+    /// immutable, so a matching fingerprint (re-verified with
+    /// [`CellGrid::binds`]'s endpoint spot check each slot when a grid is
+    /// bound) identifies the bound graph.
     bound_ptr: usize,
     bound_len: usize,
     bound_radius: f64,
@@ -219,429 +226,91 @@ struct GridState {
 }
 
 impl GridState {
-    fn empty() -> Self {
-        GridState {
-            grid: None,
-            bind_failed: false,
-            bound_ptr: 0,
-            bound_len: 0,
-            bound_radius: 0.0,
-            prev_tx: Vec::new(),
-            slots_since_epoch: 0,
-            cand_cell_idx: Vec::new(),
-            stamped: Vec::new(),
-            near_refs: Vec::new(),
+    /// Whether the state is bound to `g`'s point set and radius.
+    fn is_bound_to(&self, g: &UnitDiskGraph) -> bool {
+        let positions = g.positions();
+        self.bound_ptr == positions.as_ptr() as usize
+            && self.bound_len == positions.len()
+            && self.bound_radius == g.radius()
+            && self.grid.as_ref().is_none_or(|grid| grid.binds(positions))
+    }
+
+    /// Binds to `g` without a grid, sampling its slots when `sample`.
+    fn bind(&mut self, g: &UnitDiskGraph, sample: bool) {
+        let positions = g.positions();
+        self.grid = None;
+        self.bound_ptr = positions.as_ptr() as usize;
+        self.bound_len = positions.len();
+        self.bound_radius = g.radius();
+        self.prev_tx.clear();
+        self.stamped.clear();
+        self.sampling = sample;
+        self.sample_slots = 0;
+        self.sample_tx = 0;
+    }
+
+    /// Counts a slot of `k` transmitters; true when it closes a window
+    /// that averaged more than [`GRID_MIN_TX_PER_SLOT`].
+    fn sample(&mut self, k: usize) -> bool {
+        self.sample_slots += 1;
+        self.sample_tx += k as u64;
+        if self.sample_slots < GRID_SAMPLE_SLOTS {
+            return false;
         }
-    }
-}
-
-/// Reusable per-slot working state (interior mutability keeps
-/// [`InterferenceModel::resolve`]'s `&self` signature).
-#[derive(Debug, Clone)]
-struct Scratch {
-    /// Persistent incremental grid state (see [`GridState`]).
-    gs: GridState,
-    /// The exact kernel's bitmaps, candidate list and decode buffers.
-    kernel: ExactKernel,
-    stats: ResolverStats,
-}
-
-/// Immutable per-slot context of every candidate: the exact decode's
-/// inputs, the stamped near lists, and the precomputed bounds.
-struct SlotCtx<'a> {
-    exact: ExactCtx<'a>,
-    /// `Some` iff this slot takes the grid fast path.
-    grid: Option<&'a CellGrid>,
-    cand_cell_idx: &'a [u32],
-    near_refs: &'a [Vec<NearRef>],
-    far_cap: f64,
-    k: usize,
-}
-
-/// Resolves one candidate receiver: the sender it decodes, if any. The
-/// counters go to `cs`.
-///
-/// Pure in `(ctx, u)`: the same candidate produces the same reception and
-/// counter increments whatever slot or candidate came before it.
-// lint:hot — resolver inner loop, runs once per candidate per slot
-fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Option<NodeId> {
-    let exact = &ctx.exact;
-    let positions = exact.positions;
-    let pu = positions[u];
-    if let Some(grid) = ctx.grid {
-        // The near/far split was already computed per *cell* during
-        // stamping: this candidate's cell carries the list of occupied
-        // transmitter cells within `reach`. Stream each near cell's
-        // packed entries for the exact near sum; everything else is far
-        // and only counted. Senders must lie within R_T = one cell side,
-        // so they live in cells flagged `sender` (Chebyshev ≤ 1) and are
-        // collected for the SINR evaluation below.
-        let refs = &ctx.near_refs[ctx.cand_cell_idx[grid.cell_of(u) as usize] as usize];
-        let mut near_sum = 0.0f64;
-        let mut near_count = 0usize;
-        cs.sender_buf.clear();
-        for r in refs {
-            let entries = grid.entries(r.cell);
-            for e in entries {
-                let dx = pu.x - e.x;
-                let dy = pu.y - e.y;
-                near_sum += received_power_d2(exact.power, dx * dx + dy * dy, exact.alpha);
-                if r.sender {
-                    cs.sender_buf.push(e.id);
-                }
-            }
-            near_count += entries.len();
-        }
-        cs.counts.cells += refs.len() as u64;
-        let far_tail = (ctx.k - near_count) as f64 * ctx.far_cap;
-        // [total_low, total_high] brackets the naive resolver's
-        // floating-point interference sum; SUM_SLACK absorbs the
-        // different summation order (see its docs).
-        let total_low = near_sum * (1.0 - SUM_SLACK);
-        let total_high = (near_sum + far_tail) * (1.0 + SUM_SLACK);
-
-        // `certified` clears β even pessimistically; `possible` counts
-        // senders clearing β optimistically.
-        let mut certified: Option<NodeId> = None;
-        let mut possible = 0u64;
-        for &v in &cs.sender_buf {
-            let d2 = positions[v].distance_squared(pu);
-            if d2 <= exact.adjacency_r2 {
-                // One signal per link serves both bounds; `d2.sqrt()` is
-                // the distance the exact decode takes.
-                let signal = received_power(exact.power, d2.sqrt(), exact.alpha);
-                let optimistic = sinr_from_signal(exact.noise, signal, total_low);
-                if optimistic >= exact.beta {
-                    possible += 1;
-                    let pessimistic = sinr_from_signal(exact.noise, signal, total_high);
-                    if pessimistic >= exact.beta && certified.is_none() {
-                        certified = Some(v);
-                    }
-                }
-            }
-        }
-        match certified {
-            // v decodes even with the tail fully charged and no other
-            // sender can reach β: the naive resolver necessarily picks
-            // exactly v.
-            Some(v) if possible == 1 => {
-                cs.counts.fast_hits += 1;
-                return Some(v);
-            }
-            // No sender reaches β even with zero far tail.
-            None if possible == 0 => {
-                cs.counts.fast_hits += 1;
-                return None;
-            }
-            _ => {}
-        }
-    }
-    // Exact fallback: the decode `SinrModel` runs on every candidate.
-    cs.counts.fallbacks += 1;
-    decode_exact(exact, u, &mut cs.links)
-}
-
-/// Stamps this slot's candidate cells and builds their near lists: every
-/// occupied transmitter cell registers itself (with its sender flag) in
-/// each stamped candidate cell inside its `(2·reach+1)²` window.
-///
-/// `near_refs` must hold at least as many pooled lists as there are
-/// distinct candidate cells (the caller grows the pool beforehand, so
-/// this stays allocation-free apart from amortized list growth).
-// lint:hot — cell-stamping pass, runs once per grid slot
-fn stamp_candidate_cells(
-    grid: &CellGrid,
-    candidates: &[NodeId],
-    reach: i64,
-    cand_cell_idx: &mut [u32],
-    stamped: &mut Vec<u32>,
-    near_refs: &mut [Vec<NearRef>],
-) {
-    for &u in candidates {
-        let c = grid.cell_of(u);
-        if cand_cell_idx[c as usize] == NOT_STAMPED {
-            let idx = stamped.len() as u32;
-            cand_cell_idx[c as usize] = idx;
-            stamped.push(c);
-            near_refs[idx as usize].clear();
-        }
-    }
-    for &c in grid.occupied() {
-        if grid.entries(c).is_empty() {
-            continue; // stale occupied entry
-        }
-        grid.for_each_window_cell(c, reach, |w, cheb| {
-            let idx = cand_cell_idx[w as usize];
-            if idx != NOT_STAMPED {
-                near_refs[idx as usize].push(NearRef {
-                    cell: c,
-                    sender: cheb <= 1,
-                });
-            }
-        });
-    }
-}
-
-/// The grid-tiled exact SINR resolver (drop-in replacement for
-/// [`SinrModel`](crate::SinrModel): identical tables, much faster slots).
-///
-/// # Example
-///
-/// ```
-/// use sinr_geometry::{Point, UnitDiskGraph};
-/// use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel};
-///
-/// let g = UnitDiskGraph::new(
-///     vec![Point::new(0.0, 0.0), Point::new(0.8, 0.0), Point::new(2.5, 0.0)],
-///     1.0,
-/// );
-/// let cfg = SinrConfig::default_unit();
-/// let fast = FastSinrModel::new(cfg);
-/// let naive = SinrModel::new(cfg);
-/// assert_eq!(fast.resolve(&g, &[0, 2]), naive.resolve(&g, &[0, 2]));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FastSinrModel {
-    cfg: SinrConfig,
-    near_reach: i64,
-    grid_enabled: bool,
-    epoch_interval: u64,
-    scratch: RefCell<Scratch>,
-}
-
-impl FastSinrModel {
-    /// Creates the resolver with [`DEFAULT_NEAR_REACH_CELLS`].
-    pub fn new(cfg: SinrConfig) -> Self {
-        Self::with_near_reach(cfg, DEFAULT_NEAR_REACH_CELLS)
+        self.sample_slots = 0;
+        std::mem::take(&mut self.sample_tx) > GRID_MIN_TX_PER_SLOT * u64::from(GRID_SAMPLE_SLOTS)
     }
 
-    /// Creates the resolver with an explicit near-window half-width (in
-    /// cells of side `R_T`). Larger windows tighten the far-tail bound
-    /// (fewer exact fallbacks) at the cost of summing more transmitters
-    /// exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `near_reach_cells < 1` (the window must at least cover
-    /// the `R_T` disk so every decodable sender is scanned).
-    pub fn with_near_reach(cfg: SinrConfig, near_reach_cells: i64) -> Self {
-        assert!(
-            near_reach_cells >= 1,
-            "near window must cover at least the R_T disk"
-        );
-        FastSinrModel {
-            cfg,
-            near_reach: near_reach_cells,
-            grid_enabled: true,
-            epoch_interval: EPOCH_REBUILD_SLOTS,
-            scratch: RefCell::new(Scratch {
-                gs: GridState::empty(),
-                kernel: ExactKernel::new(),
-                stats: ResolverStats::default(),
-            }),
-        }
-    }
-
-    /// Creates the resolver with the grid heuristic sized for the given
-    /// instance's *slot density*: the grid is enabled only when the
-    /// expected per-slot transmitter count
-    /// (`AUTO_TX_DENSITY_FACTOR · n / mean_degree`, see
-    /// [`AUTO_TX_DENSITY_FACTOR`]) clears [`SMALL_SLOT_EXACT_CUTOFF`].
-    /// On instances below that — few nodes, or so dense that the
-    /// protocol's `1/degree` transmission probability keeps slots tiny —
-    /// almost every slot would skip the fast path anyway, and the exact
-    /// loop over reused scratch is strictly faster than maintaining grid
-    /// state that never certifies. Tables are bit-identical either way.
-    pub fn auto(cfg: SinrConfig, g: &UnitDiskGraph) -> Self {
-        let mut model = Self::new(cfg);
-        let expected_tx = AUTO_TX_DENSITY_FACTOR * g.len() as f64 / g.mean_degree().max(1.0);
-        model.grid_enabled = expected_tx > SMALL_SLOT_EXACT_CUTOFF as f64;
-        model
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &SinrConfig {
-        &self.cfg
-    }
-
-    /// The near-window half-width in cells.
-    pub fn near_reach_cells(&self) -> i64 {
-        self.near_reach
-    }
-
-    /// Whether the grid fast path is active (see [`FastSinrModel::auto`]).
-    pub fn grid_enabled(&self) -> bool {
-        self.grid_enabled
-    }
-
-    /// Overrides the epoch rebuild interval (default
-    /// [`EPOCH_REBUILD_SLOTS`]); mainly for tests that want to force
-    /// frequent rebuilds. An interval of 1 rebuilds every slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn set_epoch_interval(&mut self, slots: u64) {
-        assert!(slots > 0, "epoch interval must be at least 1 slot");
-        self.epoch_interval = slots;
-    }
-
-    /// Snapshot of the cumulative fast-path statistics.
-    pub fn stats(&self) -> ResolverStats {
-        self.scratch.borrow().stats
-    }
-
-    /// Resets the cumulative statistics to zero.
-    pub fn reset_stats(&self) {
-        self.scratch.borrow_mut().stats = ResolverStats::default();
-    }
-
-    /// Shared implementation of `resolve` / `resolve_delta` /
-    /// `resolve_delta_into`: fills `pairs` (cleared first) with the
-    /// slot's receptions, sorted by receiver. The caller owns
-    /// the buffer so a driver that recycles one table performs no
-    /// allocation here once scratch capacities have grown to the
-    /// instance's working size — the module contract above.
-    fn resolve_inner(
-        &self,
-        g: &UnitDiskGraph,
-        transmitting: &[NodeId],
-        delta: Option<TxDelta<'_>>,
-        pairs: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        let k = transmitting.len();
-        let exact = ExactCtx::new(&self.cfg, g, transmitting);
-        let mut scratch = self.scratch.borrow_mut();
-        let Scratch { gs, kernel, stats } = &mut *scratch;
-        kernel.begin_slot(g, transmitting);
-
-        if self.grid_enabled {
-            self.update_grid(gs, stats, g, transmitting, kernel.is_tx(), delta);
-        }
-
-        // Stamp candidate cells only when the slot is worth the fast
-        // path; membership above was maintained regardless, so skipped
-        // slots keep the incremental state current.
-        let use_grid = k > SMALL_SLOT_EXACT_CUTOFF && gs.grid.is_some();
-        if use_grid {
-            // A candidate's sender scan yields at most the bound-node
-            // population of its 3×3 cell window; size the collection
-            // buffer to that bind-time bound once so a
-            // record-density window late in the run cannot grow it.
-            if let Some(grid) = &gs.grid {
-                kernel.reserve_senders(grid.max_window_population());
-            }
-            for &c in &gs.stamped {
-                gs.cand_cell_idx[c as usize] = NOT_STAMPED;
-            }
-            gs.stamped.clear();
-            // Safety net only: the pool built at bind time already holds
-            // one list per possibly-stamped cell, and lists are indexed
-            // by stamped order (distinct candidate cells), never by raw
-            // candidate count. A stamped cell collects at most one
-            // reference per cell of its Chebyshev window, so new lists
-            // are sized to that bound and never grow during a pass.
-            let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
-            let lists_needed = kernel.candidates().len().min(gs.cand_cell_idx.len());
-            while gs.near_refs.len() < lists_needed {
-                gs.near_refs.push(Vec::with_capacity(window_cap));
-            }
-            if let Some(grid) = &gs.grid {
-                stamp_candidate_cells(
-                    grid,
-                    kernel.candidates(),
-                    self.near_reach,
-                    &mut gs.cand_cell_idx,
-                    &mut gs.stamped,
-                    &mut gs.near_refs,
-                );
-            }
-        }
-
-        let ctx = SlotCtx {
-            exact,
-            grid: if use_grid { gs.grid.as_ref() } else { None },
-            cand_cell_idx: &gs.cand_cell_idx,
-            near_refs: &gs.near_refs,
-            // Far transmitters sit strictly beyond `near_reach` cells (two
-            // cells whose dense coordinates differ by more than `reach` in
-            // a coordinate are separated by more than `reach · cell` in
-            // that coordinate), so each contributes strictly less than
-            // this cap.
-            far_cap: received_power(
-                exact.power,
-                self.near_reach as f64 * g.radius(),
-                exact.alpha,
-            ),
-            k,
+    /// Builds the grid over the bound graph `g` with a near window of
+    /// `reach` cells unless [`CellGrid::try_bind`] refuses; stops sampling.
+    fn build_grid(&mut self, g: &UnitDiskGraph, reach: i64) {
+        let positions = g.positions();
+        self.sampling = false;
+        self.grid = CellGrid::try_bind(positions, g.radius());
+        let Some(grid) = &self.grid else {
+            return;
         };
-        let counts = kernel.finish_slot(&ctx.exact, pairs, |u, cs| resolve_candidate(&ctx, u, cs));
-        stats.fast_path_hits += counts.fast_hits;
-        stats.exact_fallbacks += counts.fallbacks;
-        stats.cells_scanned += counts.cells;
+        let (rows, cols) = grid.dims();
+        let cell_count = (rows * cols) as usize;
+        self.cand_cell_idx.clear();
+        self.cand_cell_idx.resize(cell_count, NOT_STAMPED);
+        // Build the whole near-reference list pool up front: one list per
+        // possibly-stamped cell (distinct candidate cells,
+        // ≤ min(n, cells)), each sized to its Chebyshev window bound.
+        // Together with the `stamped` reservation this makes every later
+        // stamping pass allocation-free — candidate-count records late in
+        // a run would otherwise be the last allocating slots.
+        let window_cap = (2 * reach + 1).pow(2) as usize;
+        let lists = positions.len().min(cell_count);
+        self.prev_tx.reserve(positions.len());
+        self.stamped.reserve(cell_count);
+        self.near_refs
+            .resize_with(lists, || Vec::with_capacity(window_cap));
+        for list in &mut self.near_refs {
+            let shortfall = window_cap.saturating_sub(list.capacity());
+            list.reserve(shortfall);
+        }
     }
 
-    /// Brings the persistent grid's membership to the current transmitter
-    /// set: (re)binds on graph change, applies the start/stop delta
-    /// (driver-supplied after validation, or self-diffed against the
-    /// previous slot), and performs scheduled epoch rebuilds.
-    fn update_grid(
-        &self,
-        gs: &mut GridState,
+    /// Brings the bound grid's membership to the current transmitter set:
+    /// a full build on a fresh bind or a due epoch, otherwise the
+    /// start/stop delta (driver-supplied after validation, or self-diffed
+    /// against the previous slot). A no-op without a grid.
+    fn update_membership(
+        &mut self,
+        fresh: bool,
+        epoch_interval: u64,
         stats: &mut ResolverStats,
-        g: &UnitDiskGraph,
         transmitting: &[NodeId],
         is_tx: &[bool],
         delta: Option<TxDelta<'_>>,
     ) {
-        let positions = g.positions();
-        let ptr = positions.as_ptr() as usize;
-        let bound = gs.bound_ptr == ptr
-            && gs.bound_len == positions.len()
-            && gs.bound_radius == g.radius()
-            && match &gs.grid {
-                Some(grid) => grid.binds(positions),
-                None => gs.bind_failed,
-            };
-        if !bound {
-            gs.grid = CellGrid::try_bind(positions, g.radius());
-            gs.bind_failed = gs.grid.is_none();
-            gs.bound_ptr = ptr;
-            gs.bound_len = positions.len();
-            gs.bound_radius = g.radius();
-            gs.prev_tx.clear();
-            gs.stamped.clear();
-            if let Some(grid) = &gs.grid {
-                let (rows, cols) = grid.dims();
-                let cell_count = (rows * cols) as usize;
-                gs.cand_cell_idx.clear();
-                gs.cand_cell_idx.resize(cell_count, NOT_STAMPED);
-                // Build the whole near-reference list pool up front: one
-                // list per possibly-stamped cell (distinct candidate
-                // cells, ≤ min(n, cells)), each sized to its Chebyshev
-                // window bound. Together with the `stamped` reservation
-                // this makes every later stamping pass allocation-free —
-                // candidate-count records late in a run would otherwise
-                // be the last allocating slots.
-                let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
-                let lists = positions.len().min(cell_count);
-                gs.prev_tx.reserve(positions.len());
-                gs.stamped.reserve(cell_count);
-                gs.near_refs
-                    .resize_with(lists, || Vec::with_capacity(window_cap));
-                for list in &mut gs.near_refs {
-                    let shortfall = window_cap.saturating_sub(list.capacity());
-                    list.reserve(shortfall);
-                }
-            }
-        }
-        let Some(grid) = &mut gs.grid else {
+        let Some(grid) = &mut self.grid else {
             return;
         };
-
-        gs.slots_since_epoch += 1;
-        let epoch_due = gs.slots_since_epoch >= self.epoch_interval;
-        if !bound || epoch_due {
+        self.slots_since_epoch += 1;
+        let epoch_due = self.slots_since_epoch >= epoch_interval;
+        if fresh || epoch_due {
             // Full (re)build in `transmitting` order: canonical entry
             // layout, compacted occupied index.
             grid.clear_members();
@@ -649,10 +318,10 @@ impl FastSinrModel {
                 grid.insert(t);
             }
             grid.compact_occupied();
-            if bound && epoch_due {
+            if !fresh {
                 stats.epoch_rebuilds += 1;
             }
-            gs.slots_since_epoch = 0;
+            self.slots_since_epoch = 0;
         } else if let Some(d) = delta {
             // Driver-supplied delta: apply with per-element validation,
             // then certify membership outright — every current
@@ -695,14 +364,14 @@ impl FastSinrModel {
                     grid.insert(t);
                 }
                 grid.compact_occupied();
-                gs.slots_since_epoch = 0;
+                self.slots_since_epoch = 0;
             }
         } else {
             // Self-diff against the previous slot's transmitter list:
             // correct by construction, no validation needed.
             let mut stopped = 0u64;
             let mut started = 0u64;
-            for &t in &gs.prev_tx {
+            for &t in &self.prev_tx {
                 if !is_tx[t] {
                     grid.remove(t);
                     stopped += 1;
@@ -719,12 +388,376 @@ impl FastSinrModel {
             stats.delta_stopped += stopped;
         }
         grid.maintain();
-        gs.prev_tx.clear();
-        gs.prev_tx.extend_from_slice(transmitting);
+        self.prev_tx.clear();
+        self.prev_tx.extend_from_slice(transmitting);
     }
 }
 
-impl InterferenceModel for FastSinrModel {
+/// The model's working state, reused across slots (interior mutability
+/// keeps [`InterferenceModel::resolve`]'s `&self` signature).
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Persistent incremental grid state (see [`GridState`]).
+    gs: GridState,
+    /// The exact kernel's bitmaps, candidate list and decode buffers.
+    kernel: ExactKernel,
+    stats: ResolverStats,
+}
+
+/// Immutable per-slot context of every candidate of a grid slot: the
+/// exact decode's inputs, the stamped near lists, and the precomputed
+/// bounds.
+struct SlotCtx<'a> {
+    exact: ExactCtx<'a>,
+    grid: &'a CellGrid,
+    cand_cell_idx: &'a [u32],
+    near_refs: &'a [Vec<NearRef>],
+    far_cap: f64,
+    k: usize,
+}
+
+/// Resolves one candidate receiver of a grid slot: the sender it
+/// decodes, if any. A candidate the bounds decide counts as a fast-path
+/// hit in `cs`; any other falls back to the exact decode.
+///
+/// Pure in `(ctx, u)`: the same candidate produces the same reception and
+/// counter increments whatever slot or candidate came before it.
+// lint:hot — resolver inner loop, runs once per candidate per slot
+fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Option<NodeId> {
+    let exact = &ctx.exact;
+    let grid = ctx.grid;
+    let positions = exact.positions;
+    let pu = positions[u];
+    // The near/far split was already computed per *cell* during
+    // stamping: this candidate's cell carries the list of occupied
+    // transmitter cells within `reach`. Stream each near cell's packed
+    // entries for the exact near sum; everything else is far and only
+    // counted. Senders must lie within R_T = one cell side, so they live
+    // in cells flagged `sender` (Chebyshev ≤ 1) and are collected for the
+    // SINR evaluation below.
+    let refs = &ctx.near_refs[ctx.cand_cell_idx[grid.cell_of(u) as usize] as usize];
+    let mut near_sum = 0.0f64;
+    let mut near_count = 0usize;
+    cs.sender_buf.clear();
+    for r in refs {
+        let entries = grid.entries(r.cell);
+        for e in entries {
+            let dx = pu.x - e.x;
+            let dy = pu.y - e.y;
+            near_sum += received_power_d2(exact.power, dx * dx + dy * dy, exact.alpha);
+            if r.sender {
+                cs.sender_buf.push(e.id);
+            }
+        }
+        near_count += entries.len();
+    }
+    cs.counts.cells += refs.len() as u64;
+    let far_tail = (ctx.k - near_count) as f64 * ctx.far_cap;
+    // [total_low, total_high] brackets the exact decode's floating-point
+    // interference sum; SUM_SLACK absorbs the different summation order
+    // (see its docs).
+    let total_low = near_sum * (1.0 - SUM_SLACK);
+    let total_high = (near_sum + far_tail) * (1.0 + SUM_SLACK);
+
+    // `certified` clears β even pessimistically; `possible` counts
+    // senders clearing β optimistically.
+    let mut certified: Option<NodeId> = None;
+    let mut possible = 0u64;
+    for &v in &cs.sender_buf {
+        let d2 = positions[v].distance_squared(pu);
+        if d2 <= exact.adjacency_r2 {
+            // One signal per link serves both bounds; `d2.sqrt()` is the
+            // distance the exact decode takes.
+            let signal = received_power(exact.power, d2.sqrt(), exact.alpha);
+            let optimistic = sinr_from_signal(exact.noise, signal, total_low);
+            if optimistic >= exact.beta {
+                possible += 1;
+                let pessimistic = sinr_from_signal(exact.noise, signal, total_high);
+                if pessimistic >= exact.beta && certified.is_none() {
+                    certified = Some(v);
+                }
+            }
+        }
+    }
+    match certified {
+        // v decodes even with the tail fully charged and no other sender
+        // can reach β: the exact decode necessarily picks exactly v.
+        Some(v) if possible == 1 => {
+            cs.counts.fast_hits += 1;
+            Some(v)
+        }
+        // No sender reaches β even with zero far tail.
+        None if possible == 0 => {
+            cs.counts.fast_hits += 1;
+            None
+        }
+        // The bounds disagree: decode exactly.
+        _ => decode_exact(exact, u, &mut cs.links),
+    }
+}
+/// Stamps this slot's candidate cells and builds their near lists: every
+/// occupied transmitter cell registers itself (with its sender flag) in
+/// each stamped candidate cell inside its `(2·reach+1)²` window.
+///
+/// `near_refs` must hold at least as many pooled lists as there are
+/// distinct candidate cells (the caller grows the pool beforehand, so
+/// this stays allocation-free apart from amortized list growth).
+// lint:hot — cell-stamping pass, runs once per grid slot
+fn stamp_candidate_cells(
+    grid: &CellGrid,
+    candidates: &[NodeId],
+    reach: i64,
+    cand_cell_idx: &mut [u32],
+    stamped: &mut Vec<u32>,
+    near_refs: &mut [Vec<NearRef>],
+) {
+    for &u in candidates {
+        let c = grid.cell_of(u);
+        if cand_cell_idx[c as usize] == NOT_STAMPED {
+            let idx = stamped.len() as u32;
+            cand_cell_idx[c as usize] = idx;
+            stamped.push(c);
+            near_refs[idx as usize].clear();
+        }
+    }
+    for &c in grid.occupied() {
+        if grid.entries(c).is_empty() {
+            continue; // stale occupied entry
+        }
+        grid.for_each_window_cell(c, reach, |w, cheb| {
+            let idx = cand_cell_idx[w as usize];
+            if idx != NOT_STAMPED {
+                near_refs[idx as usize].push(NearRef {
+                    cell: c,
+                    sender: cheb <= 1,
+                });
+            }
+        });
+    }
+}
+
+/// The paper's physical model: receiver `u` decodes sender `v` iff
+/// `δ(u, v) ≤ R_T` and the SINR against *all* simultaneous transmitters
+/// plus ambient noise is at least `β` (§II). With `β ≥ 1` at most one
+/// sender can be decodable at any receiver, so the strongest qualifying
+/// sender is delivered. Resolved exactly, with the grid bounds of the
+/// [module docs](crate::resolver) once its slots are dense enough to pay
+/// for them.
+///
+/// # Example
+///
+/// ```
+/// use sinr_geometry::{Point, UnitDiskGraph};
+/// use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
+///
+/// let g = UnitDiskGraph::new(
+///     vec![Point::new(0.0, 0.0), Point::new(0.8, 0.0), Point::new(2.5, 0.0)],
+///     1.0,
+/// );
+/// let cfg = SinrConfig::default_unit();
+/// let table = SinrModel::new(cfg).resolve(&g, &[0, 2]);
+/// assert_eq!(table.unique_sender(1), Some(0));
+/// // Forcing the grid on changes the work a slot does, never its table.
+/// assert_eq!(SinrModel::with_grid(cfg, Some(4)).resolve(&g, &[0, 2]), table);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SinrModel {
+    cfg: SinrConfig,
+    /// Near-window half-width of the grid, in cells of side `R_T`.
+    near_reach: i64,
+    /// `Some(on)` forces the grid on or off; `None` builds it once the
+    /// resolved slots are dense enough (see [`GRID_MIN_TX_PER_SLOT`]).
+    forced: Option<bool>,
+    epoch_interval: u64,
+    /// Boxed on the first slot: the model stays a few words by value, and
+    /// a pristine one (kept for cloning) holds no heap.
+    scratch: RefCell<Option<Box<Scratch>>>,
+}
+
+/// The former name of [`SinrModel`], kept while the benchmark package
+/// still names it.
+pub type FastSinrModel = SinrModel;
+
+impl SinrModel {
+    /// Creates the model from a physical configuration. It starts each
+    /// graph without a grid and builds one once a window of
+    /// [`GRID_SAMPLE_SLOTS`] slots averages more than [`GRID_MIN_TX_PER_SLOT`].
+    pub fn new(cfg: SinrConfig) -> Self {
+        SinrModel {
+            cfg,
+            near_reach: DEFAULT_NEAR_REACH_CELLS,
+            forced: None,
+            epoch_interval: EPOCH_REBUILD_SLOTS,
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// Creates the model with the grid forced: off for `None`, on for
+    /// `Some(reach)` with a near window of `reach` cells of side `R_T`
+    /// (wherever [`CellGrid::try_bind`] accepts the point set). Larger
+    /// windows tighten the far-tail bound at the cost of summing more
+    /// transmitters exactly; tables never depend on the choice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reach < 1` (the window must cover the `R_T` disk).
+    pub fn with_grid(cfg: SinrConfig, near_reach_cells: Option<i64>) -> Self {
+        let near_reach = near_reach_cells.unwrap_or(DEFAULT_NEAR_REACH_CELLS);
+        assert!(
+            near_reach >= 1,
+            "near window must cover at least the R_T disk"
+        );
+        SinrModel {
+            near_reach,
+            forced: Some(near_reach_cells.is_some()),
+            ..Self::new(cfg)
+        }
+    }
+
+    /// Forwards to [`SinrModel::new`] (`g` is unused); kept while the
+    /// benchmark package still calls it.
+    pub fn auto(cfg: SinrConfig, g: &UnitDiskGraph) -> Self {
+        let _ = g;
+        Self::new(cfg)
+    }
+
+    /// The underlying configuration.
+    pub fn config(&self) -> &SinrConfig {
+        &self.cfg
+    }
+
+    /// Overrides the epoch rebuild interval (default
+    /// [`EPOCH_REBUILD_SLOTS`]); mainly for tests that want to force
+    /// frequent rebuilds. An interval of 1 rebuilds every slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
+    pub fn set_epoch_interval(&mut self, slots: u64) {
+        assert!(slots > 0, "epoch interval must be at least 1 slot");
+        self.epoch_interval = slots;
+    }
+
+    /// Snapshot of the cumulative resolver statistics.
+    pub fn stats(&self) -> ResolverStats {
+        self.scratch
+            .borrow()
+            .as_ref()
+            .map_or_else(Default::default, |s| s.stats)
+    }
+
+    /// Resets the cumulative statistics to zero.
+    pub fn reset_stats(&self) {
+        if let Some(s) = self.scratch.borrow_mut().as_mut() {
+            s.stats = ResolverStats::default();
+        }
+    }
+
+    /// Shared implementation of `resolve` / `resolve_delta` /
+    /// `resolve_delta_into`: fills `pairs` (cleared first) with the
+    /// slot's receptions, sorted by receiver. The caller owns
+    /// the buffer so a driver that recycles one table performs no
+    /// allocation here once scratch capacities have grown to the
+    /// instance's working size — the module contract above.
+    fn resolve_inner(
+        &self,
+        g: &UnitDiskGraph,
+        transmitting: &[NodeId],
+        delta: Option<TxDelta<'_>>,
+        pairs: &mut Vec<(NodeId, NodeId)>,
+    ) {
+        let k = transmitting.len();
+        let exact = ExactCtx::new(&self.cfg, g, transmitting);
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { gs, kernel, stats } = &mut **scratch.get_or_insert_with(Box::default);
+        kernel.begin_slot(g, transmitting);
+
+        let mut fresh = !gs.is_bound_to(g);
+        if fresh {
+            gs.bind(g, self.forced.is_none());
+        }
+        // A forced grid is built at bind; otherwise it waits for a dense
+        // window, since below the break-even the exact pass alone beats
+        // grid upkeep.
+        if (fresh && self.forced == Some(true)) || (gs.sampling && gs.sample(k)) {
+            gs.build_grid(g, self.near_reach);
+            fresh = true;
+        }
+        gs.update_membership(
+            fresh,
+            self.epoch_interval,
+            stats,
+            transmitting,
+            kernel.is_tx(),
+            delta,
+        );
+
+        let counts = match &gs.grid {
+            // Stamp candidate cells only when the slot is worth the
+            // bounds; membership above was maintained regardless, so
+            // skipped slots keep the incremental state current.
+            Some(grid) if k > SMALL_SLOT_EXACT_CUTOFF => {
+                // A candidate's sender scan yields at most the bound-node
+                // population of its 3×3 cell window; size the collection
+                // buffer to that bind-time bound once so a record-density
+                // window late in the run cannot grow it.
+                kernel.reserve_senders(grid.max_window_population());
+                for &c in &gs.stamped {
+                    gs.cand_cell_idx[c as usize] = NOT_STAMPED;
+                }
+                gs.stamped.clear();
+                // Safety net only: the pool built at bind time already
+                // holds one list per possibly-stamped cell, and lists are
+                // indexed by stamped order (distinct candidate cells),
+                // never by raw candidate count. A stamped cell collects at
+                // most one reference per cell of its Chebyshev window, so
+                // new lists are sized to that bound and never grow during
+                // a pass.
+                let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
+                let lists_needed = kernel.candidates().len().min(gs.cand_cell_idx.len());
+                while gs.near_refs.len() < lists_needed {
+                    gs.near_refs.push(Vec::with_capacity(window_cap));
+                }
+                stamp_candidate_cells(
+                    grid,
+                    kernel.candidates(),
+                    self.near_reach,
+                    &mut gs.cand_cell_idx,
+                    &mut gs.stamped,
+                    &mut gs.near_refs,
+                );
+                let ctx = SlotCtx {
+                    exact,
+                    grid,
+                    cand_cell_idx: &gs.cand_cell_idx,
+                    near_refs: &gs.near_refs,
+                    // Far transmitters sit strictly beyond `near_reach`
+                    // cells (two cells whose dense coordinates differ by
+                    // more than `reach` in a coordinate are separated by
+                    // more than `reach · cell` in that coordinate), so
+                    // each contributes strictly less than this cap.
+                    far_cap: received_power(
+                        exact.power,
+                        self.near_reach as f64 * g.radius(),
+                        exact.alpha,
+                    ),
+                    k,
+                };
+                kernel.finish_slot(&exact, pairs, |u, cs| resolve_candidate(&ctx, u, cs))
+            }
+            // No grid, or a slot too small for it: every candidate is
+            // decoded exactly.
+            _ => kernel.finish_slot(&exact, pairs, |u, cs| {
+                decode_exact(&exact, u, &mut cs.links)
+            }),
+        };
+        stats.fast_path_hits += counts.fast_hits;
+        stats.exact_fallbacks += counts.fallbacks;
+        stats.cells_scanned += counts.cells;
+    }
+}
+
+impl InterferenceModel for SinrModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
         let mut pairs = Vec::new();
         self.resolve_inner(g, transmitting, None, &mut pairs);
@@ -757,7 +790,7 @@ impl InterferenceModel for FastSinrModel {
     }
 
     fn name(&self) -> &'static str {
-        "sinr-fast"
+        "sinr"
     }
 
     fn resolver_stats(&self) -> Option<ResolverStats> {
@@ -768,11 +801,20 @@ impl InterferenceModel for FastSinrModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SinrModel;
     use sinr_geometry::Point;
 
     fn cfg() -> SinrConfig {
         SinrConfig::default_unit()
+    }
+
+    /// The model with the grid forced on at the default near window.
+    fn grid_on(c: SinrConfig) -> SinrModel {
+        SinrModel::with_grid(c, Some(DEFAULT_NEAR_REACH_CELLS))
+    }
+
+    /// The model with the grid forced off: the exact kernel alone.
+    fn grid_off(c: SinrConfig) -> SinrModel {
+        SinrModel::with_grid(c, None)
     }
 
     /// A deterministic pseudo-random scatter (LCG; no RNG dependency).
@@ -804,8 +846,8 @@ mod tests {
         let c = cfg();
         for seed in 0..5u64 {
             let g = UnitDiskGraph::new(scatter(300, 8.0, seed), c.r_t());
-            let fast = FastSinrModel::new(c);
-            let naive = SinrModel::new(c);
+            let fast = grid_on(c);
+            let naive = grid_off(c);
             for &k in &[1usize, 5, 13, 40, 120, 300] {
                 let tx = spread_tx(300, k);
                 assert_eq!(
@@ -822,11 +864,11 @@ mod tests {
         for &alpha in &[2.5f64, 3.0, 4.0, 6.0] {
             let c = SinrConfig::with_unit_range(alpha, 1.5, 2.0);
             let g = UnitDiskGraph::new(scatter(200, 6.0, 42), c.r_t());
-            let naive = SinrModel::new(c);
+            let naive = grid_off(c);
             let tx = spread_tx(200, 60);
             let expected = naive.resolve(&g, &tx);
             for &reach in &[1i64, 2, 4, 8] {
-                let fast = FastSinrModel::with_near_reach(c, reach);
+                let fast = SinrModel::with_grid(c, Some(reach));
                 assert_eq!(
                     fast.resolve(&g, &tx),
                     expected,
@@ -846,8 +888,8 @@ mod tests {
         pts.push(pts[1]);
         let g = UnitDiskGraph::new(pts, c.r_t());
         let n = g.len();
-        let fast = FastSinrModel::new(c);
-        let naive = SinrModel::new(c);
+        let fast = grid_on(c);
+        let naive = grid_off(c);
         for &k in &[14usize, n] {
             let tx = spread_tx(n, k);
             assert_eq!(fast.resolve(&g, &tx), naive.resolve(&g, &tx), "k {k}");
@@ -858,7 +900,7 @@ mod tests {
     fn stats_accumulate_and_hit_rate_reports() {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(400, 10.0, 3), c.r_t());
-        let fast = FastSinrModel::new(c);
+        let fast = grid_on(c);
         assert_eq!(fast.stats(), ResolverStats::default());
         assert_eq!(fast.stats().hit_rate(), None);
         let tx = spread_tx(400, 50);
@@ -882,7 +924,7 @@ mod tests {
     fn small_slots_skip_the_grid() {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(100, 5.0, 1), c.r_t());
-        let fast = FastSinrModel::new(c);
+        let fast = grid_on(c);
         let tx = spread_tx(100, SMALL_SLOT_EXACT_CUTOFF); // at the cutoff
         let _ = fast.resolve(&g, &tx);
         let s = fast.stats();
@@ -901,11 +943,11 @@ mod tests {
     fn scratch_adapts_to_graph_changes() {
         // Same model instance across different graphs and radii; the
         // persistent grid must rebind when the fingerprint changes.
-        let fast = FastSinrModel::new(cfg());
+        let fast = grid_on(cfg());
         let g1 = UnitDiskGraph::new(scatter(80, 4.0, 2), 1.0);
         let _ = fast.resolve(&g1, &spread_tx(80, 20));
         let g2 = UnitDiskGraph::new(scatter(250, 7.0, 9), 1.0);
-        let naive = SinrModel::new(cfg());
+        let naive = grid_off(cfg());
         let tx = spread_tx(250, 70);
         assert_eq!(fast.resolve(&g2, &tx), naive.resolve(&g2, &tx));
         // And back again: the first graph still resolves correctly.
@@ -918,8 +960,8 @@ mod tests {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 11), c.r_t());
         let tx = spread_tx(300, 80);
-        let a = FastSinrModel::new(c);
-        let b = FastSinrModel::new(c);
+        let a = grid_on(c);
+        let b = grid_on(c);
         assert_eq!(a.resolve(&g, &tx), b.resolve(&g, &tx));
         assert_eq!(a.stats(), b.stats(), "stats are deterministic too");
     }
@@ -928,7 +970,7 @@ mod tests {
     fn empty_and_lone_transmitter() {
         let c = cfg();
         let g = UnitDiskGraph::new(vec![Point::new(0.0, 0.0), Point::new(0.8, 0.0)], c.r_t());
-        let fast = FastSinrModel::new(c);
+        let fast = grid_on(c);
         assert!(fast.resolve(&g, &[]).is_empty());
         let t = fast.resolve(&g, &[0]);
         assert_eq!(t.unique_sender(1), Some(0));
@@ -937,7 +979,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least the R_T disk")]
     fn zero_reach_rejected() {
-        let _ = FastSinrModel::with_near_reach(cfg(), 0);
+        let _ = SinrModel::with_grid(cfg(), Some(0));
     }
 
     #[test]
@@ -946,13 +988,13 @@ mod tests {
         // must match both a fresh model per slot and the naive resolver.
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 21), c.r_t());
-        let naive = SinrModel::new(c);
-        let reused = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let reused = grid_on(c);
         for step in 0..40usize {
             // Shifting, size-varying transmitter sets.
             let k = 5 + (step * 17) % 90;
             let tx: Vec<NodeId> = (0..k).map(|i| (i * 300 / k + step * 7) % 300).collect();
-            let fresh = FastSinrModel::new(c);
+            let fresh = grid_on(c);
             let expected = naive.resolve(&g, &tx);
             assert_eq!(reused.resolve(&g, &tx), expected, "step {step} (reused)");
             assert_eq!(fresh.resolve(&g, &tx), expected, "step {step} (fresh)");
@@ -966,9 +1008,9 @@ mod tests {
     fn resolve_delta_matches_resolve() {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 33), c.r_t());
-        let naive = SinrModel::new(c);
-        let with_delta = FastSinrModel::new(c);
-        let self_diff = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let with_delta = grid_on(c);
+        let self_diff = grid_on(c);
         let mut prev: Vec<NodeId> = Vec::new();
         let mut is_prev = vec![false; 300];
         for step in 0..30usize {
@@ -1004,8 +1046,8 @@ mod tests {
     fn inconsistent_delta_rebuilds_and_stays_correct() {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 8), c.r_t());
-        let naive = SinrModel::new(c);
-        let fast = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let fast = grid_on(c);
         let tx0 = spread_tx(300, 60);
         let _ = fast.resolve(&g, &tx0);
         // Lie about the delta in several ways; tables must stay correct.
@@ -1040,8 +1082,8 @@ mod tests {
     fn epoch_rebuilds_fire_and_preserve_results() {
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 13), c.r_t());
-        let naive = SinrModel::new(c);
-        let mut fast = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let mut fast = grid_on(c);
         fast.set_epoch_interval(4);
         for step in 0..20usize {
             let k = 20 + (step * 7) % 60;
@@ -1056,7 +1098,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1 slot")]
     fn zero_epoch_interval_rejected() {
-        let mut fast = FastSinrModel::new(cfg());
+        let mut fast = grid_on(cfg());
         fast.set_epoch_interval(0);
     }
 
@@ -1071,8 +1113,8 @@ mod tests {
             pts.push(Point::new(p.x + 1.0e5, p.y + 1.0e5));
         }
         let g = UnitDiskGraph::new(pts, c.r_t());
-        let naive = SinrModel::new(c);
-        let fast = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let fast = grid_on(c);
         let tx = spread_tx(60, 20);
         assert_eq!(fast.resolve(&g, &tx), naive.resolve(&g, &tx));
         let s = fast.stats();
@@ -1081,40 +1123,110 @@ mod tests {
         assert!(s.exact_fallbacks > 0);
     }
 
-    #[test]
-    fn auto_enables_grid_by_slot_density() {
-        let c = cfg();
-        // Sparse mid-size instance (degree ~12): expected slot size
-        // 0.18·1024/12 ≈ 15 > 12 — grid on.
-        let mid = UnitDiskGraph::new(scatter_with_degree(1024, 12.0, 1), c.r_t());
-        assert!(FastSinrModel::auto(c, &mid).grid_enabled());
-        // Small instance at the same degree: 0.18·256/12 ≈ 3.8 — off
-        // (this was the v3 bench pathology: hit rate 0.002, e2e 0.93×).
-        let small = UnitDiskGraph::new(scatter_with_degree(256, 12.0, 2), c.r_t());
-        assert!(!FastSinrModel::auto(c, &small).grid_enabled());
-        // Large but very dense (degree ~180): the protocol transmits with
-        // p ~ 1/degree, so slots stay tiny — 0.18·2048/180 ≈ 2 — off.
-        // Node count alone would have said "on".
-        let dense = UnitDiskGraph::new(scatter_with_degree(2048, 180.0, 3), c.r_t());
-        assert!(dense.mean_degree() > 100.0, "construction sanity");
-        assert!(!FastSinrModel::auto(c, &dense).grid_enabled());
-        // Plain constructor always enables the grid.
-        assert!(FastSinrModel::new(c).grid_enabled());
+    /// `k` transmitters spread over `n` nodes, shifted by `step`.
+    fn shifted(n: usize, k: usize, step: usize) -> Vec<NodeId> {
+        (0..k).map(|i| (i * n / k + step) % n).collect()
+    }
+
+    /// Resolves `slots` slots of `k` transmitters each under `model`,
+    /// checking every table against the grid-less kernel.
+    fn run_slots(model: &SinrModel, g: &UnitDiskGraph, k: usize, slots: usize) {
+        let off = grid_off(*model.config());
+        for step in 0..slots {
+            let tx = shifted(g.len(), k, step);
+            assert_eq!(model.resolve(g, &tx), off.resolve(g, &tx), "slot {step}");
+        }
     }
 
     #[test]
-    fn auto_with_grid_off_is_still_exact() {
+    fn default_builds_the_grid_after_a_window_of_dense_slots() {
         let c = cfg();
-        let g = UnitDiskGraph::new(scatter_with_degree(256, 12.0, 4), c.r_t());
-        let auto = FastSinrModel::auto(c, &g);
-        assert!(!auto.grid_enabled());
-        let naive = SinrModel::new(c);
-        let tx = spread_tx(256, 80);
-        assert_eq!(auto.resolve(&g, &tx), naive.resolve(&g, &tx));
-        let s = auto.stats();
-        assert_eq!(s.fast_path_hits, 0);
-        assert_eq!(s.cells_scanned, 0);
+        let g = UnitDiskGraph::new(scatter_with_degree(2048, 12.0, 4), c.r_t());
+        let window = GRID_SAMPLE_SLOTS as usize;
+        let model = SinrModel::new(c);
+        // A window short of its last slot: still no grid, so every
+        // candidate is decoded exactly and no delta is tracked.
+        run_slots(&model, &g, 60, window - 1);
+        let s = model.stats();
         assert!(s.exact_fallbacks > 0);
+        assert_eq!((s.fast_path_hits, s.delta_started), (0, 0));
+        // The slot that closes the window builds the grid and uses it.
+        run_slots(&model, &g, 60, 1);
+        let s = model.stats();
+        assert!(s.fast_path_hits > 0 && s.cells_scanned > 0);
+        assert_eq!(s.delta_started, 0, "built from scratch");
+        // From then on it tracks each slot's delta.
+        run_slots(&model, &g, 60, 2);
+        let s = model.stats();
+        assert!(s.delta_started > 0 && s.delta_stopped > 0);
+    }
+
+    #[test]
+    fn windows_at_or_below_the_break_even_keep_the_grid_off() {
+        let c = cfg();
+        let g = UnitDiskGraph::new(scatter_with_degree(2048, 12.0, 1), c.r_t());
+        let window = GRID_SAMPLE_SLOTS as usize;
+        let at = GRID_MIN_TX_PER_SLOT as usize;
+        // Windows averaging exactly the break-even — slots far above the
+        // small-slot cutoff — never build the grid.
+        let model = SinrModel::new(c);
+        run_slots(&model, &g, at, 3 * window);
+        let s = model.stats();
+        assert!(s.exact_fallbacks > 0);
+        assert_eq!(
+            (
+                s.fast_path_hits,
+                s.cells_scanned,
+                s.delta_started,
+                s.delta_stopped
+            ),
+            (0, 0, 0, 0)
+        );
+        // The window's mean decides, not its slots: half a window of
+        // empty slots and half of slots above twice the break-even builds
+        // it, on the window's last slot.
+        let model = SinrModel::new(c);
+        run_slots(&model, &g, 0, window / 2);
+        run_slots(&model, &g, 2 * at + 2, window / 2 - 1);
+        assert_eq!(model.stats().fast_path_hits, 0);
+        run_slots(&model, &g, 2 * at + 2, 1);
+        assert!(model.stats().fast_path_hits > 0);
+    }
+
+    #[test]
+    fn picks_again_on_each_new_graph() {
+        // One model moves from a graph whose slots build the grid to one
+        // whose slots do not and back; each bind starts without a grid
+        // and samples afresh.
+        let c = cfg();
+        let sparse = UnitDiskGraph::new(scatter_with_degree(256, 12.0, 5), c.r_t());
+        let dense = UnitDiskGraph::new(scatter_with_degree(2048, 12.0, 5), c.r_t());
+        let window = GRID_SAMPLE_SLOTS as usize;
+        let model = SinrModel::new(c);
+        run_slots(&model, &dense, 60, window);
+        let hits = model.stats().fast_path_hits;
+        assert!(hits > 0);
+        run_slots(&model, &sparse, 20, 2 * window);
+        assert_eq!(model.stats().fast_path_hits, hits);
+        run_slots(&model, &dense, 60, window - 1);
+        assert_eq!(model.stats().fast_path_hits, hits);
+        run_slots(&model, &dense, 60, 1);
+        assert!(model.stats().fast_path_hits > hits);
+    }
+
+    #[test]
+    fn forcing_the_grid_skips_the_sampling() {
+        let c = cfg();
+        let g = UnitDiskGraph::new(scatter_with_degree(256, 12.0, 6), c.r_t());
+        // Forced on: the first slot above the cutoff already runs the
+        // bounds, on slots the default would never build a grid for.
+        let on = grid_on(c);
+        run_slots(&on, &g, 20, 1);
+        assert!(on.stats().fast_path_hits > 0);
+        // Forced off: dense windows never build one.
+        let off = grid_off(c);
+        run_slots(&off, &g, 120, 2 * GRID_SAMPLE_SLOTS as usize);
+        assert_eq!(off.stats().fast_path_hits, 0);
     }
 
     #[test]
@@ -1140,8 +1252,8 @@ mod tests {
             shifted(120, 4),
             shifted(90, 4),
         ];
-        let naive = SinrModel::new(c);
-        let mut fast = FastSinrModel::new(c);
+        let naive = grid_off(c);
+        let mut fast = grid_on(c);
         fast.set_epoch_interval(4);
         for (i, tx) in slots.iter().enumerate() {
             assert_eq!(fast.resolve(&g, tx), naive.resolve(&g, tx), "slot {i}");

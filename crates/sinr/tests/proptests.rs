@@ -1,8 +1,9 @@
 //! Property-based tests for the interference models.
 //!
-//! The SINR resolvers are pinned to a test-only reference resolver
-//! (`reference/`): the naive model as plain per-slot loops, sharing no
-//! code with the exact kernel `SinrModel` and `FastSinrModel` run.
+//! The SINR model is pinned to a test-only reference resolver
+//! (`reference/`): the physical model as plain per-slot loops, sharing no
+//! code with the exact kernel `SinrModel` runs, with its grid forced on,
+//! forced off, or picked from the slots it resolves.
 
 mod reference;
 
@@ -11,10 +12,9 @@ use proptest::TestCaseResult;
 use reference::ReferenceSinrModel;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::interference::{decodes, received_power, total_received_power};
-use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::resolver::{DEFAULT_NEAR_REACH_CELLS, GRID_SAMPLE_SLOTS};
 use sinr_model::{
-    FastSinrModel, GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrConfig,
-    SinrModel, TxDelta,
+    GraphModel, IdealModel, InterferenceModel, ReceptionTable, SinrConfig, SinrModel, TxDelta,
 };
 use std::collections::BTreeSet;
 
@@ -43,7 +43,7 @@ const BETAS: [f64; 3] = [1.0, 1.5, 3.0];
 /// A placement over a range of densities with co-located duplicates and
 /// isolated nodes, and a slot sequence over it: an empty slot, a lone
 /// transmitter, the isolated nodes alone, then random transmitter sets,
-/// which routinely exceed the fast resolver's small-slot cutoff.
+/// which routinely exceed the grid's small-slot cutoff.
 fn arb_slot_sequence() -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> {
     (2.0..12.0f64)
         .prop_flat_map(|extent| {
@@ -92,20 +92,27 @@ fn arb_lattice_sequence() -> impl Strategy<Value = (usize, usize, Vec<Vec<NodeId
         })
 }
 
-/// The SINR resolvers under test: the naive model, the grid-tiled model
-/// at `reach`, and the auto model sized for `g`.
+/// The SINR models under test on `g`: the grid forced off, the grid
+/// forced on at `reach`, and the default, which picks its grid from the
+/// slots it resolves — fresh, and after a window of slots with every node
+/// transmitting (which builds the grid wherever more than
+/// `GRID_MIN_TX_PER_SLOT` nodes exist) and one empty slot.
 fn resolvers(
     cfg: SinrConfig,
     g: &UnitDiskGraph,
     reach: i64,
 ) -> Vec<(&'static str, Box<dyn InterferenceModel>)> {
+    let sampled = SinrModel::new(cfg);
+    let all: Vec<NodeId> = (0..g.len()).collect();
+    for _ in 0..GRID_SAMPLE_SLOTS {
+        sampled.resolve(g, &all);
+    }
+    sampled.resolve(g, &[]);
     vec![
-        ("SinrModel", Box::new(SinrModel::new(cfg))),
-        (
-            "FastSinrModel",
-            Box::new(FastSinrModel::with_near_reach(cfg, reach)),
-        ),
-        ("FastSinrModel::auto", Box::new(FastSinrModel::auto(cfg, g))),
+        ("grid off", Box::new(SinrModel::with_grid(cfg, None))),
+        ("grid on", Box::new(SinrModel::with_grid(cfg, Some(reach)))),
+        ("default pick", Box::new(SinrModel::new(cfg))),
+        ("default pick, sampled", Box::new(sampled)),
     ]
 }
 

@@ -1,12 +1,12 @@
 //! A reference resolver: the naive SINR model written as plain per-slot
-//! loops, kept only as a test oracle for the shipped resolvers — the way
+//! loops, kept only as a test oracle for the shipped model — the way
 //! the reference stepper in `crates/radiosim/tests/reference/` is the
 //! oracle for the slot engine.
 //!
 //! Every slot it allocates a fresh transmitter bitmap, candidate marks,
 //! candidate list and pair list, and tests adjacency by binary-searching
 //! the graph's adjacency list. It shares no code with the exact kernel
-//! that `SinrModel` and `FastSinrModel` run, so a fault in that kernel's
+//! that `SinrModel` runs, with or without its grid, so a fault in that kernel's
 //! discovery, scratch reset, interference sum or adjacency test shows up
 //! as a table that differs from this one.
 

@@ -23,7 +23,7 @@
 use sinr_coloring::mw::{run_mw_profiled, MwConfig};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, SinrConfig};
+use sinr_model::{SinrConfig, SinrModel};
 use sinr_obs::alloc::{AllocScope, AllocStats, CountingAlloc};
 use sinr_obs::Stopwatch;
 use sinr_radiosim::WakeupSchedule;
@@ -58,7 +58,7 @@ fn main() {
     let watch = Stopwatch::start();
     let (outcome, prof) = run_mw_profiled(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::new(cfg),
         &mw_cfg,
         WakeupSchedule::Synchronous,
     );

@@ -1,6 +1,6 @@
 //! The dynamic zero-allocation gate: steady-state slots of the fused
 //! sequential engine must perform **zero** heap allocations, driving the
-//! incremental grid resolver or the naive one.
+//! SINR model with its incremental grid on or off.
 //!
 //! Static guards already exist — lint L8 bans allocating constructs in
 //! `// lint:hot` items — but a lint cannot see an allocation hidden
@@ -11,15 +11,16 @@
 //! per-slot ledger must read zero.
 //!
 //! The instances have the bench workload's shape (uniform placement,
-//! expected degree 12). The grid resolver runs at n = 2048 — large enough
-//! that the grid path, the delta-resolution path, and the epoch rebuilds
-//! all run. The naive resolver runs at n = 256, which a debug build
-//! finishes in seconds.
+//! expected degree 12). The grid runs at n = 2048 — large enough that the
+//! grid path, the delta-resolution path, and the epoch rebuilds all run.
+//! The model without a grid runs at n = 256, which a debug build finishes
+//! in seconds.
 
 use sinr_coloring::mw::{run_mw_profiled, MwConfig};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::alloc::{self, CountingAlloc};
 use sinr_radiosim::WakeupSchedule;
 
@@ -29,13 +30,16 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_slots_of_the_fused_engine_do_not_allocate() {
     let cfg = SinrConfig::default_unit();
-    assert_steady_slots_allocation_free(2048, FastSinrModel::new(cfg));
+    assert_steady_slots_allocation_free(
+        2048,
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
+    );
 }
 
 #[test]
 fn steady_state_slots_of_the_naive_resolver_do_not_allocate() {
     let cfg = SinrConfig::default_unit();
-    assert_steady_slots_allocation_free(256, SinrModel::new(cfg));
+    assert_steady_slots_allocation_free(256, SinrModel::with_grid(cfg, None));
 }
 
 /// Colors an `n`-node instance completely with `model` under the

@@ -1,16 +1,17 @@
 //! Differential churn tests for the incremental resolver.
 //!
-//! `FastSinrModel` keeps a persistent transmitter index across slots and
-//! updates it from [`TxDelta`]s (or by internal diffing when driven
-//! through plain `resolve`). These tests hammer that statefulness with
+//! `SinrModel` with its grid on keeps a persistent transmitter index
+//! across slots and updates it from [`TxDelta`]s (or by internal diffing
+//! when driven through plain `resolve`). These tests hammer that statefulness with
 //! random start/stop churn — including adversarially *wrong* deltas and
 //! forced epoch rebuilds every couple of slots — and require every
-//! reception table to stay bit-identical to the stateless naive
-//! resolver.
+//! reception table to stay bit-identical to the model without a grid,
+//! which keeps no transmitter state.
 
 use proptest::prelude::*;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
-use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel, TxDelta};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel, TxDelta};
 
 /// A placement plus a sequence of per-slot transmitter sets. Consecutive
 /// sets are drawn independently, so the churn between them is maximal —
@@ -48,7 +49,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Delta-driven and plain-resolve-driven stateful resolution both
-    /// match the naive resolver on every slot of a high-churn sequence,
+    /// match the model without a grid on every slot of a high-churn sequence,
     /// with epoch rebuilds forced every other slot so sequences cross
     /// rebuild boundaries mid-run.
     #[test]
@@ -57,10 +58,10 @@ proptest! {
     ) {
         let cfg = SinrConfig::default_unit();
         let g = UnitDiskGraph::new(pts, cfg.r_t());
-        let naive = SinrModel::new(cfg);
-        let mut by_delta = FastSinrModel::new(cfg);
+        let naive = SinrModel::with_grid(cfg, None);
+        let mut by_delta = SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS));
         by_delta.set_epoch_interval(2);
-        let by_resolve = FastSinrModel::new(cfg);
+        let by_resolve = SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS));
 
         let mut prev: Vec<NodeId> = Vec::new();
         for (slot, tx) in sets.iter().enumerate() {
@@ -81,7 +82,7 @@ proptest! {
 
     /// A wrong delta may cost the resolver a rebuild, never correctness:
     /// feeding arbitrary garbage start/stop lists still yields tables
-    /// bit-identical to the naive resolver.
+    /// bit-identical to the model without a grid.
     #[test]
     fn wrong_deltas_never_change_tables(
         (pts, sets) in arb_churn_sequence(40, 10),
@@ -89,8 +90,8 @@ proptest! {
     ) {
         let cfg = SinrConfig::default_unit();
         let g = UnitDiskGraph::new(pts, cfg.r_t());
-        let naive = SinrModel::new(cfg);
-        let mut fast = FastSinrModel::new(cfg);
+        let naive = SinrModel::with_grid(cfg, None);
+        let mut fast = SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS));
         fast.set_epoch_interval(3);
 
         for (slot, tx) in sets.iter().enumerate() {

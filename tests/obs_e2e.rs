@@ -5,7 +5,8 @@
 use sinr_coloring::mw::{run_mw, run_mw_recorded, MwConfig, MwOutcome, MwProbeConfig};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, GraphModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{GraphModel, InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::json::{parse_flat_object, parse_value};
 use sinr_obs::{
     diff_documents, keys, DiffPolicy, FullRecorder, NoopRecorder, Recorder, SeriesConfig,
@@ -43,7 +44,7 @@ fn small_run_with_stride_one_probes_is_violation_free() {
     let mut rec = FullRecorder::new();
     let out = recorded_run(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         params,
         3,
         WakeupSchedule::Synchronous,
@@ -76,7 +77,7 @@ fn small_run_with_stride_one_probes_is_violation_free() {
     let load = reg.histogram(keys::SIM_CHANNEL_LOAD).expect("channel load");
     assert_eq!(load.count(), out.slots, "one channel-load sample per slot");
     assert_eq!(load.sum(), out.transmissions);
-    // The fast model exports its resolver counters too.
+    // The SINR model exports its resolver counters too.
     assert!(reg.counter(keys::RESOLVER_FAST_PATH_HITS).is_some());
 
     // Phase transitions were observed and nodes accumulated colored time.
@@ -148,14 +149,14 @@ fn recording_does_not_perturb_the_run() {
 
     let plain = run_mw(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         &config,
         WakeupSchedule::Synchronous,
     );
     let mut noop = NoopRecorder;
     let with_noop = recorded_run(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         params,
         9,
         WakeupSchedule::Synchronous,
@@ -164,7 +165,7 @@ fn recording_does_not_perturb_the_run() {
     let mut full = FullRecorder::new();
     let with_full = recorded_run(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         params,
         9,
         WakeupSchedule::Synchronous,
@@ -224,7 +225,7 @@ fn diffing_a_run_against_itself_finds_nothing() {
     let mut rec = FullRecorder::new();
     let out = recorded_run(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         params,
         2,
         WakeupSchedule::Synchronous,

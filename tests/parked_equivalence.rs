@@ -12,7 +12,7 @@
 use sinr_coloring::mw::MwNode;
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, NodeId, UnitDiskGraph};
-use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::{FullRecorder, ObsEvent, SpanRecord};
 use sinr_radiosim::{
     Action, NodeCtx, Protocol, RunOutcome, SimStats, Simulator, SlotRng, WakeupSchedule,
@@ -141,12 +141,11 @@ fn instance() -> UnitDiskGraph {
 #[test]
 fn parked_mw_matches_eager_mw_under_the_naive_resolver() {
     let cfg = SinrConfig::default_unit();
-    compare(&instance(), || SinrModel::new(cfg));
+    compare(&instance(), || SinrModel::with_grid(cfg, None));
 }
 
 #[test]
 fn parked_mw_matches_eager_mw_under_the_auto_resolver() {
     let cfg = SinrConfig::default_unit();
-    let graph = instance();
-    compare(&graph, || FastSinrModel::auto(cfg, &graph));
+    compare(&instance(), || SinrModel::new(cfg));
 }

@@ -1,15 +1,17 @@
-//! Integration: the fast grid-tiled SINR resolver is observationally
-//! identical to the naive one across a whole MW coloring run.
+//! Integration: the SINR model's grid is observationally invisible across
+//! a whole MW coloring run.
 //!
-//! `FastSinrModel` promises bit-identical `ReceptionTable`s (see the
-//! differential proptests in `crates/sinr/tests/proptests.rs`); here we pin
-//! the end-to-end consequence — same message deliveries every slot means
-//! the same protocol trajectory, slot count, and final coloring.
+//! `SinrModel` promises bit-identical `ReceptionTable`s with its grid on
+//! or off (see the differential proptests in
+//! `crates/sinr/tests/proptests.rs`); here we pin the end-to-end
+//! consequence — same message deliveries every slot means the same
+//! protocol trajectory, slot count, and final coloring.
 
 use sinr_coloring::mw::{run_mw, MwConfig, MwOutcome};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
 use sinr_radiosim::WakeupSchedule;
 
 fn run_with<M: InterferenceModel>(model: M, graph: &UnitDiskGraph, seed: u64) -> MwOutcome {
@@ -26,25 +28,44 @@ fn run_with<M: InterferenceModel>(model: M, graph: &UnitDiskGraph, seed: u64) ->
 #[test]
 fn fast_and_naive_resolvers_produce_identical_runs() {
     let cfg = SinrConfig::default_unit();
-    // Dense enough that many slots exceed the fast path's small-slot
-    // cutoff, so both the grid path and the exact fallback are exercised.
+    // Dense enough that many slots exceed the grid's small-slot cutoff,
+    // so both the grid path and the exact fallback are exercised.
     let graph = UnitDiskGraph::new(placement::uniform(120, 5.0, 5.0, 99), cfg.r_t());
     for seed in [0u64, 7] {
-        let naive = run_with(SinrModel::new(cfg), &graph, seed);
-        let fast = run_with(FastSinrModel::new(cfg), &graph, seed);
+        let naive = run_with(SinrModel::with_grid(cfg, None), &graph, seed);
+        let fast = run_with(
+            SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
+            &graph,
+            seed,
+        );
+        let default = run_with(SinrModel::new(cfg), &graph, seed);
 
-        assert_eq!(fast.all_done, naive.all_done, "seed {seed}");
-        assert_eq!(fast.slots, naive.slots, "seed {seed}: slot counts");
-        assert_eq!(fast.coloring, naive.coloring, "seed {seed}: colorings");
-        assert_eq!(fast.transmissions, naive.transmissions, "seed {seed}");
-        assert_eq!(fast.receptions, naive.receptions, "seed {seed}");
-        assert_eq!(fast.node_reports, naive.node_reports, "seed {seed}");
-
-        // The resolver counters live beside the stats (only the fast
-        // model tracks them), so the per-node statistics agree exactly.
-        assert!(fast.resolver.is_some(), "fast model reports stats");
-        assert!(naive.resolver.is_none());
-        assert_eq!(fast.stats, naive.stats, "seed {seed}: per-node stats");
+        for (name, out) in [("grid on", &fast), ("default pick", &default)] {
+            assert_eq!(out.all_done, naive.all_done, "{name}, seed {seed}");
+            assert_eq!(out.slots, naive.slots, "{name}, seed {seed}: slot counts");
+            assert_eq!(
+                out.coloring, naive.coloring,
+                "{name}, seed {seed}: colorings"
+            );
+            assert_eq!(
+                out.transmissions, naive.transmissions,
+                "{name}, seed {seed}"
+            );
+            assert_eq!(out.receptions, naive.receptions, "{name}, seed {seed}");
+            assert_eq!(out.node_reports, naive.node_reports, "{name}, seed {seed}");
+            // The resolver counters live beside the stats, so the
+            // per-node statistics agree exactly.
+            assert_eq!(
+                out.stats, naive.stats,
+                "{name}, seed {seed}: per-node stats"
+            );
+        }
+        // Every run reports resolver counters; only the grid side keeps
+        // transmitter membership.
+        assert!(fast.resolver.is_some_and(|s| s.delta_started > 0));
+        assert!(naive
+            .resolver
+            .is_some_and(|s| s.fast_path_hits == 0 && s.delta_started == 0));
     }
 }
 
@@ -52,8 +73,12 @@ fn fast_and_naive_resolvers_produce_identical_runs() {
 fn fast_resolver_reports_a_nonzero_hit_rate_on_dense_runs() {
     let cfg = SinrConfig::default_unit();
     let graph = UnitDiskGraph::new(placement::uniform(120, 5.0, 5.0, 99), cfg.r_t());
-    let out = run_with(FastSinrModel::new(cfg), &graph, 1);
-    let stats = out.resolver.expect("fast model tracks stats");
+    let out = run_with(
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
+        &graph,
+        1,
+    );
+    let stats = out.resolver.expect("the SINR model tracks stats");
     assert!(stats.fast_path_hits + stats.exact_fallbacks > 0);
     assert!(out.resolver_hit_rate().is_some());
 }

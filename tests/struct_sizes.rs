@@ -14,7 +14,7 @@
 use std::mem::size_of;
 
 use sinr_coloring::mw::{MwCold, MwMessage, MwNode, MwPhase, MwPhaseKind};
-use sinr_model::ReceptionTable;
+use sinr_model::{ReceptionTable, SinrModel};
 use sinr_radiosim::{NodeFlags, StepView};
 
 /// Committed budget for the per-node protocol state. Measured 176 bytes
@@ -33,6 +33,14 @@ const MW_COLD_BUDGET: usize = 192;
 
 /// Committed budget for the wire message — one per reception per slot.
 const MW_MESSAGE_BUDGET: usize = 24;
+
+/// Committed budget for the SINR model held by value. Measured 80 bytes
+/// (x86-64): the configuration, the grid choice and a scratch boxed on
+/// the first slot.
+/// Callers hold it inline beside much smaller models (an enum of models,
+/// a simulator generic over its model), so its working state — kernel
+/// buffers, grid, counters — stays behind the box.
+const SINR_MODEL_BUDGET: usize = 192;
 
 #[test]
 fn mw_node_stays_within_its_size_budget() {
@@ -62,6 +70,16 @@ fn mw_message_stays_within_its_size_budget() {
         size <= MW_MESSAGE_BUDGET,
         "MwMessage grew to {size} bytes (budget {MW_MESSAGE_BUDGET}); \
          messages are copied into every receiver's inbox each slot"
+    );
+}
+
+#[test]
+fn sinr_model_stays_within_its_size_budget() {
+    let size = size_of::<SinrModel>();
+    assert!(
+        size <= SINR_MODEL_BUDGET,
+        "SinrModel grew to {size} bytes (budget {SINR_MODEL_BUDGET}); keep \
+         its working state behind the boxed scratch"
     );
 }
 

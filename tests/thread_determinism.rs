@@ -6,13 +6,14 @@
 //! it — and whole runs, one per seed, are the only unit of parallel work
 //! (`sinr_pool`; see docs/PERFORMANCE.md). The tests below also pin what
 //! the fan-out relies on within one run: profiling observes a run without
-//! changing it, and the auto resolver agrees with the naive one on both
-//! sides of its grid threshold.
+//! changing it, and the SINR model's default grid pick agrees with the
+//! grid forced on and forced off on both sides of its threshold.
 
 use sinr_coloring::mw::{run_mw, run_mw_profiled, MwConfig, MwOutcome};
 use sinr_coloring::params::MwParams;
 use sinr_geometry::{placement, UnitDiskGraph};
-use sinr_model::{FastSinrModel, SinrConfig, SinrModel};
+use sinr_model::resolver::DEFAULT_NEAR_REACH_CELLS;
+use sinr_model::{SinrConfig, SinrModel};
 use sinr_obs::alloc::{self, CountingAlloc};
 use sinr_radiosim::WakeupSchedule;
 
@@ -43,13 +44,13 @@ fn profiling_does_not_perturb_outcomes() {
     let mw = MwConfig::new(params).with_seed(7).with_max_slots(250);
     let plain = run_mw(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         &mw,
         WakeupSchedule::Synchronous,
     );
     let (profiled, prof) = run_mw_profiled(
         &graph,
-        FastSinrModel::new(cfg),
+        SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
         &mw,
         WakeupSchedule::Synchronous,
     );
@@ -69,7 +70,7 @@ fn batched_seed_fanout_matches_sequential_loop() {
         let mw = MwConfig::new(params).with_seed(seed).with_max_slots(250);
         run_mw(
             &graph,
-            FastSinrModel::auto(cfg, &graph),
+            SinrModel::new(cfg),
             &mw,
             WakeupSchedule::Synchronous,
         )
@@ -87,27 +88,23 @@ fn batched_seed_fanout_matches_sequential_loop() {
 
 #[test]
 fn auto_model_matches_naive_on_both_sides_of_the_grid_threshold() {
-    // n = 40 disables the grid, n = 300 still disables it (< 512), so
-    // force the always-grid model in as the third column to pin all
-    // three resolvers to one coloring at a size where grids disagree
-    // about being worthwhile but must not disagree about tables.
+    // n = 40 and n = 300 both sit below the default model's grid
+    // threshold, so the grid forced on is the third column: all three
+    // pin one coloring at sizes where they disagree about the grid being
+    // worthwhile but must not disagree about tables.
     for (n, side, seed) in [(40usize, 3.5, 3u64), (300, 8.0, 9)] {
         let (cfg, graph, params) = instance(n, side, seed);
         let mw = MwConfig::new(params).with_seed(1).with_max_slots(250);
-        let naive = run_mw(
-            &graph,
+        let run = |model: SinrModel| run_mw(&graph, model, &mw, WakeupSchedule::Synchronous);
+        let naive = run(SinrModel::with_grid(cfg, None));
+        for model in [
             SinrModel::new(cfg),
-            &mw,
-            WakeupSchedule::Synchronous,
-        );
-        let auto = run_mw(
-            &graph,
-            FastSinrModel::auto(cfg, &graph),
-            &mw,
-            WakeupSchedule::Synchronous,
-        );
-        assert_eq!(naive.coloring, auto.coloring, "n={n}");
-        assert_eq!(naive.slots, auto.slots, "n={n}");
-        assert_eq!(naive.transmissions, auto.transmissions, "n={n}");
+            SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS)),
+        ] {
+            let other = run(model);
+            assert_eq!(naive.coloring, other.coloring, "n={n}");
+            assert_eq!(naive.slots, other.slots, "n={n}");
+            assert_eq!(naive.transmissions, other.transmissions, "n={n}");
+        }
     }
 }
