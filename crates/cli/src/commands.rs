@@ -293,11 +293,20 @@ fn thread_count(args: &Args) -> Result<usize, crate::CliError> {
 }
 
 /// The `--distance` factor of `color`, 1 when absent: a finite number at
-/// least 1.
-fn distance_factor(args: &Args) -> Result<f64, crate::CliError> {
-    finite_flag(args, "distance", 1.0, "a finite number at least 1", |d| {
+/// least 1 whose power scaling `d^α` keeps `cfg`'s power and radius
+/// finite, as [`SinrConfig::new`] requires of a user's configuration.
+fn distance_factor(args: &Args, cfg: &SinrConfig) -> Result<f64, crate::CliError> {
+    let d = finite_flag(args, "distance", 1.0, "a finite number at least 1", |d| {
         d >= 1.0
-    })
+    })?;
+    let scaled = cfg.scaled_range(d);
+    if scaled.power().is_finite() && scaled.r_t().is_finite() {
+        Ok(d)
+    } else {
+        Err(err(format!(
+            "--distance {d:e}: the scaled power d^alpha is not finite; use a smaller distance"
+        )))
+    }
 }
 
 /// The `--obs`-derived run mode shared by `color` and `report`.
@@ -367,12 +376,12 @@ fn color_seeds(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResu
             "--obs is not supported with --seeds; observe one seed at a time",
         ));
     }
-    if (distance_factor(args)? - 1.0).abs() > 1e-12 {
+    let cfg = physical_config(args)?;
+    if (distance_factor(args, &cfg)? - 1.0).abs() > 1e-12 {
         return Err(err("--distance > 1 is not supported with --seeds"));
     }
     let model = Model::parse(args)?;
 
-    let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let graph = UnitDiskGraph::new(pts.clone(), cfg.r_t());
     let params = MwParams::practical(&cfg, graph.len(), graph.max_degree());
@@ -440,7 +449,7 @@ pub fn color(args: &Args, out: &mut dyn Write, log: &mut dyn Write) -> CliResult
     let cfg = physical_config(args)?;
     let pts = read_positions(args)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let distance = distance_factor(args)?;
+    let distance = distance_factor(args, &cfg)?;
     let model = Model::parse(args)?;
     let spec = match args.get("obs") {
         Some(s) => Some(ObsSpec::parse(s)?),
@@ -1373,6 +1382,17 @@ mod tests {
             let (r, _, _) = run(&["color", "--input", f.path(), "--distance", bad]);
             let msg = format!("{}", r.unwrap_err());
             assert!(msg.contains("--distance"), "--distance {bad}: {msg}");
+        }
+        // Finite factors whose d^alpha power scaling overflows to +inf.
+        for bad in [
+            &["--distance", "1e100"][..],
+            &["--alpha", "100", "--distance", "1e4"],
+        ] {
+            let mut argv = vec!["color", "--input", f.path()];
+            argv.extend_from_slice(bad);
+            let (r, _, _) = run(&argv);
+            let msg = format!("{}", r.unwrap_err());
+            assert!(msg.contains("--distance"), "{bad:?}: {msg}");
         }
     }
 

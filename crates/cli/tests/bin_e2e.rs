@@ -187,6 +187,43 @@ fn diff_gates_on_findings_and_rejects_bad_policy() {
 }
 
 #[test]
+fn diff_rejects_deeply_nested_documents_without_overflowing_the_stack() {
+    let fine = tmp("deep-fine.json", "{\"kind\":\"metrics\"}");
+    let arrays = tmp(
+        "deep-arrays.json",
+        &format!("{}{}", "[".repeat(60_000), "]".repeat(60_000)),
+    );
+    let objects = tmp(
+        "deep-objects.json",
+        &format!("{}1{}", "{\"a\":".repeat(60_000), "}".repeat(60_000)),
+    );
+    let (fine_s, arrays_s, objects_s) = (
+        fine.to_str().unwrap(),
+        arrays.to_str().unwrap(),
+        objects.to_str().unwrap(),
+    );
+    for (base, cur) in [(arrays_s, fine_s), (fine_s, objects_s)] {
+        let out = sinrcolor(&["diff", "--baseline", base, "--current", cur]);
+        assert_eq!(out.status.code(), Some(1), "{base} vs {cur}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("not valid JSON"));
+    }
+    let out = sinrcolor(&[
+        "diff",
+        "--baseline",
+        fine_s,
+        "--current",
+        fine_s,
+        "--policy",
+        objects_s,
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad diff policy"));
+    for f in [fine, arrays, objects] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
 fn positional_argument_after_command_is_rejected() {
     let out = sinrcolor(&["color", "stray"]);
     assert_eq!(out.status.code(), Some(2));

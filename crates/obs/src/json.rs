@@ -96,6 +96,7 @@ pub fn parse_flat_object(s: &str) -> Option<Vec<(String, JsonValue)>> {
     let mut p = Parser {
         bytes: s.trim().as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let fields = p.object()?;
     p.skip_ws();
@@ -172,12 +173,20 @@ impl Json {
     }
 }
 
-/// Parses one complete JSON document (nested objects and arrays allowed).
-/// Returns `None` on any syntax error or trailing garbage.
+/// How deeply [`parse_value`] lets arrays and objects nest. The parser,
+/// and dropping or diffing the tree it returns, recurse once per level,
+/// so the cap bounds their stack; the repository's own documents nest
+/// fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document (nested objects and arrays allowed,
+/// at most 128 levels deep). Returns `None` on any syntax error, deeper
+/// nesting or trailing garbage.
 pub fn parse_value(s: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: s.trim().as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.json_value()?;
     p.skip_ws();
@@ -187,6 +196,8 @@ pub fn parse_value(s: &str) -> Option<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,6 +252,20 @@ impl<'a> Parser<'a> {
     fn json_value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.peek()? {
+            b'{' | b'[' if self.depth < MAX_DEPTH => {
+                self.depth += 1;
+                let v = self.nested();
+                self.depth -= 1;
+                v
+            }
+            b'{' | b'[' => None,
+            _ => self.value().map(Json::Scalar),
+        }
+    }
+
+    /// The array or object at the cursor.
+    fn nested(&mut self) -> Option<Json> {
+        match self.peek()? {
             b'{' => {
                 self.eat(b'{')?;
                 let mut fields = Vec::new();
@@ -281,7 +306,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            _ => self.value().map(Json::Scalar),
+            _ => None,
         }
     }
 
@@ -472,6 +497,28 @@ mod tests {
             parse_value("[[]]"),
             Some(Json::Arr(vec![Json::Arr(vec![])]))
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_so_deep_documents_are_rejected_not_overflowed() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        // 100 000 levels would overflow the stack of a recursive parser.
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert_eq!(parse_value(&nest(100_000, open, close)), None, "{open}");
+            assert_eq!(
+                parse_value(&nest(MAX_DEPTH + 1, open, close)),
+                None,
+                "{open}"
+            );
+            assert!(
+                parse_value(&nest(MAX_DEPTH, open, close)).is_some(),
+                "{open}"
+            );
+        }
+        // Unclosed nesting past the cap is rejected at the cap too.
+        assert_eq!(parse_value(&"[".repeat(100_000)), None);
     }
 
     #[test]

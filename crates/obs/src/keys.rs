@@ -5,7 +5,8 @@
 //! [`Recorder`](crate::Recorder) uses these constants rather than string
 //! literals so the full vocabulary is auditable in one place:
 //!
-//! * `sim.*` — engine-level totals (slots, transmissions, channel load).
+//! * `sim.*` — engine-level totals (slots, transmissions, channel load),
+//!   and `sim.work.*`, the engine's deterministic work ledger.
 //! * `resolver.*` — fast-path counters of the grid-tiled SINR resolver.
 //! * `mw.*` — MW coloring automaton aggregates (phase residency,
 //!   transitions, levels).
@@ -27,6 +28,24 @@ pub const SIM_RECEPTIONS: &str = "sim.receptions";
 pub const SIM_DONE_NODES: &str = "sim.done_nodes";
 /// Histogram of concurrent transmitters per slot.
 pub const SIM_CHANNEL_LOAD: &str = "sim.channel_load";
+
+/// Engine work ledger: nodes the slot passes visited (set bits the
+/// action and delivery passes walked, plus due-calendar entries examined).
+pub const SIM_WORK_VISITS: &str = "sim.work.visits";
+/// Engine work ledger: `Protocol::begin_slot` calls.
+pub const SIM_WORK_BEGIN_SLOTS: &str = "sim.work.begin_slots";
+/// Engine work ledger: `Protocol::end_slot` calls.
+pub const SIM_WORK_END_SLOTS: &str = "sim.work.end_slots";
+/// Engine work ledger: nodes parked on a quiet promise.
+pub const SIM_WORK_PARKS: &str = "sim.work.parks";
+/// Engine work ledger: coins parked nodes drew ahead.
+pub const SIM_WORK_COINS_AHEAD: &str = "sim.work.coins_ahead";
+/// Engine work ledger: coins replayed on a real generator when a parked
+/// node caught up before its drawn-ahead slot.
+pub const SIM_WORK_COINS_REPLAYED: &str = "sim.work.coins_replayed";
+/// Engine work ledger: receptions that left their receiver parked (it
+/// heeded none of its slot's receptions).
+pub const SIM_WORK_RX_LEFT_PARKED: &str = "sim.work.rx_left_parked";
 
 /// Resolver slots fully served by certified grid bounds.
 pub const RESOLVER_FAST_PATH_HITS: &str = "resolver.fast_path_hits";

@@ -23,8 +23,8 @@ use sinr_rng::SeedableRng;
 pub struct NodeFlags(u8);
 
 impl NodeFlags {
-    /// The node's wake slot has passed (mirror of `wake[v] <= slot`,
-    /// set once by the wake cursor).
+    /// The node's wake slot has passed (set once, when the due calendar
+    /// releases the node at its wake slot).
     const AWAKE: u8 = 1;
     /// Cached `Protocol::is_active()`, refreshed after every protocol
     /// callback (the only place protocol state can change).
@@ -101,23 +101,6 @@ impl NodeFlags {
             self.remove(Self::ACTIVE);
         }
     }
-
-    /// SWAR test over eight packed flag bytes at once: a nonzero lane
-    /// marks a node the delivery pass must visit even with an empty
-    /// inbox — a pending JUST_DONE, an awake active node that ran
-    /// `begin_slot` this slot (it is not parked), or an awake inactive
-    /// node still owed the done poll. Sleeping nodes, parked nodes and
-    /// the silent done tail produce zero lanes, so a zero word lets the
-    /// pass hop eight nodes on a single load.
-    fn needs_visit_word(w: u64) -> u64 {
-        const LANES: u64 = 0x0101_0101_0101_0101;
-        let aw = w & LANES;
-        let ac = (w >> 1) & LANES;
-        let dn = (w >> 2) & LANES;
-        let pk = (w >> 5) & LANES;
-        let jd = (w >> 6) & LANES;
-        jd | (aw & ac & (pk ^ LANES)) | (aw & (ac ^ LANES) & (dn ^ LANES))
-    }
 }
 
 /// How many coins a parked node draws ahead at most: a node whose coin
@@ -128,21 +111,142 @@ const DRAW_AHEAD: u64 = 4096;
 /// The first slot in `next..end`, at most [`DRAW_AHEAD`] of them, whose
 /// `chance(coin)` succeeds on a copy of `rng`, where `rng` is positioned
 /// at slot `next`'s draw; else the first slot not drawn. Every slot
-/// before the returned one draws one failing coin. A coin `≤ 0` draws
-/// nothing and never succeeds, so every slot is known to fail.
+/// before the returned one draws one failing coin. Leaves `at` positioned
+/// at the returned slot's draw, before its coin, and returns the slot
+/// with the number of coins drawn. A coin `≤ 0` draws nothing and never
+/// succeeds, so every slot is known to fail: the slot is `u64::MAX` and
+/// `at` is left alone.
 // lint:hot — per-park loop, runs once per parked interval
-fn draw_ahead(rng: &StdRng, coin: f64, next: u64, end: u64) -> u64 {
+fn draw_ahead(rng: &StdRng, at: &mut StdRng, coin: f64, next: u64, end: u64) -> (u64, u64) {
     if coin <= 0.0 {
-        return u64::MAX;
+        return (u64::MAX, 0);
     }
     let mut copy = rng.clone();
-    let mut ahead = RandSlotRng(&mut copy);
     let stop = end.min(next.saturating_add(DRAW_AHEAD));
     let mut t = next;
-    while t < stop && !ahead.chance(coin) {
+    while t < stop {
+        let before = copy.clone();
+        if RandSlotRng(&mut copy).chance(coin) {
+            *at = before;
+            return (t, t - next + 1);
+        }
         t += 1;
     }
-    t
+    *at = copy;
+    (t, t - next)
+}
+
+/// Buckets of the due calendar's timer wheel: a node due at slot `s`
+/// waits in bucket `s % WHEEL`. At least [`DRAW_AHEAD`], so a node
+/// parked on a coin that can succeed is examined at most twice before
+/// it is due; an entry due in a later turn of the wheel stays in its
+/// bucket and is examined once per turn.
+const WHEEL: u64 = 4096;
+
+/// The empty link: an unlinked node, or an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// A node id as a calendar link. [`Simulator::new`] refuses graphs with
+/// `NIL` nodes or more, so every id converts.
+fn link_of(v: NodeId) -> u32 {
+    u32::try_from(v).unwrap_or(NIL)
+}
+
+/// The due calendar: a timer wheel of [`WHEEL`] buckets keyed by due
+/// slot, each bucket a circular doubly linked list threaded through
+/// intrusive per-node links, so linking and unlinking a node cost O(1)
+/// and a slot examines only its own bucket. Sleeping nodes wait in it at
+/// their wake slot and parked nodes at their due slot; a node parked
+/// with no due slot (`u64::MAX`) is never linked.
+///
+/// New entries go to the tail of their bucket and releasing a bucket
+/// keeps the order of the entries it leaves, so the sleeping nodes of a
+/// bucket, all linked in ascending id order at construction, stay in
+/// ascending id order.
+struct Calendar {
+    /// Each bucket's first entry, or `NIL`.
+    heads: Vec<u32>,
+    /// Each node's successor and predecessor in its bucket (`NIL` while
+    /// unlinked; a lone entry links to itself).
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Calendar {
+    fn new(n: usize) -> Self {
+        Calendar {
+            heads: vec![NIL; WHEEL as usize],
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+        }
+    }
+
+    fn bucket(slot: u64) -> usize {
+        (slot % WHEEL) as usize
+    }
+
+    /// Appends node `v` to the tail of the bucket of `due`.
+    fn link(&mut self, v: NodeId, due: u64) {
+        debug_assert_eq!(self.next[v], NIL, "node {v} is linked twice");
+        let b = Self::bucket(due);
+        let vl = link_of(v);
+        let h = self.heads[b];
+        if h == NIL {
+            self.heads[b] = vl;
+            self.next[v] = vl;
+            self.prev[v] = vl;
+        } else {
+            let t = self.prev[h as usize];
+            self.next[t as usize] = vl;
+            self.prev[v] = t;
+            self.next[v] = h;
+            self.prev[h as usize] = vl;
+        }
+    }
+
+    /// Removes node `v` from the bucket of `due`, where it is linked.
+    fn unlink(&mut self, v: NodeId, due: u64) {
+        debug_assert_ne!(self.next[v], NIL, "node {v} is not linked");
+        let b = Self::bucket(due);
+        let vl = link_of(v);
+        let nx = self.next[v];
+        if nx == vl {
+            self.heads[b] = NIL;
+        } else {
+            let p = self.prev[v];
+            self.next[p as usize] = nx;
+            self.prev[nx as usize] = p;
+            if self.heads[b] == vl {
+                self.heads[b] = nx;
+            }
+        }
+        self.next[v] = NIL;
+        self.prev[v] = NIL;
+    }
+}
+
+/// Sets node `v`'s bit in a node bitset.
+fn set_bit(bits: &mut [u64], v: NodeId) {
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+/// The engine's work ledger: deterministic counts of what its passes
+/// did, exported as `sim.work.*` by [`Simulator::export_metrics`]. Unlike
+/// [`SimStats`], which any correct engine reproduces, these describe how
+/// much this engine did to get there.
+#[derive(Default)]
+struct WorkLedger {
+    /// Set bits walked by the action and delivery passes, plus calendar
+    /// entries examined.
+    visits: u64,
+    begin_slots: u64,
+    end_slots: u64,
+    parks: u64,
+    coins_ahead: u64,
+    coins_replayed: u64,
+    /// Receptions counted and emitted at a parked receiver that heeded
+    /// none of them and so stayed parked.
+    rx_left_parked: u64,
 }
 
 /// Everything that happened in one simulated slot.
@@ -277,10 +381,14 @@ pub struct RunOutcome {
 /// seed and its id, so protocol behaviour does not depend on the engine's
 /// iteration order.
 ///
-/// Every slot runs the same two sequential passes over the nodes in
-/// ascending id order — actions, then delivery — whether or not a
-/// [`Recorder`] is attached. A recorder only receives the events and
-/// spans those passes emit; with [`NoopRecorder`] the emission compiles
+/// Every slot runs the same steps whether or not a [`Recorder`] is
+/// attached: the due calendar releases the nodes that wake or are due,
+/// then two sequential passes in ascending id order — actions, then
+/// delivery — each over a bitset of the nodes it must visit. A slot's
+/// node work follows its events, not n; what is left of n is one load
+/// per 64 nodes in each pass's bitset scan, so a slot costs
+/// O(events + n/64). A recorder only receives the events and
+/// spans those steps emit; with [`NoopRecorder`] the emission compiles
 /// away. Both passes skip a node parked on a [`Protocol::quiet`] promise
 /// until its due slot or a reception it heeds (see the [`Protocol`]
 /// docs); every public entry point catches parked nodes up before it
@@ -289,9 +397,9 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     graph: UnitDiskGraph,
     model: M,
     nodes: Vec<P>,
-    wake: Vec<u64>,
     rngs: Vec<StdRng>,
     slot: u64,
+    // Also the engine's one copy of the wake slots (`stats.wake_slot`).
     stats: SimStats,
     // The SoA status column: awake/active/done/tx/prev-tx, one byte per
     // node (see [`NodeFlags`]). Replaces three `Vec<bool>`s and the hot
@@ -299,14 +407,29 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     flags: Vec<NodeFlags>,
     done_count: usize,
     // Park state, read only while the node's PARKED bit is set: the slot
-    // it must next run (`due`), the first slot not yet applied to it
-    // (`sync`; its generator sits at that slot's draw), the coin it was
-    // parked with, and the first slot whose drawn-ahead coin is not known
-    // to fail (`ahead`, reused when a heeded reception wakes it early).
+    // it must next run (`due`; a sleeping node's wake slot until it
+    // wakes), the first slot not yet applied to it (`sync`; its
+    // generator sits at that slot's draw), the coin it was parked with,
+    // the first slot whose drawn-ahead coin is not known to fail
+    // (`ahead`, reused when a heeded reception wakes it early), and the
+    // generator the draw-ahead left at `ahead`'s draw (`ahead_rng`,
+    // restored by a catch-up at `ahead` in place of replaying the coins).
     due: Vec<u64>,
     sync: Vec<u64>,
     coin: Vec<f64>,
     ahead: Vec<u64>,
+    ahead_rng: Vec<StdRng>,
+    // Sleeping nodes at their wake slot and parked nodes at their due
+    // slot, so a slot finds the nodes it releases without a sweep.
+    calendar: Calendar,
+    // Node bitsets, one bit per node: the nodes the next action pass
+    // runs (left runnable and unparked by delivery, or released by the
+    // calendar), and the nodes this slot's delivery pass visits (woken,
+    // ran `begin_slot`, named by the reception table, or done at
+    // construction). Each pass zeroes the words it walks.
+    act: Vec<u64>,
+    visit: Vec<u64>,
+    work: WorkLedger,
     // Dense per-slot buffers, reused across slots so the steady-state hot
     // loop performs no allocation (previously a fresh HashMap + Vecs per
     // slot).
@@ -319,10 +442,6 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     prev_tx_ids: Vec<NodeId>,
     started: Vec<NodeId>,
     stopped: Vec<NodeId>,
-    // Node ids sorted by (wake slot, id): a cursor over this list replaces
-    // the per-slot O(n) wake scan.
-    wake_order: Vec<NodeId>,
-    wake_cursor: usize,
     // Previous slot's resolver-stats snapshot, kept only while a recorder
     // is enabled: per-slot diffing of the cumulative counters yields the
     // resolver-internal spans (delta apply, rebuilds, fallbacks) without
@@ -344,6 +463,11 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
 impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// Creates a simulator; `make_node(id)` constructs the protocol
     /// instance for each node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has `u32::MAX` nodes or more: the due
+    /// calendar links nodes by 32-bit id.
     pub fn new(
         graph: UnitDiskGraph,
         model: M,
@@ -352,42 +476,58 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         mut make_node: impl FnMut(NodeId) -> P,
     ) -> Self {
         let n = graph.len();
+        assert!(
+            u32::try_from(n).is_ok_and(|n| n < NIL),
+            "the due calendar links at most u32::MAX - 1 nodes"
+        );
         let max_degree = graph.max_degree();
         let wake = schedule.wake_slots(n, seed);
         let nodes: Vec<P> = (0..n).map(&mut make_node).collect();
-        let rngs = (0..n)
+        let rngs: Vec<StdRng> = (0..n)
             .map(|v| StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ v as u64))
             .collect();
-        let stats = SimStats::new(wake.clone());
-        let mut wake_order: Vec<NodeId> = (0..n).collect();
-        wake_order.sort_by_key(|&v| wake[v]); // stable: ascending id per slot
+        let words = n.div_ceil(64);
+        let mut visit = vec![0; words];
         let flags = nodes
             .iter()
-            .map(|nd| {
+            .enumerate()
+            .map(|(v, nd)| {
                 let mut f = NodeFlags::default();
                 f.set_active(nd.is_active());
                 // A node done before the run starts, asleep or awake, is
                 // accounted in slot 0 with the nodes that decide there.
                 if nd.is_done() {
                     f.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                    set_bit(&mut visit, v);
                 }
                 f
             })
             .collect();
+        // Every node sleeps in the calendar until its wake slot, linked
+        // in ascending id order so each slot wakes its nodes in that order.
+        let mut calendar = Calendar::new(n);
+        for (v, &w) in wake.iter().enumerate() {
+            calendar.link(v, w);
+        }
+        let stats = SimStats::new(wake);
         Simulator {
             graph,
             model,
             nodes,
-            wake,
+            ahead_rng: rngs.clone(),
             rngs,
             slot: 0,
+            due: stats.wake_slot.clone(),
             stats,
             flags,
             done_count: 0,
-            due: vec![0; n],
             sync: vec![0; n],
             coin: vec![0.0; n],
             ahead: vec![0; n],
+            calendar,
+            act: vec![0; words],
+            visit,
+            work: WorkLedger::default(),
             // Hot-loop buffers are preallocated to their hard bounds (n
             // transmitters, max-degree receptions per inbox) so the
             // warmed-up slot loop never grows them.
@@ -397,8 +537,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             prev_tx_ids: Vec::with_capacity(n),
             started: Vec::with_capacity(n),
             stopped: Vec::with_capacity(n),
-            wake_order,
-            wake_cursor: 0,
             prev_resolver: None,
             // Under SINR thresholds β ≥ 1 each node decodes at most one
             // sender per slot, so n pairs bounds the recycled table on
@@ -479,7 +617,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         NodeCtx {
             id: v,
             global_slot: self.slot,
-            local_slot: self.slot - self.wake[v],
+            local_slot: self.slot - self.stats.wake_slot[v],
         }
     }
 
@@ -509,7 +647,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// `enabled()` test to `false` and every emission site away; a
     /// `dyn Recorder` pays one virtual `enabled()` call per slot.
     fn step_impl<R: Recorder + ?Sized>(&mut self, rec: &mut R) {
-        let n = self.graph.len();
         let slot = self.slot;
         let obs = rec.enabled();
 
@@ -519,26 +656,9 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         let mut prof = self.alloc_profile.take();
         let prof_start = prof.as_ref().map(|_| alloc::snapshot());
 
-        // 1. Wake-ups. A cursor over the wake-sorted id list visits each
-        // node exactly once over the whole run instead of scanning all n
-        // ids every slot; ids waking in the same slot are visited in
-        // ascending order (the sort is stable over an ascending list).
-        while self.wake_cursor < n {
-            let v = self.wake_order[self.wake_cursor];
-            if self.wake[v] > slot {
-                break;
-            }
-            debug_assert_eq!(self.wake[v], slot, "slots advance one at a time");
-            self.wake_cursor += 1;
-            let ctx = self.ctx(v);
-            self.nodes[v].on_wake(&ctx);
-            self.flags[v].insert(NodeFlags::AWAKE);
-            let active = self.nodes[v].is_active();
-            self.flags[v].set_active(active);
-            if obs {
-                rec.event(slot, &ObsEvent::Wake { node: v });
-            }
-        }
+        // 1. The calendar wakes this slot's sleeping nodes and releases
+        // the parked nodes due now into the action set.
+        self.release_due(slot, obs, rec);
 
         // 2. Actions, recorded into the dense reused buffers along with
         // the `started` half of the resolver delta.
@@ -598,7 +718,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         let rx_before = self.stats.receptions;
 
         // 4 + 5. Delivery, end-of-slot processing, and termination
-        // bookkeeping for every awake node.
+        // bookkeeping for every node in the visit set.
         let mut newly_done = std::mem::take(&mut self.newly_done);
         newly_done.clear();
         self.phase_delivery_fused(slot, &table, &mut newly_done, obs, rec);
@@ -713,70 +833,125 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         self.prev_resolver = Some(cur);
     }
 
-    /// Slot phases 2 + 3a: one sequential pass decides every awake active
-    /// node's action, maintains the transmit buffers and the `started`
-    /// delta, accounts tx/listen activity, and emits the Transmit events
-    /// in ascending node order. The awake∧active gate is one byte load
-    /// from the [`NodeFlags`] column per node; the ACTIVE bits are
-    /// refreshed after every callback so the column stays exact. A parked
-    /// node costs one due-slot load until its due slot, where it catches
-    /// up and runs: its coin succeeds there, or its promise or the
-    /// draw-ahead horizon ends.
-    // lint:hot — per-node action loop, runs every slot for every node
+    /// Slot phase 1: empties the calendar bucket of `slot` and releases
+    /// its entries due now. A sleeping node wakes: `on_wake` runs, the
+    /// Wake event is emitted, it joins the visit set and, if active, the
+    /// action set. A parked node joins the action set, which catches it
+    /// up and runs it. Entries due in a later turn of the wheel go back
+    /// to the bucket in their order, so the sleeping nodes of a bucket
+    /// stay in ascending id order and wake in it.
+    // lint:hot — calendar release loop, runs every slot over one bucket
+    fn release_due<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
+        let b = Calendar::bucket(slot);
+        let head = std::mem::replace(&mut self.calendar.heads[b], NIL);
+        if head == NIL {
+            return;
+        }
+        let mut e = head;
+        loop {
+            let v = e as usize;
+            // Read before `v` is released or relinked; the entries not yet
+            // walked keep their links until their turn.
+            let nx = self.calendar.next[v];
+            self.calendar.next[v] = NIL;
+            self.calendar.prev[v] = NIL;
+            self.work.visits += 1;
+            if self.due[v] != slot {
+                debug_assert!(self.due[v] > slot, "node {v} was not released when due");
+                self.calendar.link(v, self.due[v]);
+            } else if self.flags[v].parked() {
+                set_bit(&mut self.act, v);
+            } else {
+                let ctx = self.ctx(v);
+                self.nodes[v].on_wake(&ctx);
+                let active = self.nodes[v].is_active();
+                self.flags[v].insert(NodeFlags::AWAKE);
+                self.flags[v].set_active(active);
+                set_bit(&mut self.visit, v);
+                if active {
+                    set_bit(&mut self.act, v);
+                }
+                if obs {
+                    rec.event(slot, &ObsEvent::Wake { node: v });
+                }
+            }
+            if nx == head {
+                break;
+            }
+            e = nx;
+        }
+    }
+
+    /// Slot phases 2 + 3a: one sequential pass over the action set, in
+    /// ascending id order, decides each node's action, maintains the
+    /// transmit buffers and the `started` delta, accounts tx/listen
+    /// activity, and emits the Transmit events. Every node in the set is
+    /// awake and active; the ACTIVE bits are refreshed after every
+    /// callback so the column stays exact. A parked node is in the set
+    /// only at its due slot, where it catches up and runs: its coin
+    /// succeeds there, or its promise or the draw-ahead horizon ends.
+    /// Every node that runs joins the visit set, so delivery gives it
+    /// its `end_slot` or polls its done-ness.
+    // lint:hot — per-node action loop, runs every slot over the action set
     fn phase_actions_fused<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
-        let n = self.graph.len();
         self.tx_ids.clear();
         self.started.clear();
-        for v in 0..n {
-            let f = self.flags[v];
-            if !f.runnable() {
-                continue;
-            }
-            if f.parked() {
-                if self.due[v] > slot {
-                    continue;
+        for w in 0..self.act.len() {
+            let mut bits = std::mem::take(&mut self.act[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.work.visits += 1;
+                let f = self.flags[v];
+                debug_assert!(f.runnable(), "node {v} in the action set cannot run");
+                if f.parked() {
+                    debug_assert_eq!(self.due[v], slot, "node {v} released before it was due");
+                    self.catch_up(v, slot);
+                    self.flags[v].remove(NodeFlags::PARKED);
                 }
-                self.catch_up(v, slot);
-                self.flags[v].remove(NodeFlags::PARKED);
-            }
-            let ctx = NodeCtx {
-                id: v,
-                global_slot: slot,
-                local_slot: slot - self.wake[v],
-            };
-            let mut rng = RandSlotRng(&mut self.rngs[v]);
-            let listened = match self.nodes[v].begin_slot(&ctx, &mut rng) {
-                Action::Transmit(msg) => {
-                    self.tx_ids.push(v);
-                    self.flags[v].insert(NodeFlags::TX);
-                    self.tx_msg[v] = Some(msg);
-                    if !f.prev_tx() {
-                        self.started.push(v);
+                set_bit(&mut self.visit, v);
+                let ctx = NodeCtx {
+                    id: v,
+                    global_slot: slot,
+                    local_slot: slot - self.stats.wake_slot[v],
+                };
+                let mut rng = RandSlotRng(&mut self.rngs[v]);
+                self.work.begin_slots += 1;
+                let listened = match self.nodes[v].begin_slot(&ctx, &mut rng) {
+                    Action::Transmit(msg) => {
+                        self.tx_ids.push(v);
+                        self.flags[v].insert(NodeFlags::TX);
+                        self.tx_msg[v] = Some(msg);
+                        if !f.prev_tx() {
+                            self.started.push(v);
+                        }
+                        self.stats.tx_slots[v] += 1;
+                        if obs {
+                            rec.event(slot, &ObsEvent::Transmit { node: v });
+                        }
+                        false
                     }
-                    self.stats.tx_slots[v] += 1;
-                    if obs {
-                        rec.event(slot, &ObsEvent::Transmit { node: v });
-                    }
-                    false
+                    Action::Listen => true,
+                };
+                // Activity is re-checked after begin_slot so a node that
+                // deactivates inside the callback is not billed a listen
+                // slot. Done transitions inside begin_slot are caught by
+                // the delivery pass, which visits every node that ran here.
+                let active = self.nodes[v].is_active();
+                if listened && active {
+                    self.stats.listen_slots[v] += 1;
                 }
-                Action::Listen => true,
-            };
-            // Activity is re-checked after begin_slot so a node that
-            // deactivates inside the callback is not billed a listen
-            // slot. Done transitions inside begin_slot are caught by the
-            // delivery pass, which visits every node that ran here.
-            let active = self.nodes[v].is_active();
-            if listened && active {
-                self.stats.listen_slots[v] += 1;
+                self.flags[v].set_active(active);
             }
-            self.flags[v].set_active(active);
         }
     }
 
     /// Applies the quiet slots `sync[v]..slot` that parked node `v`
-    /// skipped: replays their coins on its real generator with the coin
-    /// it was parked with (each failed when drawn ahead), lets the
-    /// protocol skip them, and bills them as listen slots. Leaves the
+    /// skipped: lets the protocol skip them, bills them as listen slots,
+    /// and brings its generator to `slot`'s draw. At `ahead[v]` that is
+    /// the generator the draw-ahead left there, which is restored; before
+    /// it, the coins are replayed on the real generator with the coin the
+    /// node was parked with (each failed when drawn ahead). Leaves the
     /// PARKED bit alone.
     // lint:hot — catch-up loop, runs once per parked interval
     fn catch_up(&mut self, v: NodeId, slot: u64) {
@@ -785,10 +960,17 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             return;
         }
         let coin = self.coin[v];
-        let mut rng = RandSlotRng(&mut self.rngs[v]);
-        for _ in 0..k {
-            let hit = rng.chance(coin);
-            debug_assert!(!hit, "node {v}: a coin drawn ahead as a failure succeeded");
+        if slot == self.ahead[v] {
+            // The restored copy is spent: a node parks again only through
+            // a fresh draw-ahead, which rewrites it.
+            std::mem::swap(&mut self.rngs[v], &mut self.ahead_rng[v]);
+        } else if coin > 0.0 {
+            let mut rng = RandSlotRng(&mut self.rngs[v]);
+            for _ in 0..k {
+                let hit = rng.chance(coin);
+                debug_assert!(!hit, "node {v}: a coin drawn ahead as a failure succeeded");
+            }
+            self.work.coins_replayed += k;
         }
         self.nodes[v].skip_quiet(k);
         self.stats.listen_slots[v] += k;
@@ -799,10 +981,11 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// one quiet slot, and returns whether it did. Its coins are drawn
     /// ahead on a copy of its generator, and its due slot is the first
     /// success, the end of the promise or the draw-ahead horizon,
-    /// whichever comes first. `woken` marks a visit forced by a heeded
-    /// reception while parked: that slot was quiet, so each slot since
-    /// the last draw-ahead drew exactly one coin, and with the same coin
-    /// that draw still holds from here to its first success.
+    /// whichever comes first; the calendar holds it there. `woken` marks
+    /// a visit forced by a heeded reception while parked: that slot was
+    /// quiet, so each slot since the last draw-ahead drew exactly one
+    /// coin, and with the same coin that draw — its `ahead` and the
+    /// generator kept there — still holds from here to its first success.
     fn park(&mut self, v: NodeId, slot: u64, woken: bool) -> bool {
         let Some(quiet) = self.nodes[v].quiet() else {
             return false;
@@ -813,7 +996,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             debug_assert!(self.ahead[v] > slot, "a woken node was due later");
             self.ahead[v]
         } else {
-            draw_ahead(&self.rngs[v], quiet.coin, next, end)
+            let (ahead, drawn) =
+                draw_ahead(&self.rngs[v], &mut self.ahead_rng[v], quiet.coin, next, end);
+            self.work.coins_ahead += drawn;
+            ahead
         };
         let due = ahead.min(end);
         if due <= next {
@@ -823,16 +1009,24 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         self.sync[v] = next;
         self.coin[v] = quiet.coin;
         self.ahead[v] = ahead;
+        if due != u64::MAX {
+            self.calendar.link(v, due);
+        }
+        self.work.parks += 1;
         true
     }
 
     /// Runs this slot's `begin_slot` for a parked node a heeded reception
-    /// woke, after catching it up through the previous slot. The slot is
-    /// quiet and its coin was drawn ahead as a failure, so the node
-    /// listens.
+    /// woke, after taking it out of the calendar and catching it up
+    /// through the previous slot. The slot is quiet and its coin was
+    /// drawn ahead as a failure, so the node listens.
     fn wake_parked(&mut self, v: NodeId, ctx: &NodeCtx) {
+        if self.due[v] != u64::MAX {
+            self.calendar.unlink(v, self.due[v]);
+        }
         self.catch_up(v, ctx.global_slot);
         let mut rng = RandSlotRng(&mut self.rngs[v]);
+        self.work.begin_slots += 1;
         let action = self.nodes[v].begin_slot(ctx, &mut rng);
         debug_assert!(
             !action.is_transmit(),
@@ -858,20 +1052,24 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         }
     }
 
-    /// Slot phases 4 + 5: one ascending-id pass merge-joins the sorted
-    /// reception table against the awake nodes (no per-node binary
-    /// search), emits the Receive events, runs `end_slot`, and accounts
-    /// every node that decided this slot into `newly_done`.
+    /// Slot phases 4 + 5: one pass over the visit set, in ascending id
+    /// order, merge-joins the sorted reception table against the visited
+    /// nodes (no per-node binary search), emits the Receive events, runs
+    /// `end_slot`, and accounts every node that decided this slot into
+    /// `newly_done`. The table's receivers join the set first.
     ///
-    /// Every node that ran `begin_slot` this slot gets its `end_slot`
-    /// here, and its done-ness and park decision are taken after it.
-    /// Sleeping nodes are skipped unless a pending JUST_DONE needs
-    /// accounting: a node's `is_done` cannot change before its first
-    /// callback, and nodes done at construction carry JUST_DONE into
-    /// slot 0. A parked node is visited only when the table names it: its
-    /// receptions are counted and emitted, and it wakes only if it heeds
-    /// one of them; otherwise it stays parked and runs no callback.
-    // lint:hot — per-node delivery loop, runs every slot for every node
+    /// Every node that ran `begin_slot` this slot is in the set and gets
+    /// its `end_slot` here, and its done-ness and park decision are taken
+    /// after it; one that stays runnable and unparked joins the next
+    /// action set. An awake inactive node is polled for done-ness only
+    /// in a slot in which it had a callback, since `is_done` changes only
+    /// inside one. Sleeping nodes are skipped unless a pending JUST_DONE
+    /// needs accounting: nodes done at construction carry JUST_DONE into
+    /// slot 0. A parked node is in the set only when the table names it:
+    /// its receptions are counted and emitted, and it wakes only if it
+    /// heeds one of them, which it is asked before any message is copied
+    /// into its inbox; otherwise it stays parked and runs no callback.
+    // lint:hot — per-node delivery loop, runs every slot over the visit set
     fn phase_delivery_fused<R: Recorder + ?Sized>(
         &mut self,
         slot: u64,
@@ -880,29 +1078,18 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         obs: bool,
         rec: &mut R,
     ) {
-        let n = self.graph.len();
         let pairs = table.pairs();
+        for &(r, _) in pairs {
+            set_bit(&mut self.visit, r);
+        }
         let mut p = 0usize;
         let mut inbox = std::mem::take(&mut self.inbox);
-        let mut v = 0usize;
-        while v < n {
-            // Eight-node hop: when no byte in the next flag word needs a
-            // visit and no reception targets the window, skip it on one
-            // u64 load — parked nodes and the silent tail cost one word
-            // test per eight nodes instead of eight flag loads and
-            // branches.
-            if v + 8 <= n && (p >= pairs.len() || pairs[p].0 >= v + 8) {
-                let c = &self.flags[v..v + 8];
-                let w = u64::from_le_bytes([
-                    c[0].0, c[1].0, c[2].0, c[3].0, c[4].0, c[5].0, c[6].0, c[7].0,
-                ]);
-                if NodeFlags::needs_visit_word(w) == 0 {
-                    v += 8;
-                    continue;
-                }
-            }
-            let lim = (v + 8).min(n);
-            while v < lim {
+        for w in 0..self.visit.len() {
+            let mut bits = std::mem::take(&mut self.visit[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.work.visits += 1;
                 let f = self.flags[v];
                 let mut fl = f;
                 if f.awake() {
@@ -911,18 +1098,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                     while p < pairs.len() && pairs[p].0 < v {
                         p += 1;
                     }
-                    let has_rx = p < pairs.len() && pairs[p].0 == v;
-                    if f.active() && (has_rx || !f.parked()) {
-                        inbox.clear();
-                        let mut heeded = !f.parked();
-                        while p < pairs.len() && pairs[p].0 == v {
-                            let sender = pairs[p].1;
-                            let msg = self.tx_msg[sender]
-                                .as_ref()
-                                .expect("reception from a node that transmitted");
-                            heeded = heeded || self.nodes[v].heeds(sender, msg);
-                            inbox.push((sender, msg.clone()));
-                            if obs {
+                    let first = p;
+                    while p < pairs.len() && pairs[p].0 == v {
+                        p += 1;
+                    }
+                    let rx = &pairs[first..p];
+                    if f.active() && (!rx.is_empty() || !f.parked()) {
+                        self.stats.receptions += rx.len() as u64;
+                        if obs {
+                            for &(_, sender) in rx {
                                 rec.event(
                                     slot,
                                     &ObsEvent::Receive {
@@ -931,19 +1115,29 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                                     },
                                 );
                             }
-                            p += 1;
                         }
-                        self.stats.receptions += inbox.len() as u64;
+                        // A parked receiver is asked before anything is
+                        // copied, so the messages it ignores never are.
+                        let heeded = !f.parked()
+                            || rx
+                                .iter()
+                                .any(|&(_, sender)| self.nodes[v].heeds(sender, self.sent(sender)));
                         if heeded {
+                            inbox.clear();
+                            for &(_, sender) in rx {
+                                let msg = self.sent(sender);
+                                inbox.push((sender, msg.clone()));
+                            }
                             let ctx = NodeCtx {
                                 id: v,
                                 global_slot: slot,
-                                local_slot: slot - self.wake[v],
+                                local_slot: slot - self.stats.wake_slot[v],
                             };
                             if f.parked() {
                                 self.wake_parked(v, &ctx);
                                 fl.remove(NodeFlags::PARKED);
                             }
+                            self.work.end_slots += 1;
                             self.nodes[v].end_slot(&ctx, &inbox);
                             let active = self.nodes[v].is_active();
                             fl.set_active(active);
@@ -953,12 +1147,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                             if active && self.park(v, slot, f.parked()) {
                                 fl.insert(NodeFlags::PARKED);
                             }
+                        } else {
+                            self.work.rx_left_parked += rx.len() as u64;
                         }
                     } else if !f.active() && !f.done() && self.nodes[v].is_done() {
-                        // Awake-but-inactive nodes ran no callback in this
-                        // pass, but one may have decided while going
-                        // silent in its `on_wake` or `begin_slot`, so they
-                        // are polled.
+                        // An awake inactive node in the set had a callback
+                        // this slot (`on_wake` or `begin_slot`) or is named
+                        // by the table; one may have decided while going
+                        // silent, so it is polled.
                         fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
                     }
                 }
@@ -968,11 +1164,22 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                     self.stats.done_slot[v] = Some(slot);
                     newly_done.push(v);
                 }
+                if fl.runnable() && !fl.parked() {
+                    set_bit(&mut self.act, v);
+                }
                 self.flags[v] = fl;
-                v += 1;
             }
         }
         self.inbox = inbox;
+    }
+
+    /// The message `sender` transmitted this slot. The reception table
+    /// is built from this slot's transmitters, so a reception from a
+    /// node that did not transmit is a bug in the interference model.
+    fn sent(&self, sender: NodeId) -> &P::Message {
+        self.tx_msg[sender]
+            .as_ref()
+            .expect("reception from a node that transmitted")
     }
 
     /// Runs until every node is done or `max_slots` slots have executed.
@@ -1034,8 +1241,9 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
 
     /// Exports the run's aggregate metrics into `rec` under the canonical
     /// `sim.*` / `resolver.*` keys (see `docs/OBS_SCHEMA.md`): slot,
-    /// transmission, and reception totals, the channel-load histogram, and
-    /// the resolver's fast-path counters if the model tracks them.
+    /// transmission, and reception totals, the channel-load histogram,
+    /// the engine's `sim.work.*` ledger, and the resolver's fast-path
+    /// counters if the model tracks them.
     ///
     /// Call once, after the run; counters are cumulative totals.
     pub fn export_metrics(&self, rec: &mut dyn Recorder) {
@@ -1044,6 +1252,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         rec.counter_add(keys::SIM_RECEPTIONS, self.stats.receptions);
         rec.counter_add(keys::SIM_DONE_NODES, self.stats.done_count() as u64);
         rec.histogram_merge(keys::SIM_CHANNEL_LOAD, &self.stats.channel_load);
+        let w = &self.work;
+        rec.counter_add(keys::SIM_WORK_VISITS, w.visits);
+        rec.counter_add(keys::SIM_WORK_BEGIN_SLOTS, w.begin_slots);
+        rec.counter_add(keys::SIM_WORK_END_SLOTS, w.end_slots);
+        rec.counter_add(keys::SIM_WORK_PARKS, w.parks);
+        rec.counter_add(keys::SIM_WORK_COINS_AHEAD, w.coins_ahead);
+        rec.counter_add(keys::SIM_WORK_COINS_REPLAYED, w.coins_replayed);
+        rec.counter_add(keys::SIM_WORK_RX_LEFT_PARKED, w.rx_left_parked);
         if let Some(rs) = self.model.resolver_stats() {
             rs.export_into(rec);
         }
@@ -1131,6 +1347,37 @@ mod tests {
         sim.run(5);
         assert!(sim.node(0).heard.is_empty());
         assert!(sim.node(1).heard.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "reception from a node that transmitted")]
+    fn a_reception_from_a_silent_node_is_a_model_bug() {
+        // Grants node 1 a message from node 0 in every slot, whoever
+        // transmits.
+        struct Phantom;
+        impl InterferenceModel for Phantom {
+            fn resolve(&self, _g: &UnitDiskGraph, _tx: &[NodeId]) -> ReceptionTable {
+                ReceptionTable::from_pairs(vec![(1, 0)])
+            }
+            fn name(&self) -> &'static str {
+                "phantom"
+            }
+        }
+        let g = UnitDiskGraph::new(
+            vec![
+                Point::new(0.0, 0.0),
+                Point::new(0.5, 0.0),
+                Point::new(1.0, 0.0),
+            ],
+            1.0,
+        );
+        // Node 2 transmits in slot 0 while nodes 0 and 1 listen.
+        let mut sim = Simulator::new(g, Phantom, WakeupSchedule::Synchronous, 0, |id| OneShot {
+            fire_at: if id == 2 { 0 } else { 5 },
+            fired: false,
+            heard: Vec::new(),
+        });
+        sim.run(1);
     }
 
     #[test]

@@ -111,13 +111,16 @@ pub struct Quiet {
 /// engine *park* the node: its coins are drawn ahead on a copy of its
 /// generator, and the engine skips it until its first transmission, the
 /// end of the promise, or a reception it [heeds](Protocol::heeds). On
-/// waking, the engine replays the skipped coins on the real generator and
-/// applies [`Protocol::skip_quiet`], so callbacks, generator streams and
-/// statistics are exactly those of a node visited every slot. `run`,
-/// `run_observed`, `run_recorded` and `step` catch every parked node up
-/// before they return. An observer *inside* a run sees a parked node as
-/// of its last real slot, so it should read only state that quiet slots
-/// leave unchanged.
+/// waking, the engine brings the real generator past the skipped coins
+/// and applies [`Protocol::skip_quiet`]. At the slot the coins were drawn
+/// ahead to it restores the copy the draw-ahead left there; earlier — a
+/// heeded reception, the end of a call, or a promise that a reception
+/// shortened — it replays the skipped coins. Either way callbacks,
+/// generator streams and statistics are exactly those of a node visited
+/// every slot. `run`, `run_observed`, `run_recorded` and `step` catch
+/// every parked node up before they return. An observer *inside* a run
+/// sees a parked node as of its last real slot, so it should read only
+/// state that quiet slots leave unchanged.
 pub trait Protocol {
     /// The message type broadcast by this protocol.
     type Message: Clone;
@@ -148,6 +151,11 @@ pub trait Protocol {
     /// may keep participating (the MW color classes `C_i` keep transmitting
     /// after deciding); the engine uses this only for termination detection
     /// and timing statistics.
+    ///
+    /// Like all protocol state, the answer may change only inside
+    /// `on_wake`, `begin_slot` or `end_slot` (quiet slots keep it, see
+    /// [`Quiet`]), so the engine polls it only in a slot in which the
+    /// node had one of those callbacks.
     fn is_done(&self) -> bool;
 
     /// Whether the node still needs slots at all. Defaults to `true`;

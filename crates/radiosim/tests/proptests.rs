@@ -1,9 +1,10 @@
 //! Property-based tests for the simulation engine's invariants.
 
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::{GraphModel, IdealModel, SinrConfig, SinrModel};
-use sinr_obs::ObsEvent;
+use sinr_obs::{keys, ObsEvent};
 use sinr_radiosim::{Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, WakeupSchedule};
 
 mod reference;
@@ -41,6 +42,10 @@ impl Protocol for Chatter {
         self.acted >= self.rounds
     }
 }
+
+/// A slot cap above every run below, so an engine that never finishes
+/// fails its comparison instead of hanging the test.
+const MAX_SLOTS: u64 = 1 << 20;
 
 fn arb_points() -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -121,64 +126,108 @@ proptest! {
     /// bits from its packed `NodeFlags` column and parks nodes on their
     /// [`Quiet`] promises, while the reference stepper queries the
     /// protocol live, runs every callback every slot and never parks.
-    /// Both must produce identical outcomes, stats, node states and inbox
-    /// histories, with and without a recorder attached, and the recorded
-    /// run must emit exactly the oracle's events. A third engine runs the
-    /// same slots in segments of random length, so parked nodes are
-    /// caught up between calls and then stay parked. Some masks make
-    /// nodes done at construction, which the engine accounts in slot 0;
-    /// others make nodes send only noise, which every receiver ignores.
+    /// Some masks make nodes done at construction, which the engine
+    /// accounts in slot 0; others make nodes send only noise, which every
+    /// receiver ignores. See [`promisers_match_the_reference`].
     #[test]
     fn parked_engine_matches_the_reference_stepper(
         pts in arb_points(),
         seed in 0u64..500,
-        coins in (0.05..0.9f64, 0usize..4, 0.05..0.9f64).prop_map(|(p, kind, q)| {
-            [p, [0.0, 1.0, q, p][kind]]
-        }),
+        coins in arb_coins(),
         (rounds, done_at) in (1u64..60).prop_flat_map(|r| (Just(r), 1..r + 1)),
         masks in (any::<bool>(), 0u64..1 << 20, 0u64..1 << 20)
             .prop_map(|(on, born, noisy)| (if on { born } else { 0 }, noisy)),
     ) {
         let (born_done, noisy) = masks;
-        let cfg = SinrConfig::default_unit();
-        let graph = UnitDiskGraph::new(pts, cfg.r_t());
-        let n = graph.len();
-        let schedule = WakeupSchedule::UniformRandom { window: 10 };
         let mk = |v: NodeId| {
             Promiser::new(coins, rounds, done_at, born_done >> v & 1 == 1, noisy >> v & 1 == 1)
         };
-        let mk_sim = || Simulator::new(graph.clone(), SinrModel::new(cfg), schedule, seed, mk);
-
-        let mut oracle = ReferenceSim::new(graph.clone(), SinrModel::new(cfg), schedule, seed, mk);
-        let oracle_out = oracle.run(5_000);
-        prop_assert!(oracle_out.all_done);
-
-        let mut plain = mk_sim();
-        let plain_out = plain.run(5_000);
-
-        let mut recorded = mk_sim();
-        let mut rec = sinr_obs::FullRecorder::with_ring_capacity(1 << 16);
-        let recorded_out = recorded.run_recorded(5_000, &mut rec, |_, _, _| {});
-
-        let mut segmented = mk_sim();
-        let mut slots = 0;
-        while !segmented.all_done() {
-            slots += segmented.run(1 + seed % 7).slots;
-        }
-
-        prop_assert_eq!(plain_out, oracle_out);
-        prop_assert_eq!(recorded_out, oracle_out);
-        prop_assert_eq!(slots, oracle_out.slots);
-        for sim in [&plain, &recorded, &segmented] {
-            prop_assert_eq!(sim.stats(), oracle.stats());
-            for v in 0..n {
-                prop_assert_eq!(sim.node(v).state(), oracle.node(v).state(), "node {}", v);
-            }
-        }
-        prop_assert_eq!(rec.events_dropped(), 0);
-        let events: Vec<(u64, ObsEvent)> = rec.events().copied().collect();
-        prop_assert_eq!(&events[..], oracle.events());
+        promisers_match_the_reference(pts, seed, WakeupSchedule::UniformRandom { window: 10 }, mk)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// The same differential with wake slots that alias in the due
+    /// calendar's 4096-bucket wheel: staggered steps around one, one and
+    /// a half, two and three turns, and random windows of up to seven
+    /// turns. Sleeping nodes of different turns then share a bucket with
+    /// each other and with parked nodes, and must still wake in their
+    /// own slot in ascending id order.
+    #[test]
+    fn wake_slots_that_alias_in_the_calendar_match_the_reference_stepper(
+        pts in arb_points(),
+        seed in 0u64..500,
+        coins in arb_coins(),
+        (rounds, done_at) in (1u64..200).prop_flat_map(|r| (Just(r), 1..r + 1)),
+        schedule in (any::<bool>(), 0usize..6, 4_097u64..30_000).prop_map(|(staggered, i, window)| {
+            if staggered {
+                WakeupSchedule::Staggered { step: [4_095, 4_096, 4_097, 6_144, 8_192, 12_289][i] }
+            } else {
+                WakeupSchedule::UniformRandom { window }
+            }
+        }),
+    ) {
+        let mk = |_: NodeId| Promiser::new(coins, rounds, done_at, false, false);
+        promisers_match_the_reference(pts, seed, schedule, mk)?;
+    }
+}
+
+/// Two send probabilities for [`Promiser`]'s phases; the second may be
+/// 0 (draws nothing), 1 (always sends) or equal to the first.
+fn arb_coins() -> impl Strategy<Value = [f64; 2]> {
+    (0.05..0.9f64, 0usize..4, 0.05..0.9f64).prop_map(|(p, kind, q)| [p, [0.0, 1.0, q, p][kind]])
+}
+
+/// Runs Promisers, `mk(v)` each, on `pts` under `schedule` until they are
+/// done, and checks the engine against the reference stepper. Identical
+/// outcomes, stats, node states and inbox histories, with and without a
+/// recorder attached, and the recorded run must emit exactly the
+/// oracle's events. A third engine runs the same slots in segments of
+/// random length, so parked nodes are caught up between calls and then
+/// stay parked.
+fn promisers_match_the_reference(
+    pts: Vec<Point>,
+    seed: u64,
+    schedule: WakeupSchedule,
+    mk: impl Fn(NodeId) -> Promiser + Copy,
+) -> TestCaseResult {
+    let cfg = SinrConfig::default_unit();
+    let graph = UnitDiskGraph::new(pts, cfg.r_t());
+    let n = graph.len();
+    let mk_sim = || Simulator::new(graph.clone(), SinrModel::new(cfg), schedule, seed, mk);
+
+    let mut oracle = ReferenceSim::new(graph.clone(), SinrModel::new(cfg), schedule, seed, mk);
+    let oracle_out = oracle.run(MAX_SLOTS);
+    prop_assert!(oracle_out.all_done);
+
+    let mut plain = mk_sim();
+    let plain_out = plain.run(MAX_SLOTS);
+
+    let mut recorded = mk_sim();
+    let mut rec = sinr_obs::FullRecorder::with_ring_capacity(1 << 16);
+    let recorded_out = recorded.run_recorded(MAX_SLOTS, &mut rec, |_, _, _| {});
+
+    let mut segmented = mk_sim();
+    let mut slots = 0;
+    while !segmented.all_done() {
+        slots += segmented.run(1 + seed % 7).slots;
+    }
+
+    prop_assert_eq!(plain_out, oracle_out);
+    prop_assert_eq!(recorded_out, oracle_out);
+    prop_assert_eq!(slots, oracle_out.slots);
+    for sim in [&plain, &recorded, &segmented] {
+        prop_assert_eq!(sim.stats(), oracle.stats());
+        for v in 0..n {
+            prop_assert_eq!(sim.node(v).state(), oracle.node(v).state(), "node {}", v);
+        }
+    }
+    prop_assert_eq!(rec.events_dropped(), 0);
+    let events: Vec<(u64, ObsEvent)> = rec.events().copied().collect();
+    prop_assert_eq!(&events[..], oracle.events());
+    Ok(())
 }
 
 /// A protocol with deadlines, two coins and noise: it alternates between
@@ -287,24 +336,43 @@ impl Protocol for Promiser {
     }
 }
 
-/// Listens with coin 0 and promises the next `every − 1` slots quiet after
-/// each callback, up to the slot that makes it done and silent; a node
-/// with `every == 0` promises nothing.
+/// Transmits on `coin` and promises the next `every − 1` slots quiet
+/// after each callback, up to the slot that makes it done and silent; a
+/// node with `every == 0` promises nothing. A coin of 0 draws nothing, so
+/// the node only listens.
 #[derive(Debug)]
 struct Ticker {
     every: u64,
+    coin: f64,
     rounds: u64,
     acted: u64,
     begin_calls: u64,
     end_calls: u64,
 }
 
+impl Ticker {
+    fn new(every: u64, coin: f64, rounds: u64) -> Self {
+        Ticker {
+            every,
+            coin,
+            rounds,
+            acted: 0,
+            begin_calls: 0,
+            end_calls: 0,
+        }
+    }
+}
+
 impl Protocol for Ticker {
     type Message = u64;
-    fn begin_slot<R: SlotRng + ?Sized>(&mut self, _ctx: &NodeCtx, _rng: &mut R) -> Action<u64> {
+    fn begin_slot<R: SlotRng + ?Sized>(&mut self, ctx: &NodeCtx, rng: &mut R) -> Action<u64> {
         self.begin_calls += 1;
         self.acted += 1;
-        Action::Listen
+        if rng.chance(self.coin) {
+            Action::Transmit(ctx.global_slot)
+        } else {
+            Action::Listen
+        }
     }
     fn end_slot(&mut self, _ctx: &NodeCtx, _received: &[(NodeId, u64)]) {
         self.end_calls += 1;
@@ -317,7 +385,7 @@ impl Protocol for Ticker {
     }
     fn quiet(&self) -> Option<Quiet> {
         (self.every > 0).then(|| Quiet {
-            coin: 0.0,
+            coin: self.coin,
             slots: (self.every - 1).min(self.rounds - self.acted - 1),
         })
     }
@@ -326,20 +394,23 @@ impl Protocol for Ticker {
     }
 }
 
-#[test]
-fn parking_makes_exactly_the_promised_calls() {
-    // Ten isolated nodes: nothing is ever received, so only the promises
-    // decide which slots the engine visits.
+/// Runs ten isolated Tickers, `mk(v)` each, until they are done, plainly,
+/// recorded and in segments of `segment` slots, and checks all three
+/// against the reference stepper, which runs every callback every slot:
+/// same outcome, stats and transmissions, and full call counts there.
+/// `calls(v, node)` checks node `v`'s call counts in each of the three
+/// engines. Returns the plain engine.
+fn tickers_match_the_reference(
+    mk: impl Fn(NodeId) -> Ticker + Copy,
+    rounds: u64,
+    segment: u64,
+    calls: impl Fn(NodeId, &Ticker),
+) -> Simulator<Ticker, IdealModel> {
+    // Isolated nodes: nothing is ever received, so only the promises
+    // and the coins decide which slots the engine visits.
     let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 3.0, 0.0)).collect();
     let cfg = SinrConfig::default_unit();
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
-    let mk = |v: NodeId| Ticker {
-        every: v as u64 % 5,
-        rounds: 20,
-        acted: 0,
-        begin_calls: 0,
-        end_calls: 0,
-    };
     let mk_sim = || {
         Simulator::new(
             graph.clone(),
@@ -349,36 +420,19 @@ fn parking_makes_exactly_the_promised_calls() {
             mk,
         )
     };
-    // Visits at slot 0, then every `every` slots, then slot 19, where
-    // the 20th action makes the node done and silent: with `every = 4`
-    // that is slots 0, 4, 8, 12, 16 and 19. Without a promise, or with
-    // `every = 1`, every slot. A node that goes silent in `begin_slot`
-    // gets no `end_slot`, so each node has one `end_slot` call fewer.
-    let expected = |every: u64| match every {
-        0 | 1 => 20,
-        e => 1 + 18 / e + 1,
-    };
-
     let mut plain = mk_sim();
-    let plain_out = plain.run(100);
+    let plain_out = plain.run(MAX_SLOTS);
     assert!(plain_out.all_done);
-    assert_eq!(plain_out.slots, 20);
+    assert_eq!(plain_out.slots, rounds);
     let mut recorded = mk_sim();
     let mut rec = sinr_obs::FullRecorder::new();
-    let recorded_out = recorded.run_recorded(100, &mut rec, |_, _, _| {});
+    let recorded_out = recorded.run_recorded(MAX_SLOTS, &mut rec, |_, _, _| {});
     assert_eq!(recorded_out, plain_out);
-    for sim in [&plain, &recorded] {
-        assert_eq!(sim.stats(), recorded.stats());
-        for v in 0..graph.len() {
-            let node = sim.node(v);
-            assert_eq!(node.acted, 20, "node {v}: quiet slots are applied");
-            assert_eq!(node.begin_calls, expected(node.every), "node {v}");
-            assert_eq!(node.end_calls, node.begin_calls - 1, "node {v}");
-        }
+    let mut segmented = mk_sim();
+    while !segmented.all_done() {
+        segmented.run(segment);
     }
 
-    // The reference stepper runs every callback every slot: same outcome
-    // and stats, full call counts.
     let mut oracle = ReferenceSim::new(
         graph.clone(),
         IdealModel::new(),
@@ -386,12 +440,73 @@ fn parking_makes_exactly_the_promised_calls() {
         9,
         mk,
     );
-    assert_eq!(oracle.run(100), plain_out);
-    assert_eq!(oracle.stats(), plain.stats());
-    for v in 0..graph.len() {
-        assert_eq!(oracle.node(v).begin_calls, 20, "node {v}");
-        assert_eq!(oracle.node(v).end_calls, 19, "node {v}");
+    assert_eq!(oracle.run(MAX_SLOTS), plain_out);
+    for sim in [&plain, &recorded, &segmented] {
+        assert_eq!(sim.stats(), oracle.stats());
+        for v in 0..graph.len() {
+            let node = sim.node(v);
+            assert_eq!(node.acted, rounds, "node {v}: quiet slots are applied");
+            assert_eq!(node.end_calls, node.begin_calls - 1, "node {v}");
+            calls(v, node);
+        }
     }
+    for v in 0..graph.len() {
+        assert_eq!(oracle.node(v).begin_calls, rounds, "node {v}");
+        assert_eq!(oracle.node(v).end_calls, rounds - 1, "node {v}");
+    }
+    plain
+}
+
+#[test]
+fn parking_makes_exactly_the_promised_calls() {
+    // Visits at slot 0, then every `every` slots, then the last slot,
+    // where the last action makes the node done and silent: with
+    // `every = 4` and 20 rounds that is slots 0, 4, 8, 12, 16 and 19.
+    // Without a promise, or with `every = 1`, every slot. A node that
+    // goes silent in `begin_slot` gets no `end_slot`, so each node has
+    // one `end_slot` call fewer.
+    let expected = |every: u64, rounds: u64| match every {
+        0 | 1 => rounds,
+        e => 1 + (rounds - 2) / e + 1,
+    };
+    tickers_match_the_reference(
+        |v| Ticker::new(v as u64 % 5, 0.0, 20),
+        20,
+        3,
+        |v, node| {
+            assert_eq!(node.begin_calls, expected(node.every, 20), "node {v}");
+        },
+    );
+
+    // Promises longer than three turns of the 4096-bucket due calendar:
+    // each node waits in its bucket through the turns before its due
+    // slot, in segments that end at, before and after due slots.
+    let rounds = 40_000;
+    let every = |v: NodeId| 12_289 + 1_024 * v as u64;
+    tickers_match_the_reference(
+        |v| Ticker::new(every(v), 0.0, rounds),
+        rounds,
+        4_096,
+        |v, node| {
+            assert_eq!(node.begin_calls, expected(every(v), rounds), "node {v}");
+        },
+    );
+
+    // The same promises with rare coins: the draw-ahead horizon, not the
+    // promise, bounds each park, and the node transmits at its first
+    // success, so it runs at least once per horizon but far less often
+    // than every slot.
+    let plain = tickers_match_the_reference(
+        |v| Ticker::new(every(v), 5e-5 * (v + 1) as f64, rounds),
+        rounds,
+        1_000,
+        |v, node| {
+            let calls = node.begin_calls;
+            assert!(calls >= rounds / 4_097, "node {v}: {calls} calls");
+            assert!(calls < rounds / 100, "node {v}: {calls} calls");
+        },
+    );
+    assert!(plain.stats().transmissions > 0);
 }
 
 #[test]
@@ -542,4 +657,151 @@ fn nodes_done_at_construction_are_reported_in_slot_zero() {
     assert!(all_out.all_done);
     assert_eq!(all_out.slots, 1);
     assert!(all.stats().done_slot.iter().all(|&d| d == Some(0)));
+}
+
+/// Counts up to a threshold, sending its counter with a rare coin, and
+/// goes done and silent there. A heard counter above its own raises it,
+/// as an MW reset can raise a negative counter toward χ ≤ 0: the coin
+/// stays, and the promise, which runs to the threshold, ends sooner.
+#[derive(Debug)]
+struct Racer {
+    coin: f64,
+    counter: u64,
+    threshold: u64,
+    raises: u64,
+}
+
+impl Protocol for Racer {
+    type Message = u64;
+    fn begin_slot<R: SlotRng + ?Sized>(&mut self, _ctx: &NodeCtx, rng: &mut R) -> Action<u64> {
+        self.counter += 1;
+        if rng.chance(self.coin) {
+            Action::Transmit(self.counter)
+        } else {
+            Action::Listen
+        }
+    }
+    fn end_slot(&mut self, _ctx: &NodeCtx, received: &[(NodeId, u64)]) {
+        for &(_, c) in received {
+            if c > self.counter {
+                self.counter = c;
+                self.raises += 1;
+            }
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.counter >= self.threshold
+    }
+    fn is_active(&self) -> bool {
+        self.counter < self.threshold
+    }
+    fn quiet(&self) -> Option<Quiet> {
+        Some(Quiet {
+            coin: self.coin,
+            slots: self.threshold - self.counter - 1,
+        })
+    }
+    fn skip_quiet(&mut self, slots: u64) {
+        self.counter += slots;
+    }
+}
+
+#[test]
+fn a_heeded_reception_that_ends_the_promise_sooner_replays_the_coins() {
+    // Ten neighbours whose counters start 2 500 apart. Each heard counter
+    // above a node's own wakes it, raises it and re-parks it with the same
+    // coin, so it keeps the slot its coins were drawn ahead to; near the
+    // threshold its promise then ends before that slot, and the catch-up
+    // at the earlier due slot must replay the coins, not restore the
+    // generator drawn ahead.
+    let pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64 * 0.05, 0.0)).collect();
+    let graph = UnitDiskGraph::new(pts, 1.0);
+    let mk = |v: NodeId| Racer {
+        coin: 4e-4,
+        counter: 2_500 * v as u64,
+        threshold: 30_000,
+        raises: 0,
+    };
+    let mut raises = 0;
+    for seed in 0..6 {
+        let mut sim = Simulator::new(
+            graph.clone(),
+            IdealModel::new(),
+            WakeupSchedule::Synchronous,
+            seed,
+            mk,
+        );
+        let mut oracle = ReferenceSim::new(
+            graph.clone(),
+            IdealModel::new(),
+            WakeupSchedule::Synchronous,
+            seed,
+            mk,
+        );
+        let out = sim.run(MAX_SLOTS);
+        assert!(out.all_done, "seed {seed}");
+        assert_eq!(oracle.run(MAX_SLOTS), out, "seed {seed}");
+        assert_eq!(sim.stats(), oracle.stats(), "seed {seed}");
+        for v in 0..graph.len() {
+            assert_eq!(
+                sim.node(v).counter,
+                oracle.node(v).counter,
+                "seed {seed} node {v}"
+            );
+            assert_eq!(
+                sim.node(v).raises,
+                oracle.node(v).raises,
+                "seed {seed} node {v}"
+            );
+        }
+        raises += (0..graph.len()).map(|v| sim.node(v).raises).sum::<u64>();
+    }
+    assert!(raises >= 30, "counters were raised {raises} times");
+}
+
+#[test]
+fn the_work_ledger_follows_callbacks_not_nodes_times_slots() {
+    // 4096 isolated nodes on a 64 × 64 grid, parked on coin-0 promises of
+    // 2 500 slots for 10 000 slots. An engine that examined every node
+    // every slot would visit 41 M nodes in one pass; the calendar, the
+    // action set and the visit set examine each node only in the five
+    // slots in which it runs.
+    let pts: Vec<Point> = (0..4096)
+        .map(|i| Point::new((i % 64) as f64 * 3.0, (i / 64) as f64 * 3.0))
+        .collect();
+    let graph = UnitDiskGraph::new(pts, 1.0);
+    let n = graph.len() as u64;
+    let mut sim = Simulator::new(
+        graph,
+        IdealModel::new(),
+        WakeupSchedule::Synchronous,
+        1,
+        |_| Ticker::new(2_500, 0.0, 10_000),
+    );
+    let out = sim.run(MAX_SLOTS);
+    assert!(out.all_done);
+    assert_eq!(out.slots, 10_000);
+    let mut rec = sinr_obs::FullRecorder::new();
+    sim.export_metrics(&mut rec);
+    let counter = |key: &str| {
+        rec.registry()
+            .counter(key)
+            .unwrap_or_else(|| panic!("{key}"))
+    };
+    let visits = counter(keys::SIM_WORK_VISITS);
+    let begin = counter(keys::SIM_WORK_BEGIN_SLOTS);
+    let end = counter(keys::SIM_WORK_END_SLOTS);
+    // Runs at slots 0, 2 500, 5 000, 7 500 and 9 999; the last one makes
+    // the node done and silent in `begin_slot`, so it has no `end_slot`.
+    assert_eq!(begin, 5 * n);
+    assert_eq!(end, 4 * n);
+    assert_eq!(counter(keys::SIM_WORK_PARKS), 4 * n);
+    assert_eq!(counter(keys::SIM_WORK_COINS_AHEAD), 0);
+    assert_eq!(counter(keys::SIM_WORK_COINS_REPLAYED), 0);
+    assert_eq!(counter(keys::SIM_WORK_RX_LEFT_PARKED), 0);
+    // Each run costs one calendar entry, one action bit and one visit
+    // bit: the visits stay within twice the callbacks.
+    assert_eq!(visits, 3 * 5 * n);
+    assert!(visits <= 2 * (begin + end), "{visits} visits");
+    assert!(visits * 500 < n * out.slots, "{visits} visits");
 }

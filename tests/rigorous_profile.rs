@@ -2,12 +2,14 @@
 //!
 //! `MwParams::rigorous` sizes every window from the proofs' constants,
 //! so its runs are long: hundreds of millions of slots even at n = 16.
-//! Quiet nodes park until they next transmit, and almost every slot of
-//! such a run is empty, so the coloring below finishes in about a minute
-//! in a release build. It is ignored by default; run it with
+//! Quiet nodes park until they next transmit, the due calendar releases
+//! them without a sweep, and almost every slot of such a run is empty,
+//! so the coloring below finishes in under a minute in a release build
+//! (43–53 s on a 2-vCPU host). It is ignored by default, and CI's
+//! `test` job runs it with
 //!
 //! ```text
-//! cargo test --release --test rigorous_profile -- --ignored
+//! cargo test --release -q --test rigorous_profile -- --ignored
 //! ```
 
 use sinr_coloring::mw::{run_mw, MwConfig};
@@ -18,7 +20,7 @@ use sinr_model::{SinrConfig, SinrModel};
 use sinr_radiosim::WakeupSchedule;
 
 #[test]
-#[ignore = "about a minute in a release build; run with --ignored"]
+#[ignore = "under a minute in a release build; run with --ignored"]
 fn rigorous_constants_color_sixteen_nodes() {
     let cfg = SinrConfig::default_unit();
     let pts = placement::uniform_with_expected_degree(16, cfg.r_t(), 3.0, 1);
