@@ -9,7 +9,7 @@
 //!
 //! | probe | claim | check |
 //! |-------|-------|-------|
-//! | `thm1_independence` | Theorem 1: every color class is independent at every slot | decided colors of adjacent nodes differ (incremental on decide + full sweep every [`MwProbeConfig::thm1_stride`] slots) |
+//! | `thm1_independence` | Theorem 1: every color class is independent at every slot | decided colors of adjacent nodes differ: every [`MwProbeConfig::thm1_stride`] slots, each node that ran since the previous check (every node, at the first) against its neighbors |
 //! | `lemma4_levels` | Lemma 4: a node enters at most `φ(2R_T) + 1` levels | `levels_entered ≤ spread + 1` per node |
 //! | `lemma6_a_residency` | Lemmas 5–6: bounded time in the `A_i` states | per-node `listen + compete` slots against a 4× whp budget |
 //! | `lemma7_r_residency` | Lemma 7: bounded time in the request state `R` | per-node `request` slots against a 4× whp budget |
@@ -20,6 +20,16 @@
 //! residency span per `(node, phase kind)` stay on the trace timeline
 //! (`SpanTrack::Node`, slot-time) — the spanned, phase-aware trace
 //! `docs/OBSERVABILITY.md` documents.
+//!
+//! Both per-slot probes follow the engine's events. A node's phase,
+//! level, counter resets and color change only inside its callbacks, and
+//! [`StepView::ran`] lists the nodes that had one. So after the first
+//! observed slot, which reads every node, the phase tracker reads only
+//! those nodes, and the Theorem-1 check examines only them and their
+//! neighbors: a slot costs O(callbacks · Δ), not O(n · Δ). The check is
+//! as strong as a sweep of every pair in every slot, since a pair of
+//! adjacent nodes can become equally colored only in a slot in which one
+//! of them decides, and that node ran.
 
 use crate::mw::node::{MwNode, MwPhase};
 use crate::params::MwParams;
@@ -39,12 +49,16 @@ pub const PROBE_LEMMA7: &str = "lemma7_r_residency";
 /// Which probes run, and how often.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MwProbeConfig {
-    /// Full Theorem-1 independence sweep every this many slots; `0`
-    /// disables the sweep (the cheap incremental check on newly decided
-    /// nodes still runs whenever tracking is enabled).
+    /// Run a Theorem-1 check in every slot that is a multiple of this
+    /// stride; `0` turns the check off. Each check examines every node
+    /// that ran since the previous check (every node, at the first)
+    /// against each of its neighbors, so a violation is caught in the
+    /// slot it arises at stride 1, and by the next check slot at a larger
+    /// stride.
     pub thm1_stride: u64,
     /// Stream `Phase`/`Note` events for MW state transitions and counter
-    /// resets (O(n) scan per slot).
+    /// resets, reading every node in the first observed slot and then
+    /// only the nodes that ran.
     pub track_phases: bool,
     /// Account per-state residency against the Lemma-6/7 budgets at end of
     /// run.
@@ -52,7 +66,7 @@ pub struct MwProbeConfig {
 }
 
 impl Default for MwProbeConfig {
-    /// Everything on, independence sweep every slot (stride 1) — the
+    /// Everything on, Theorem-1 check every slot (stride 1) — the
     /// configuration the e2e tests assert zero violations under.
     fn default() -> Self {
         MwProbeConfig {
@@ -73,16 +87,18 @@ impl MwProbeConfig {
         }
     }
 
-    /// Sets the Theorem-1 sweep stride (`0` disables the sweep).
+    /// Sets the Theorem-1 check stride (`0` turns the check off).
     pub fn with_thm1_stride(mut self, stride: u64) -> Self {
         self.thm1_stride = stride;
         self
     }
 }
 
-/// Per-run probe state; drive with [`MwProbes::observe`] every slot and
-/// [`MwProbes::finalize`] once after the run (both are cheap no-ops when
-/// the recorder is disabled).
+/// Per-run probe state; drive with [`MwProbes::observe`] after every slot
+/// and [`MwProbes::finalize`] once after the run (both are cheap no-ops
+/// when the recorder is disabled). The probes follow each slot's
+/// [`StepView::ran`], so the nodes that ran in a slot they do not see
+/// are neither tracked nor checked until they run again.
 #[derive(Debug, Clone)]
 pub struct MwProbes {
     cfg: MwProbeConfig,
@@ -100,6 +116,23 @@ pub struct MwProbes {
     /// Slot at which each node entered its current phase kind, for the
     /// per-node residency spans on the trace timeline.
     enter_slot: Vec<u64>,
+    /// Whether the phase tracker has read every node once; from then on
+    /// it reads only the nodes each slot ran.
+    phases_read: bool,
+    /// Node bitset of the nodes that ran since the previous Theorem-1
+    /// check; every node's bit is set until the first check.
+    unchecked: Vec<u64>,
+}
+
+/// A node bitset of `n` nodes with every node's bit set.
+fn all_nodes(n: usize) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; n.div_ceil(64)];
+    if let Some(last) = bits.last_mut() {
+        if !n.is_multiple_of(64) {
+            *last = (1 << (n % 64)) - 1;
+        }
+    }
+    bits
 }
 
 /// The protocol level of a phase, `−1` where levels do not apply (`R`).
@@ -125,6 +158,8 @@ impl MwProbes {
             lemma7_budget: 4 * request,
             prev: vec![(0, 0, 0); n],
             enter_slot: vec![0; n],
+            phases_read: false,
+            unchecked: all_nodes(n),
         }
     }
 
@@ -134,7 +169,8 @@ impl MwProbes {
     }
 
     /// Per-slot hook: phase-transition tracing, counter-reset notes, and
-    /// the Theorem-1 independence checks.
+    /// the Theorem-1 independence check, over the nodes `view.ran` lists.
+    // lint:hot — per-slot probe loops, run every slot over the nodes that ran
     pub fn observe<M: InterferenceModel>(
         &mut self,
         sim: &Simulator<MwNode, M>,
@@ -145,78 +181,92 @@ impl MwProbes {
             return;
         }
         let slot = view.slot;
+        let nodes = sim.nodes();
 
         if self.cfg.track_phases {
-            for (v, node) in sim.nodes().iter().enumerate() {
-                let kind = node.phase().kind_index();
-                let level = phase_level(node.phase());
-                let resets = node.resets();
-                let (pk, pl, pr) = self.prev[v];
-                if kind != pk || level != pl {
-                    rec.counter_add(keys::MW_PHASE_TRANSITIONS, 1);
-                    rec.event(
-                        slot,
-                        &ObsEvent::Phase {
-                            node: v,
-                            from: MwPhase::KIND_NAMES[pk],
-                            to: MwPhase::KIND_NAMES[kind],
-                            level,
-                        },
-                    );
-                    if kind != pk {
-                        self.close_residency_span(v, pk, slot, rec);
-                    }
+            if self.phases_read {
+                for &v in view.ran {
+                    self.track_phase(v, &nodes[v], slot, rec);
                 }
-                if resets != pr {
-                    rec.counter_add(keys::MW_COUNTER_RESETS, u64::from(resets - pr));
-                    rec.event(
-                        slot,
-                        &ObsEvent::Note {
-                            name: "counter_reset",
-                            node: v,
-                            value: node.counter(),
-                        },
-                    );
+            } else {
+                for (v, node) in nodes.iter().enumerate() {
+                    self.track_phase(v, node, slot, rec);
                 }
-                self.prev[v] = (kind, level, resets);
+                self.phases_read = true;
             }
         }
 
         if self.cfg.thm1_stride > 0 {
-            // Colors are final once decided, so independence can only break
-            // the slot a node decides: check each newly decided node against
-            // its neighbors every slot (O(deg) amortized)…
-            for &v in view.newly_done {
-                if let Some(c) = sim.nodes()[v].color() {
-                    for &w in sim.graph().neighbors(v) {
-                        if w != v && sim.nodes()[w].color() == Some(c) {
-                            self.thm1_violation(slot, v, c, rec);
-                        }
-                    }
-                }
+            for &v in view.ran {
+                self.unchecked[v / 64] |= 1 << (v % 64);
             }
-            // …and corroborate with a full sweep at the configured stride.
             if slot.is_multiple_of(self.cfg.thm1_stride) {
-                self.thm1_sweep(sim, slot, rec);
+                self.thm1_check(sim, slot, rec);
             }
         }
     }
 
-    /// One full Theorem-1 sweep: every decided node against every decided
-    /// neighbor (each unordered pair checked once).
-    fn thm1_sweep<M: InterferenceModel>(
-        &self,
+    /// Diffs node `v`'s phase kind, level and counter resets against the
+    /// last reading, emitting the Phase and Note events, the residency
+    /// span of a phase kind it left and the `mw.*` counters.
+    // lint:hot — runs once per node that ran, every slot
+    fn track_phase(&mut self, v: usize, node: &MwNode, slot: u64, rec: &mut dyn Recorder) {
+        let kind = node.phase().kind_index();
+        let level = phase_level(node.phase());
+        let resets = node.resets();
+        let (pk, pl, pr) = self.prev[v];
+        if kind != pk || level != pl {
+            rec.counter_add(keys::MW_PHASE_TRANSITIONS, 1);
+            rec.event(
+                slot,
+                &ObsEvent::Phase {
+                    node: v,
+                    from: MwPhase::KIND_NAMES[pk],
+                    to: MwPhase::KIND_NAMES[kind],
+                    level,
+                },
+            );
+            if kind != pk {
+                self.close_residency_span(v, pk, slot, rec);
+            }
+        }
+        if resets != pr {
+            rec.counter_add(keys::MW_COUNTER_RESETS, u64::from(resets - pr));
+            rec.event(
+                slot,
+                &ObsEvent::Note {
+                    name: "counter_reset",
+                    node: v,
+                    value: node.counter(),
+                },
+            );
+        }
+        self.prev[v] = (kind, level, resets);
+    }
+
+    /// One Theorem-1 check: every decided node that ran since the
+    /// previous check against each of its neighbors, in ascending order.
+    /// A violating pair of which both nodes ran is reported at each.
+    // lint:hot — per-check loop over the nodes that ran since the last check
+    fn thm1_check<M: InterferenceModel>(
+        &mut self,
         sim: &Simulator<MwNode, M>,
         slot: u64,
         rec: &mut dyn Recorder,
     ) {
         rec.counter_add(keys::PROBE_THM1_CHECKS, 1);
         let graph = sim.graph();
-        for v in 0..graph.len() {
-            if let Some(c) = sim.nodes()[v].color() {
-                for &w in graph.neighbors(v) {
-                    if w > v && sim.nodes()[w].color() == Some(c) {
-                        self.thm1_violation(slot, v, c, rec);
+        let nodes = sim.nodes();
+        for w in 0..self.unchecked.len() {
+            let mut bits = std::mem::take(&mut self.unchecked[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(c) = nodes[v].color() {
+                    for &u in graph.neighbors(v) {
+                        if nodes[u].color() == Some(c) {
+                            self.thm1_violation(slot, v, c, rec);
+                        }
                     }
                 }
             }

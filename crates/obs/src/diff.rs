@@ -2,7 +2,7 @@
 //!
 //! `sinrcolor diff` (and the CI bench gate) compares a *current* document
 //! against a committed *baseline* — both arbitrary nested JSON parsed with
-//! [`parse_value`](crate::json::parse_value) — and reports every
+//! [`parse_value`] — and reports every
 //! difference the policy does not excuse. A policy is itself a small JSON
 //! document (kind `diff_policy`, see `docs/OBS_SCHEMA.md`): an ordered
 //! rule list mapping path patterns to tolerances.

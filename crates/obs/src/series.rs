@@ -1,6 +1,6 @@
 //! Per-slot time-series sampling of selected counters and gauges.
 //!
-//! The metrics [`Registry`](crate::Registry) answers "how much, in total";
+//! The metrics [`Registry`] answers "how much, in total";
 //! the event ring answers "what happened, lately". This module answers
 //! *when the run's behavior changed shape*: a [`TimeSeries`] takes a
 //! bounded number of periodic snapshots of a fixed key set while the run

@@ -45,7 +45,7 @@ pub fn vec<S: Strategy>(element: S, size: impl SizeRange) -> VecStrategy<S, impl
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, R> {
     element: S,

@@ -53,7 +53,8 @@ impl NodeFlags {
         self.0 & Self::AWAKE != 0
     }
 
-    /// The cached activity bit (see [`NodeFlags::set_active`]).
+    /// The cached activity bit: [`Protocol::is_active`] as of the node's
+    /// last callback, the only place it can change.
     pub fn active(self) -> bool {
         self.0 & Self::ACTIVE != 0
     }
@@ -73,7 +74,8 @@ impl NodeFlags {
         self.0 & Self::PREV_TX != 0
     }
 
-    /// Whether the node is parked (see [`NodeFlags::PARKED`]).
+    /// Whether the node is parked on a [`Protocol::quiet`] promise: both
+    /// passes skip it until its due slot or a reception it heeds.
     pub fn parked(self) -> bool {
         self.0 & Self::PARKED != 0
     }
@@ -267,6 +269,16 @@ pub struct StepView<'a> {
     /// Nodes that reported `is_done()` for the first time this slot,
     /// ascending.
     pub newly_done: &'a [NodeId],
+    /// The nodes whose protocol state can have changed this slot,
+    /// ascending: every awake node the delivery pass visited. Those are
+    /// the nodes that ran `on_wake`, `begin_slot` or `end_slot` (a parked
+    /// node is caught up first) or were polled for `is_done`, and the rare
+    /// inactive receiver the table names. A parked receiver that heeds
+    /// none of its receptions runs no callback and is not listed. Any
+    /// other node changed at most as quiet slots change a node (see
+    /// [`Protocol::quiet`]), so an observer that tracks protocol state
+    /// need re-read only these nodes.
+    pub ran: &'a [NodeId],
 }
 
 /// Per-phase heap-traffic attribution for a profiled run (see
@@ -447,11 +459,12 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // resolver-internal spans (delta apply, rebuilds, fallbacks) without
     // touching the resolver itself.
     prev_resolver: Option<ResolverStats>,
-    // The last slot's reception table and newly-done list, reused across
-    // slots (mem::take'd during the step, put back before the view is
-    // built) so the steady-state loop allocates neither.
+    // The last slot's reception table, newly-done list and ran list,
+    // reused across slots (mem::take'd during the step, put back before
+    // the view is built) so the steady-state loop allocates none of them.
     table: ReceptionTable,
     newly_done: Vec<NodeId>,
+    ran: Vec<NodeId>,
     // Heap-traffic attribution, when enabled. Deliberately *not* routed
     // through the Recorder: the ledger bills the engine's own phases, and
     // a recorder's storage would be billed with them. Snapshot reads
@@ -543,6 +556,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             // that path (permissive models may still grow it).
             table: ReceptionTable::from_pairs(Vec::with_capacity(n)),
             newly_done: Vec::with_capacity(n),
+            ran: Vec::with_capacity(n),
             alloc_profile: None,
         }
     }
@@ -639,6 +653,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             transmitters: &self.prev_tx_ids,
             receptions: &self.table,
             newly_done: &self.newly_done,
+            ran: &self.ran,
         }
     }
 
@@ -720,8 +735,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         // 4 + 5. Delivery, end-of-slot processing, and termination
         // bookkeeping for every node in the visit set.
         let mut newly_done = std::mem::take(&mut self.newly_done);
+        let mut ran = std::mem::take(&mut self.ran);
         newly_done.clear();
-        self.phase_delivery_fused(slot, &table, &mut newly_done, obs, rec);
+        ran.clear();
+        self.phase_delivery_fused(slot, &table, &mut newly_done, &mut ran, obs, rec);
 
         if let (Some(p), Some(mark)) = (prof.as_deref_mut(), prof_mark) {
             let _ = EngineAllocProfile::phase_mark(&mut p.delivery, mark);
@@ -764,6 +781,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         // Put the reused slot buffers back for `view()` and the next step.
         self.table = table;
         self.newly_done = newly_done;
+        self.ran = ran;
 
         if let (Some(p), Some(start)) = (prof.as_deref_mut(), prof_start) {
             let end = alloc::snapshot();
@@ -1055,8 +1073,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// Slot phases 4 + 5: one pass over the visit set, in ascending id
     /// order, merge-joins the sorted reception table against the visited
     /// nodes (no per-node binary search), emits the Receive events, runs
-    /// `end_slot`, and accounts every node that decided this slot into
-    /// `newly_done`. The table's receivers join the set first.
+    /// `end_slot`, accounts every node that decided this slot into
+    /// `newly_done`, and lists every awake node it visits in `ran` but a
+    /// parked receiver that heeds nothing. The table's receivers join the
+    /// set first.
     ///
     /// Every node that ran `begin_slot` this slot is in the set and gets
     /// its `end_slot` here, and its done-ness and park decision are taken
@@ -1075,6 +1095,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         slot: u64,
         table: &ReceptionTable,
         newly_done: &mut Vec<NodeId>,
+        ran: &mut Vec<NodeId>,
         obs: bool,
         rec: &mut R,
     ) {
@@ -1123,6 +1144,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                                 .iter()
                                 .any(|&(_, sender)| self.nodes[v].heeds(sender, self.sent(sender)));
                         if heeded {
+                            ran.push(v);
                             inbox.clear();
                             for &(_, sender) in rx {
                                 let msg = self.sent(sender);
@@ -1150,12 +1172,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                         } else {
                             self.work.rx_left_parked += rx.len() as u64;
                         }
-                    } else if !f.active() && !f.done() && self.nodes[v].is_done() {
+                    } else if !f.active() {
                         // An awake inactive node in the set had a callback
                         // this slot (`on_wake` or `begin_slot`) or is named
                         // by the table; one may have decided while going
                         // silent, so it is polled.
-                        fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                        ran.push(v);
+                        if !f.done() && self.nodes[v].is_done() {
+                            fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                        }
                     }
                 }
                 if fl.just_done() {
@@ -1193,8 +1218,12 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     ///
     /// The observer sees a parked node as of its last real slot (see
     /// [`Simulator::nodes`]): it should read only state that quiet slots
-    /// leave unchanged, or nodes that ran this slot, such as the
-    /// `newly_done` ones. The run catches every node up before it returns.
+    /// leave unchanged, or the nodes that ran this slot, which
+    /// [`StepView::ran`] lists. Those are the only nodes whose state can
+    /// have changed since the previous slot, so an observer that tracks
+    /// protocol state can follow them instead of sweeping all n nodes.
+    /// The run catches every node up before it returns; that catch-up
+    /// changes only what quiet slots change.
     pub fn run_observed(
         &mut self,
         max_slots: u64,

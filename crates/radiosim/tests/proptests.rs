@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 use proptest::TestCaseResult;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
-use sinr_model::{GraphModel, IdealModel, SinrConfig, SinrModel};
+use sinr_model::{GraphModel, IdealModel, InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::{keys, ObsEvent};
-use sinr_radiosim::{Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, WakeupSchedule};
+use sinr_radiosim::{
+    Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, StepView, WakeupSchedule,
+};
+use std::fmt::Debug;
 
 mod reference;
 use reference::ReferenceSim;
@@ -180,13 +183,98 @@ fn arb_coins() -> impl Strategy<Value = [f64; 2]> {
     (0.05..0.9f64, 0usize..4, 0.05..0.9f64).prop_map(|(p, kind, q)| [p, [0.0, 1.0, q, p][kind]])
 }
 
+/// A test protocol as an observer sees it between slots.
+trait Watched: Protocol {
+    /// Everything a callback may change, the callback counts included.
+    type Seen: PartialEq + Debug;
+    fn seen(&self) -> Self::Seen;
+    fn begin_calls(&self) -> u64;
+}
+
+/// Checks [`StepView::ran`] after every slot of a run: the list is
+/// ascending without duplicates, it names every node whose observable
+/// state changed since the previous slot, and it leaves out every awake
+/// active receiver that ran no `begin_slot` — a parked node that heeded
+/// none of its receptions. Keeps the first fault.
+struct RanWatch<S> {
+    /// Each node's `begin_slot` count and state as last seen.
+    before: Vec<(u64, S)>,
+    /// Receptions at parked receivers that heeded nothing.
+    unheeded: u64,
+    fault: Option<String>,
+}
+
+impl<S: PartialEq + Debug> RanWatch<S> {
+    fn new<P: Watched<Seen = S>, M: InterferenceModel>(sim: &Simulator<P, M>) -> Self {
+        let mut watch = RanWatch {
+            before: Vec::new(),
+            unheeded: 0,
+            fault: None,
+        };
+        watch.resync(sim);
+        watch
+    }
+
+    /// Reads every node afresh, as a call's closing catch-up changes
+    /// parked nodes between two slots.
+    fn resync<P: Watched<Seen = S>, M: InterferenceModel>(&mut self, sim: &Simulator<P, M>) {
+        self.before = sim
+            .nodes()
+            .iter()
+            .map(|p| (p.begin_calls(), p.seen()))
+            .collect();
+    }
+
+    fn observe<P: Watched<Seen = S>, M: InterferenceModel>(
+        &mut self,
+        sim: &Simulator<P, M>,
+        view: &StepView<'_>,
+    ) {
+        if self.fault.is_some() {
+            return;
+        }
+        let (slot, ran) = (view.slot, view.ran);
+        if !ran.windows(2).all(|w| w[0] < w[1]) {
+            self.fault = Some(format!(
+                "slot {slot}: ran is not strictly ascending: {ran:?}"
+            ));
+            return;
+        }
+        let listed = |v: NodeId| ran.binary_search(&v).is_ok();
+        for &(r, sender) in view.receptions.pairs() {
+            let node = sim.node(r);
+            let awake = sim.stats().wake_slot[r] <= slot;
+            if awake && node.is_active() && node.begin_calls() == self.before[r].0 {
+                self.unheeded += 1;
+                if listed(r) && self.fault.is_none() {
+                    self.fault = Some(format!(
+                        "slot {slot}: parked node {r} heeded nothing from {sender} but is listed"
+                    ));
+                }
+            }
+        }
+        for (v, node) in sim.nodes().iter().enumerate() {
+            let now = (node.begin_calls(), node.seen());
+            if now != self.before[v] {
+                if !listed(v) && self.fault.is_none() {
+                    self.fault = Some(format!(
+                        "slot {slot}: node {v} changed from {:?} to {now:?} but is not in ran {ran:?}",
+                        self.before[v]
+                    ));
+                }
+                self.before[v] = now;
+            }
+        }
+    }
+}
+
 /// Runs Promisers, `mk(v)` each, on `pts` under `schedule` until they are
 /// done, and checks the engine against the reference stepper. Identical
 /// outcomes, stats, node states and inbox histories, with and without a
 /// recorder attached, and the recorded run must emit exactly the
 /// oracle's events. A third engine runs the same slots in segments of
 /// random length, so parked nodes are caught up between calls and then
-/// stay parked.
+/// stay parked. In all three a [`RanWatch`] checks every slot's `ran`.
 fn promisers_match_the_reference(
     pts: Vec<Point>,
     seed: u64,
@@ -203,17 +291,27 @@ fn promisers_match_the_reference(
     prop_assert!(oracle_out.all_done);
 
     let mut plain = mk_sim();
-    let plain_out = plain.run(MAX_SLOTS);
+    let mut watch = RanWatch::new(&plain);
+    let plain_out = plain.run_observed(MAX_SLOTS, |sim, view| watch.observe(sim, view));
+    prop_assert_eq!(watch.fault, None, "plain engine");
 
     let mut recorded = mk_sim();
     let mut rec = sinr_obs::FullRecorder::with_ring_capacity(1 << 16);
-    let recorded_out = recorded.run_recorded(MAX_SLOTS, &mut rec, |_, _, _| {});
+    let mut watch = RanWatch::new(&recorded);
+    let recorded_out =
+        recorded.run_recorded(MAX_SLOTS, &mut rec, |sim, view, _| watch.observe(sim, view));
+    prop_assert_eq!(watch.fault, None, "recorded engine");
 
     let mut segmented = mk_sim();
+    let mut watch = RanWatch::new(&segmented);
     let mut slots = 0;
     while !segmented.all_done() {
-        slots += segmented.run(1 + seed % 7).slots;
+        watch.resync(&segmented);
+        slots += segmented
+            .run_observed(1 + seed % 7, |sim, view| watch.observe(sim, view))
+            .slots;
     }
+    prop_assert_eq!(watch.fault, None, "segmented engine");
 
     prop_assert_eq!(plain_out, oracle_out);
     prop_assert_eq!(recorded_out, oracle_out);
@@ -336,6 +434,24 @@ impl Protocol for Promiser {
     }
 }
 
+impl Watched for Promiser {
+    type Seen = (usize, u64, u64, usize, u64, bool, bool);
+    fn seen(&self) -> Self::Seen {
+        (
+            self.phase,
+            self.left,
+            self.acted,
+            self.heard.len(),
+            self.end_calls,
+            self.is_done(),
+            self.is_active(),
+        )
+    }
+    fn begin_calls(&self) -> u64 {
+        self.begin_calls
+    }
+}
+
 /// Transmits on `coin` and promises the next `every − 1` slots quiet
 /// after each callback, up to the slot that makes it done and silent; a
 /// node with `every == 0` promises nothing. A coin of 0 draws nothing, so
@@ -394,12 +510,23 @@ impl Protocol for Ticker {
     }
 }
 
+impl Watched for Ticker {
+    type Seen = (u64, u64, bool, bool);
+    fn seen(&self) -> Self::Seen {
+        (self.acted, self.end_calls, self.is_done(), self.is_active())
+    }
+    fn begin_calls(&self) -> u64 {
+        self.begin_calls
+    }
+}
+
 /// Runs ten isolated Tickers, `mk(v)` each, until they are done, plainly,
 /// recorded and in segments of `segment` slots, and checks all three
 /// against the reference stepper, which runs every callback every slot:
 /// same outcome, stats and transmissions, and full call counts there.
 /// `calls(v, node)` checks node `v`'s call counts in each of the three
-/// engines. Returns the plain engine.
+/// engines, and a [`RanWatch`] checks every slot's `ran` in each.
+/// Returns the plain engine.
 fn tickers_match_the_reference(
     mk: impl Fn(NodeId) -> Ticker + Copy,
     rounds: u64,
@@ -421,17 +548,25 @@ fn tickers_match_the_reference(
         )
     };
     let mut plain = mk_sim();
-    let plain_out = plain.run(MAX_SLOTS);
+    let mut watch = RanWatch::new(&plain);
+    let plain_out = plain.run_observed(MAX_SLOTS, |sim, view| watch.observe(sim, view));
+    assert_eq!(watch.fault, None, "plain engine");
     assert!(plain_out.all_done);
     assert_eq!(plain_out.slots, rounds);
     let mut recorded = mk_sim();
     let mut rec = sinr_obs::FullRecorder::new();
-    let recorded_out = recorded.run_recorded(MAX_SLOTS, &mut rec, |_, _, _| {});
+    let mut watch = RanWatch::new(&recorded);
+    let recorded_out =
+        recorded.run_recorded(MAX_SLOTS, &mut rec, |sim, view, _| watch.observe(sim, view));
+    assert_eq!(watch.fault, None, "recorded engine");
     assert_eq!(recorded_out, plain_out);
     let mut segmented = mk_sim();
+    let mut watch = RanWatch::new(&segmented);
     while !segmented.all_done() {
-        segmented.run(segment);
+        watch.resync(&segmented);
+        segmented.run_observed(segment, |sim, view| watch.observe(sim, view));
     }
+    assert_eq!(watch.fault, None, "segmented engine");
 
     let mut oracle = ReferenceSim::new(
         graph.clone(),
@@ -548,6 +683,40 @@ fn coins_beyond_the_draw_ahead_horizon_stay_exact() {
             "node {v} was parked for most of the run"
         );
     }
+}
+
+#[test]
+fn ran_names_every_changed_node_and_no_receiver_that_heeded_nothing() {
+    // Twelve neighbours, every third one noisy and every fourth one done
+    // at construction, waking over ten slots: parked nodes hear noise,
+    // which they ignore, and messages, which wake them.
+    let pts: Vec<Point> = (0..12).map(|i| Point::new(i as f64 * 0.1, 0.0)).collect();
+    let graph = UnitDiskGraph::new(pts, 1.0);
+    let mk = |v: NodeId| {
+        Promiser::new(
+            [0.05, 0.2],
+            400,
+            300,
+            v.is_multiple_of(4),
+            v.is_multiple_of(3),
+        )
+    };
+    let mut sim = Simulator::new(
+        graph,
+        IdealModel::new(),
+        WakeupSchedule::UniformRandom { window: 10 },
+        5,
+        mk,
+    );
+    let mut watch = RanWatch::new(&sim);
+    let out = sim.run_observed(MAX_SLOTS, |sim, view| watch.observe(sim, view));
+    assert!(out.all_done);
+    assert_eq!(watch.fault, None);
+    let mut rec = sinr_obs::FullRecorder::new();
+    sim.export_metrics(&mut rec);
+    let left_parked = rec.registry().counter(keys::SIM_WORK_RX_LEFT_PARKED);
+    assert_eq!(Some(watch.unheeded), left_parked);
+    assert!(watch.unheeded > 0, "no parked receiver heard only noise");
 }
 
 /// Even ids are done at construction (their output is fixed before the

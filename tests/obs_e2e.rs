@@ -63,7 +63,7 @@ fn small_run_with_stride_one_probes_is_violation_free() {
     }
     assert!(
         reg.counter(keys::PROBE_THM1_CHECKS).unwrap_or(0) > 0,
-        "the theorem-1 sweep actually ran"
+        "the theorem-1 check actually ran"
     );
 
     // Aggregate metrics agree with the outcome the driver reports.
