@@ -1,10 +1,10 @@
 //! Criterion benches for the geometric substrate (S1): UDG construction,
-//! spatial-grid range queries, packing, and greedy coloring.
+//! packing, and greedy coloring.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sinr_geometry::greedy::greedy_coloring;
 use sinr_geometry::packing::greedy_mis;
-use sinr_geometry::{placement, Point, SpatialGrid, UnitDiskGraph};
+use sinr_geometry::{placement, UnitDiskGraph};
 
 fn bench_udg_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("udg_construction");
@@ -12,22 +12,6 @@ fn bench_udg_construction(c: &mut Criterion) {
         let pts = placement::uniform_with_expected_degree(n, 1.0, 12.0, 1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
             b.iter(|| UnitDiskGraph::new(black_box(pts.clone()), 1.0));
-        });
-    }
-    group.finish();
-}
-
-fn bench_grid_queries(c: &mut Criterion) {
-    let mut group = c.benchmark_group("grid_range_query");
-    let pts = placement::uniform_with_expected_degree(4096, 1.0, 12.0, 2);
-    let grid = SpatialGrid::build(&pts, 1.0);
-    for &r in &[1.0f64, 2.0, 4.0] {
-        group.bench_with_input(BenchmarkId::from_parameter(r), &r, |b, &r| {
-            b.iter(|| {
-                let mut count = 0usize;
-                grid.for_each_within(&pts, black_box(Point::new(10.0, 10.0)), r, |_| count += 1);
-                count
-            });
         });
     }
     group.finish();
@@ -42,10 +26,5 @@ fn bench_greedy(c: &mut Criterion) {
     c.bench_function("greedy_mis_1024", |b| b.iter(|| greedy_mis(black_box(&g))));
 }
 
-criterion_group!(
-    benches,
-    bench_udg_construction,
-    bench_grid_queries,
-    bench_greedy
-);
+criterion_group!(benches, bench_udg_construction, bench_greedy);
 criterion_main!(benches);

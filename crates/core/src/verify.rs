@@ -1,18 +1,19 @@
 //! Verifiers for `(d, V)`-colorings and independence (§II definitions).
 
-use sinr_geometry::{NodeId, Point, SpatialGrid};
+use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 
 /// All pairs `(u, v)`, `u < v`, with equal colors at Euclidean distance at
 /// most `max_dist` — the violations of a `(d, V)`-coloring with
 /// `max_dist = d·R_T` (§II).
 ///
-/// Runs in `O(n + k)` expected time for `k` candidate pairs via a spatial
-/// grid.
+/// A filter over the edges of the unit-disk graph at radius `max_dist`,
+/// which come out sorted. Building that graph is the whole cost:
+/// `O(n + |E|)` for well-spread points (see [`UnitDiskGraph::new`]).
 ///
 /// # Panics
 ///
 /// Panics if `positions` and `colors` have different lengths or
-/// `max_dist ≤ 0`.
+/// `max_dist` is not finite and positive.
 pub fn distance_violations(
     positions: &[Point],
     colors: &[usize],
@@ -20,17 +21,10 @@ pub fn distance_violations(
 ) -> Vec<(NodeId, NodeId)> {
     assert_eq!(positions.len(), colors.len(), "one color per node");
     assert!(max_dist > 0.0, "distance threshold must be positive");
-    let grid = SpatialGrid::build(positions, max_dist);
-    let mut violations = Vec::new();
-    for u in 0..positions.len() {
-        grid.for_each_within(positions, positions[u], max_dist, |v| {
-            if u < v && colors[u] == colors[v] {
-                violations.push((u, v));
-            }
-        });
-    }
-    violations.sort_unstable();
-    violations
+    UnitDiskGraph::new(positions.to_vec(), max_dist)
+        .edges()
+        .filter(|&(u, v)| colors[u] == colors[v])
+        .collect()
 }
 
 /// Whether `colors` is a `(d, V)`-coloring for threshold
@@ -55,30 +49,31 @@ pub fn is_distance_coloring(positions: &[Point], colors: &[usize], max_dist: f64
 /// the per-slot audit of Theorem 1 ("the color class `C_i` forms an
 /// independent set throughout the execution").
 ///
-/// `colors[v]` is `None` for nodes that have not decided yet.
+/// `colors[v]` is `None` for nodes that have not decided yet. Like
+/// [`distance_violations`], a filter over the sorted edges of the
+/// unit-disk graph at radius `r_t`.
+///
+/// # Panics
+///
+/// Panics if `positions` and `colors` have different lengths or `r_t` is
+/// not finite and positive.
 pub fn class_independence_violations(
     positions: &[Point],
     colors: &[Option<usize>],
     r_t: f64,
 ) -> Vec<(NodeId, NodeId)> {
     assert_eq!(positions.len(), colors.len(), "one color slot per node");
-    let grid = SpatialGrid::build(positions, r_t);
-    let mut violations = Vec::new();
-    for u in 0..positions.len() {
-        let Some(cu) = colors[u] else { continue };
-        grid.for_each_within(positions, positions[u], r_t, |v| {
-            if u < v && colors[v] == Some(cu) {
-                violations.push((u, v));
-            }
-        });
-    }
-    violations.sort_unstable();
-    violations
+    UnitDiskGraph::new(positions.to_vec(), r_t)
+        .edges()
+        .filter(|&(u, v)| colors[u].is_some() && colors[u] == colors[v])
+        .collect()
 }
 
 /// Incremental form of the Theorem-1 audit: checks whether newly decided
-/// nodes conflict with any already decided node of the same class. Much
-/// cheaper than re-scanning all pairs every slot.
+/// nodes conflict with any already decided node of the same class. Scans
+/// all `n` nodes per new node, `O(|newly_decided| · n)` with no set-up, so
+/// it beats rebuilding the graph for [`class_independence_violations`]
+/// in a slot where few nodes decide.
 pub fn incremental_independence_violations(
     positions: &[Point],
     colors: &[Option<usize>],

@@ -83,17 +83,22 @@ proptest! {
         colors_seed in 0usize..7,
         dist in 0.2..3.0f64,
     ) {
-        let colors: Vec<usize> = (0..pts.len()).map(|i| (i * 7 + colors_seed) % 4).collect();
-        let fast = distance_violations(&pts, &colors, dist);
-        let mut brute = Vec::new();
-        for u in 0..pts.len() {
-            for v in (u + 1)..pts.len() {
-                if colors[u] == colors[v] && pts[u].distance(pts[v]) <= dist {
-                    brute.push((u, v));
+        // One outlier 10⁵ away makes the graph build double its grid side.
+        let mut sparse = pts.clone();
+        sparse.push(Point::new(-1.0e5, 2.0e5));
+        for pts in [pts, sparse] {
+            let colors: Vec<usize> = (0..pts.len()).map(|i| (i * 7 + colors_seed) % 4).collect();
+            let fast = distance_violations(&pts, &colors, dist);
+            let mut brute = Vec::new();
+            for u in 0..pts.len() {
+                for v in (u + 1)..pts.len() {
+                    if colors[u] == colors[v] && pts[u].distance(pts[v]) <= dist {
+                        brute.push((u, v));
+                    }
                 }
             }
+            prop_assert_eq!(fast, brute);
         }
-        prop_assert_eq!(fast, brute);
     }
 
     #[test]

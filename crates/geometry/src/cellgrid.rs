@@ -1,12 +1,13 @@
 //! A dense, incrementally-maintained cell grid over a *fixed* point set.
 //!
-//! [`SpatialGrid`](crate::SpatialGrid) hashes arbitrary points into sparse
-//! buckets and is rebuilt from scratch for every query set. The SINR
-//! resolver's steady state is different: the *point set is immutable* (node
-//! positions never move) while the *member subset* (the per-slot transmitter
-//! set) churns. [`CellGrid`] exploits that: it binds once to the point set —
-//! computing the bounding box, a dense `rows × cols` cell table, and every
-//! node's home cell — and afterwards supports `O(1)` membership updates:
+//! Node positions never move, so the crate's one spatial index binds once
+//! to the point set — computing the bounding box, a dense `rows × cols`
+//! cell table, and every node's home cell — and afterwards supports `O(1)`
+//! membership updates. Its two users differ only in the members they
+//! insert: [`UnitDiskGraph::new`](crate::UnitDiskGraph::new) inserts every
+//! node once and walks each node's 3×3 window to build the adjacency, and
+//! the SINR resolver keeps the per-slot transmitter set as members while
+//! it churns.
 //!
 //! * each cell stores its members as packed [`CellEntry`] records
 //!   (`x`, `y`, `id`), so interference summation streams one contiguous
@@ -57,7 +58,8 @@ const NOT_MEMBER: u32 = u32::MAX;
 
 /// Dense grids refuse to allocate more than `4·n + 4096` cells — beyond
 /// that (pathologically scattered point sets) a dense table wastes memory
-/// and scan time, and callers should fall back to per-query structures.
+/// and scan time, and callers should bind a coarser cell side or do
+/// without the grid.
 pub const MAX_DENSE_CELLS_PER_NODE: usize = 4;
 
 /// A dense cell grid bound to a fixed point set (see module docs).
@@ -92,8 +94,10 @@ impl CellGrid {
     /// Binds a grid of side `cell` to `points`, with no members yet.
     ///
     /// Returns `None` when the point set's bounding box would need more
-    /// than `4·n + 4096` cells — a dense table would be mostly empty air;
-    /// callers should treat that as "grid not worth it" and fall back.
+    /// than `4·n + 4096` cells — a dense table would be mostly empty air.
+    /// The SINR resolver then runs without a grid, and
+    /// [`UnitDiskGraph::new`](crate::UnitDiskGraph::new) doubles the side
+    /// until the bind succeeds.
     ///
     /// # Panics
     ///

@@ -1,16 +1,26 @@
 //! The unit-disk communication graph `G = (V, E, R_T)` of the paper (§II).
 
-use crate::grid::SpatialGrid;
+use crate::cellgrid::CellGrid;
 use crate::point::Point;
 use crate::NodeId;
+
+/// The grid's cell side over the radius. A point's cell index is a rounded
+/// quotient, so at a side of exactly `radius` two points `radius` apart can
+/// land two cells apart: a lattice with spacing `radius` that does not
+/// start at the origin loses edges that way. In a grid that binds (fewer
+/// than 2³² cells), rounding moves the difference of two quotients by at
+/// most about 2⁻¹⁹, half this margin, so every pair the `dist² ≤ radius²`
+/// test accepts lies in one 3×3 window.
+const SIDE_OVER_RADIUS: f64 = 1.0 + 1.0 / 262_144.0;
 
 /// A unit-disk graph: nodes at fixed positions, an edge between `u` and `v`
 /// iff `δ(u, v) ≤ R_T`.
 ///
 /// The paper models the network as the UDG induced by the transmission range
 /// `R_T`: "in absence of simultaneous transmissions node u can hear node v at
-/// distance δ(u, v) ≤ R_T" (§II). Adjacency lists are precomputed at
-/// construction (grid-accelerated, `O(n + Σ deg)` expected) and kept sorted.
+/// distance δ(u, v) ≤ R_T" (§II). Adjacency is precomputed at construction
+/// (one [`CellGrid`] walk, `O(n + Σ deg)` for well-spread points) and
+/// stored as sorted CSR rows: one offsets vector and one neighbors vector.
 ///
 /// # Example
 ///
@@ -27,12 +37,21 @@ use crate::NodeId;
 pub struct UnitDiskGraph {
     positions: Vec<Point>,
     radius: f64,
-    adjacency: Vec<Vec<NodeId>>,
+    /// Row `v` of the CSR adjacency is `neighbors[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    /// Every node's sorted neighbor list, concatenated in node order.
+    neighbors: Vec<NodeId>,
     max_degree: usize,
 }
 
 impl UnitDiskGraph {
     /// Builds the UDG over `positions` with communication radius `radius`.
+    ///
+    /// Binds a [`CellGrid`] with cell side just over `radius`, doubling the
+    /// side until the grid accepts the point set (a sparse set's bounding
+    /// box can need more cells than a dense grid allows). Every node then
+    /// tests the members of its 3×3 cell window with `dist² ≤ radius²`; any
+    /// such side keeps every neighbor inside that window.
     ///
     /// # Panics
     ///
@@ -43,21 +62,41 @@ impl UnitDiskGraph {
             radius.is_finite() && radius > 0.0,
             "communication radius must be positive and finite"
         );
-        let grid = SpatialGrid::build(&positions, radius);
-        let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); positions.len()];
+        let mut side = radius * SIDE_OVER_RADIUS;
+        let mut grid = loop {
+            match CellGrid::try_bind(&positions, side) {
+                Some(grid) => break grid,
+                None => side *= 2.0,
+            }
+        };
+        for v in 0..positions.len() {
+            grid.insert(v);
+        }
+        let r2 = radius * radius;
+        let mut offsets = Vec::with_capacity(positions.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::new();
+        let mut max_degree = 0;
         for (v, &p) in positions.iter().enumerate() {
-            grid.for_each_within(&positions, p, radius, |u| {
-                if u != v {
-                    adjacency[v].push(u);
+            let row = neighbors.len();
+            grid.for_each_window_cell(grid.cell_of(v), 1, |cell, _| {
+                for e in grid.entries(cell) {
+                    if e.id != v && Point::new(e.x, e.y).distance_squared(p) <= r2 {
+                        neighbors.push(e.id);
+                    }
                 }
             });
-            adjacency[v].sort_unstable();
+            neighbors[row..].sort_unstable();
+            max_degree = max_degree.max(neighbors.len() - row);
+            offsets.push(neighbors.len());
         }
-        let max_degree = adjacency.iter().map(Vec::len).max().unwrap_or(0);
+        // The graph outlives every run on it; keep no growth slack.
+        neighbors.shrink_to_fit();
         UnitDiskGraph {
             positions,
             radius,
-            adjacency,
+            offsets,
+            neighbors,
             max_degree,
         }
     }
@@ -106,7 +145,7 @@ impl UnitDiskGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adjacency[v]
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of `v`.
@@ -115,7 +154,7 @@ impl UnitDiskGraph {
     ///
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adjacency[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Maximum degree Δ of the graph.
@@ -125,35 +164,22 @@ impl UnitDiskGraph {
 
     /// Whether `u` and `v` are adjacent (`δ(u, v) ≤ R_T`, `u ≠ v`).
     pub fn are_adjacent(&self, u: NodeId, v: NodeId) -> bool {
-        u != v && self.adjacency[u].binary_search(&v).is_ok()
+        u != v && self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Total number of (undirected) edges.
     pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        self.neighbors.len() / 2
     }
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.adjacency
-            .iter()
-            .enumerate()
-            .flat_map(|(u, ns)| ns.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
-    }
-
-    /// Nodes within Euclidean distance `r` of node `v`, *excluding* `v`,
-    /// in ascending id order.
-    ///
-    /// Unlike [`UnitDiskGraph::neighbors`] this supports arbitrary radii
-    /// (e.g. the `2R_T` and `R_I` disks of the analysis). Runs in `O(n)`;
-    /// for repeated queries at a fixed radius build a dedicated
-    /// [`SpatialGrid`].
-    pub fn nodes_within(&self, v: NodeId, r: f64) -> Vec<NodeId> {
-        let c = self.positions[v];
-        let r2 = r * r;
-        (0..self.len())
-            .filter(|&u| u != v && self.positions[u].distance_squared(c) <= r2)
-            .collect()
+        (0..self.len()).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .filter(move |&&v| u < v)
+                .map(move |&v| (u, v))
+        })
     }
 
     /// Whether the whole graph is connected (empty and singleton graphs are
@@ -253,7 +279,7 @@ impl UnitDiskGraph {
         if self.is_empty() {
             0.0
         } else {
-            self.adjacency.iter().map(Vec::len).sum::<usize>() as f64 / self.len() as f64
+            self.neighbors.len() as f64 / self.len() as f64
         }
     }
 }
@@ -288,11 +314,20 @@ mod tests {
 
     #[test]
     fn adjacency_matches_distance_threshold() {
-        let g = UnitDiskGraph::new(placement::uniform(60, 3.0, 3.0, 8), 1.0);
-        for u in 0..g.len() {
-            for v in 0..g.len() {
-                if u != v {
-                    assert_eq!(g.are_adjacent(u, v), g.distance(u, v) <= 1.0);
+        // A lattice of spacing `radius` away from the origin puts hundreds
+        // of pairs exactly on the threshold, next to cell boundaries.
+        let lattice: Vec<Point> = placement::jittered_grid(50, 7, 0.5, 0.0, 0)
+            .into_iter()
+            .map(|p| Point::new(p.x + 0.37, p.y - 1.9))
+            .collect();
+        for (pts, r) in [(placement::uniform(60, 3.0, 3.0, 8), 1.0), (lattice, 0.5)] {
+            let g = UnitDiskGraph::new(pts, r);
+            for u in 0..g.len() {
+                for v in 0..g.len() {
+                    if u != v {
+                        let within = g.position(u).distance_squared(g.position(v)) <= r * r;
+                        assert_eq!(g.are_adjacent(u, v), within);
+                    }
                 }
             }
         }
@@ -333,13 +368,6 @@ mod tests {
             assert!(u < v);
             assert!(g.are_adjacent(u, v));
         }
-    }
-
-    #[test]
-    fn nodes_within_extends_beyond_neighbors() {
-        let g = path3();
-        assert_eq!(g.nodes_within(0, 1.0), vec![1]);
-        assert_eq!(g.nodes_within(0, 2.0), vec![1, 2]);
     }
 
     #[test]

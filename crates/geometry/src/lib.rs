@@ -11,10 +11,9 @@
 //!
 //! * [`Point`] — a 2-D point with distance arithmetic.
 //! * [`Bbox`] — axis-aligned bounding boxes for deployment areas.
-//! * [`SpatialGrid`] — a uniform hash grid supporting fast range queries,
-//!   used both for UDG construction and for interference bookkeeping.
-//! * [`CellGrid`] — a dense grid bound to a fixed point set with `O(1)`
-//!   incremental membership updates, the SINR resolver's steady-state
+//! * [`CellGrid`] — the one spatial index: a dense grid bound to a fixed
+//!   point set with `O(1)` incremental membership updates. It builds the
+//!   unit-disk graph's adjacency and is the SINR resolver's steady-state
 //!   transmitter index.
 //! * [`placement`] — deterministic, seeded node-placement generators
 //!   (uniform random, jittered grid, clustered, line).
@@ -39,7 +38,6 @@ pub mod cast;
 pub mod cellgrid;
 pub mod graph;
 pub mod greedy;
-pub mod grid;
 pub mod packing;
 pub mod placement;
 pub mod point;
@@ -47,7 +45,6 @@ pub mod point;
 pub use bbox::Bbox;
 pub use cellgrid::{CellEntry, CellGrid};
 pub use graph::UnitDiskGraph;
-pub use grid::{GridKey, SpatialGrid};
 pub use point::Point;
 
 /// Identifier of a node in a placement / graph: the index into the point set.

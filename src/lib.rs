@@ -4,7 +4,8 @@
 //! `tests/`) and the runnable examples (in `examples/`). The actual library
 //! code lives in the member crates:
 //!
-//! * [`sinr_geometry`] — points, spatial grid, placements, unit-disk graphs.
+//! * [`sinr_geometry`] — points, the dense cell grid, placements, unit-disk
+//!   graphs.
 //! * [`sinr_model`] — the SINR physical model and baseline interference models.
 //! * [`sinr_radiosim`] — the slot-synchronous radio network simulator.
 //! * [`sinr_coloring`] — the MW coloring algorithm tuned for SINR (the paper's
