@@ -263,7 +263,7 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
             resolve_ns_per_slot: on_ns,
             slots_per_sec: on_sps,
         },
-        // Only a grid tracks transmitter deltas.
+        // Only a grid inserts transmitters (`delta_started` counts them).
         picked_on: default_run.resolver.is_some_and(|r| r.delta_started > 0),
         fast_path_hit_rate: hit_rate,
         slot_cap: slot_cap(n, quick),

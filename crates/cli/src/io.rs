@@ -2,7 +2,7 @@
 //! integer assignments (`node value` per line).
 
 use crate::{err, CliError};
-use sinr_geometry::Point;
+use sinr_geometry::{Bbox, Point};
 
 /// Parses a positions document: one `x y` pair per line; blank lines and
 /// `#`-comments ignored.
@@ -10,7 +10,8 @@ use sinr_geometry::Point;
 /// # Errors
 ///
 /// Fails on malformed lines or non-finite coordinates, citing the line
-/// number.
+/// number, and on coordinates whose extent along an axis overflows `f64`
+/// (no unit-disk graph can be built over them), naming the axis.
 pub fn parse_positions(text: &str) -> Result<Vec<Point>, CliError> {
     let mut pts = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -35,6 +36,18 @@ pub fn parse_positions(text: &str) -> Result<Vec<Point>, CliError> {
             return Err(err(format!("line {}: non-finite coordinate", lineno + 1)));
         }
         pts.push(Point::new(x, y));
+    }
+    if let Some(b) = Bbox::enclosing(&pts) {
+        let (lo, hi) = (b.min(), b.max());
+        for (axis, from, to, extent) in
+            [("x", lo.x, hi.x, b.width()), ("y", lo.y, hi.y, b.height())]
+        {
+            if !extent.is_finite() {
+                return Err(err(format!(
+                    "{axis} coordinates run from {from:e} to {to:e}, an extent that overflows f64"
+                )));
+            }
+        }
     }
     Ok(pts)
 }
@@ -124,6 +137,12 @@ mod tests {
         assert!(parse_positions("1 2 3\n").is_err());
         assert!(parse_positions("a b\n").is_err());
         assert!(parse_positions("inf 0\n").is_err());
+        // An extent that overflows f64 along an axis is named by its axis.
+        for (text, axis) in [("-1e308 0\n1e308 0\n", "x"), ("0 -1e308\n0 1e308\n", "y")] {
+            let e = parse_positions(text).unwrap_err().to_string();
+            assert!(e.starts_with(&format!("{axis} coordinates")), "{e}");
+        }
+        assert_eq!(parse_positions("0 0\n1e300 -1e300\n").unwrap().len(), 2);
     }
 
     #[test]

@@ -64,6 +64,15 @@ fn malformed_input_reports_line_number() {
 }
 
 #[test]
+fn an_extent_that_overflows_f64_is_a_clean_error() {
+    let wide = tmp("wide.txt", "-1e308 0\n1e308 0\n");
+    let out = sinrcolor(&["info", "--input", wide.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "an error, not a panic");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("x coordinates"));
+    let _ = std::fs::remove_file(wide);
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = sinrcolor(&["info", "--input", "/nonexistent/nowhere.txt"]);
     assert!(!out.status.success());

@@ -1,23 +1,22 @@
-//! A dense, incrementally-maintained cell grid over a *fixed* point set.
+//! A dense cell grid over a *fixed* point set.
 //!
 //! Node positions never move, so the crate's one spatial index binds once
 //! to the point set — computing the bounding box, a dense `rows × cols`
-//! cell table, and every node's home cell — and afterwards supports `O(1)`
-//! membership updates. Its two users differ only in the members they
-//! insert: [`UnitDiskGraph::new`](crate::UnitDiskGraph::new) inserts every
-//! node once and walks each node's 3×3 window to build the adjacency, and
-//! the SINR resolver keeps the per-slot transmitter set as members while
-//! it churns.
+//! cell table, and every node's home cell — and afterwards only inserts
+//! members and clears them all. Its two users differ only in the members
+//! they insert: [`UnitDiskGraph::new`](crate::UnitDiskGraph::new) inserts
+//! every node once and walks each node's 3×3 window to build the
+//! adjacency, and the SINR resolver clears the grid and inserts the slot's
+//! transmitters at the start of each slot it bounds.
 //!
 //! * each cell stores its members as packed [`CellEntry`] records
 //!   (`x`, `y`, `id`), so interference summation streams one contiguous
 //!   slice per cell instead of chasing `positions[id]` through the whole
 //!   point array — the structure-of-arrays layout the resolver reads;
-//! * per-node `node_cell` / `node_slot` indices make insert and
-//!   swap-removal constant-time and allocation-free in steady state;
-//! * the occupied-cell list tolerates stale (emptied) entries and compacts
-//!   itself once stale entries outnumber live ones, keeping scans linear in
-//!   the number of *live* cells.
+//! * every bucket is sized at bind time for the nodes whose home cell it
+//!   is, so insert and clear never allocate;
+//! * the occupied-cell list names each non-empty cell exactly once, so a
+//!   scan over it is linear in the number of non-empty cells.
 //!
 //! Cell coordinates are plain integers into the dense table, so the
 //! resolver's near/far classification is index arithmetic — no hashing.
@@ -32,9 +31,9 @@
 //! grid.insert(0);
 //! grid.insert(2);
 //! assert_eq!(grid.len(), 2);
-//! assert!(grid.contains(0) && !grid.contains(1));
-//! grid.remove(0);
-//! assert_eq!(grid.len(), 1);
+//! assert_eq!(grid.occupied(), &[grid.cell_of(0), grid.cell_of(2)]);
+//! grid.clear_members();
+//! assert!(grid.is_empty() && grid.occupied().is_empty());
 //! ```
 
 use crate::cast;
@@ -53,9 +52,6 @@ pub struct CellEntry {
     pub id: NodeId,
 }
 
-/// Sentinel for "node is not currently a member".
-const NOT_MEMBER: u32 = u32::MAX;
-
 /// Dense grids refuse to allocate more than `4·n + 4096` cells — beyond
 /// that (pathologically scattered point sets) a dense table wastes memory
 /// and scan time, and callers should bind a coarser cell side or do
@@ -70,18 +66,11 @@ pub struct CellGrid {
     rows: i64,
     /// Member records per cell, indexed densely by `cy * cols + cx`.
     cells: Vec<Vec<CellEntry>>,
-    /// Cell indices that may be non-empty; may contain stale (emptied)
-    /// entries, compacted once they outnumber live cells.
+    /// The non-empty cells, each once, in the order they received their
+    /// first member since the last clear.
     occupied: Vec<u32>,
-    /// Whether a cell index currently sits in `occupied`.
-    in_occupied: Vec<bool>,
-    /// Number of currently non-empty cells (`occupied` minus stale).
-    live_cells: usize,
     /// Home cell of every node of the bound point set.
     node_cell: Vec<u32>,
-    /// Position of each member within its cell's entry list, or
-    /// [`NOT_MEMBER`].
-    node_slot: Vec<u32>,
     /// Coordinates copied from the bound point set (flat, id-indexed).
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -94,7 +83,8 @@ impl CellGrid {
     /// Binds a grid of side `cell` to `points`, with no members yet.
     ///
     /// Returns `None` when the point set's bounding box would need more
-    /// than `4·n + 4096` cells — a dense table would be mostly empty air.
+    /// than `4·n + 4096` cells — a dense table would be mostly empty air —
+    /// including a box whose extent overflows `f64`.
     /// The SINR resolver then runs without a grid, and
     /// [`UnitDiskGraph::new`](crate::UnitDiskGraph::new) doubles the side
     /// until the bind succeeds.
@@ -124,25 +114,28 @@ impl CellGrid {
                 max_y = max_y.max(p.y);
             }
         }
-        let cols = (cast::floor_i64((max_x - min_x) / cell) + 1).max(1);
-        let rows = (cast::floor_i64((max_y - min_y) / cell) + 1).max(1);
-        let cell_count = cols.checked_mul(rows)?;
-        let budget = i64::try_from(
-            MAX_DENSE_CELLS_PER_NODE
-                .saturating_mul(n)
-                .saturating_add(4096),
-        )
-        .unwrap_or(i64::MAX);
-        if cell_count > budget {
-            return None;
-        }
-        let cell_count = usize::try_from(cell_count).ok()?;
-        // Cell indices and per-cell slots are packed into `u32` (with
-        // `u32::MAX` reserved as the sentinel); refuse point sets or grids
+        // Cell indices are packed into `u32`; refuse point sets or grids
         // that could not be indexed losslessly. Unreachable in practice —
         // 2³² nodes or cells would need hundreds of GiB — but it makes
         // every `as u32` below provably in range.
-        if u32::try_from(cell_count).is_err() || u32::try_from(n).is_err() {
+        if u32::try_from(n).is_err() {
+            return None;
+        }
+        let budget = MAX_DENSE_CELLS_PER_NODE
+            .saturating_mul(n)
+            .saturating_add(4096);
+        // Each axis's cell count is checked as an `f64`, before the cast:
+        // a span that needs more cells than the budget, or one that
+        // overflows `f64` (an infinite count fails the comparison), is
+        // refused instead of saturating the cast.
+        let axis_cells = |span: f64| {
+            let cells = (span / cell).floor() + 1.0;
+            (cells <= budget as f64).then(|| cast::floor_i64(cells))
+        };
+        let cols = axis_cells(max_x - min_x)?;
+        let rows = axis_cells(max_y - min_y)?;
+        let cell_count = usize::try_from(cols.checked_mul(rows)?).ok()?;
+        if cell_count > budget || u32::try_from(cell_count).is_err() {
             return None;
         }
         let mut node_cell = Vec::with_capacity(n);
@@ -186,10 +179,7 @@ impl CellGrid {
             rows,
             cells,
             occupied: Vec::with_capacity(cell_count.min(n)),
-            in_occupied: vec![false; cell_count],
-            live_cells: 0,
             node_cell,
-            node_slot: vec![NOT_MEMBER; n],
             xs,
             ys,
             members: 0,
@@ -229,11 +219,6 @@ impl CellGrid {
         self.members == 0
     }
 
-    /// Whether node `id` is currently a member.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.node_slot[id] != NOT_MEMBER
-    }
-
     /// Home cell index of node `id` (valid whether or not it is a member).
     pub fn cell_of(&self, id: NodeId) -> u32 {
         self.node_cell[id]
@@ -255,15 +240,10 @@ impl CellGrid {
         &self.cells[cell as usize]
     }
 
-    /// Cell indices that may hold members (may include stale empties;
-    /// check [`CellGrid::entries`] for emptiness when scanning).
+    /// The non-empty cells, each exactly once, in the order they received
+    /// their first member since the last [`CellGrid::clear_members`].
     pub fn occupied(&self) -> &[u32] {
         &self.occupied
-    }
-
-    /// Number of currently non-empty cells.
-    pub fn live_cells(&self) -> usize {
-        self.live_cells
     }
 
     /// Verifies that `points` still looks like the bound point set — a
@@ -287,25 +267,24 @@ impl CellGrid {
 
     /// Adds node `id` as a member.
     ///
-    /// Steady-state allocation-free: entry vectors retain capacity across
-    /// remove/insert cycles, so only first-time cell growth allocates.
+    /// Allocation-free: every bucket was sized at bind time for all the
+    /// nodes whose home cell it is.
     ///
     /// # Panics
     ///
-    /// Debug-panics if `id` is already a member (callers dedupe).
-    // lint:hot — delta-apply path, runs once per started transmitter per slot
+    /// Debug-panics if `id` is already a member: callers insert a node at
+    /// most once between clears.
+    // lint:hot — grid refill, runs once per transmitter of a bounded slot
     pub fn insert(&mut self, id: NodeId) {
-        debug_assert!(!self.contains(id), "node {id} inserted twice");
-        let cell = self.node_cell[id] as usize;
-        let bucket = &mut self.cells[cell];
+        let cell = self.node_cell[id];
+        let bucket = &mut self.cells[cell as usize];
+        debug_assert!(
+            bucket.iter().all(|e| e.id != id),
+            "node {id} inserted twice"
+        );
         if bucket.is_empty() {
-            self.live_cells += 1;
-            if !self.in_occupied[cell] {
-                self.in_occupied[cell] = true;
-                self.occupied.push(cell as u32);
-            }
+            self.occupied.push(cell);
         }
-        self.node_slot[id] = bucket.len() as u32;
         bucket.push(CellEntry {
             x: self.xs[id],
             y: self.ys[id],
@@ -314,67 +293,15 @@ impl CellGrid {
         self.members += 1;
     }
 
-    /// Removes node `id` from membership; returns `false` (leaving the
-    /// grid untouched) if it was not a member — callers use that as the
-    /// signal that an externally supplied delta is inconsistent.
-    // lint:hot — delta-apply path, runs once per stopped transmitter per slot
-    pub fn remove(&mut self, id: NodeId) -> bool {
-        let slot = self.node_slot[id];
-        if slot == NOT_MEMBER {
-            return false;
-        }
-        let cell = self.node_cell[id] as usize;
-        let bucket = &mut self.cells[cell];
-        bucket.swap_remove(slot as usize);
-        if let Some(moved) = bucket.get(slot as usize) {
-            self.node_slot[moved.id] = slot;
-        }
-        if bucket.is_empty() {
-            self.live_cells -= 1;
-        }
-        self.node_slot[id] = NOT_MEMBER;
-        self.members -= 1;
-        true
-    }
-
-    /// Removes every member while keeping all cell capacity (so a refill
-    /// allocates nothing), and drops stale occupied entries.
+    /// Removes every member while keeping all cell capacity, so a refill
+    /// allocates nothing. Costs one step per non-empty cell.
+    // lint:hot — grid refill, runs once per bounded slot
     pub fn clear_members(&mut self) {
         for &c in &self.occupied {
-            let bucket = &mut self.cells[c as usize];
-            for e in bucket.iter() {
-                self.node_slot[e.id] = NOT_MEMBER;
-            }
-            bucket.clear();
-            self.in_occupied[c as usize] = false;
+            self.cells[c as usize].clear();
         }
         self.occupied.clear();
-        self.live_cells = 0;
         self.members = 0;
-    }
-
-    /// Drops stale (emptied) cells from the occupied list. Called by
-    /// [`CellGrid::maintain`]; also useful after a bulk rebuild.
-    pub fn compact_occupied(&mut self) {
-        let cells = &self.cells;
-        let in_occupied = &mut self.in_occupied;
-        self.occupied.retain(|&c| {
-            if cells[c as usize].is_empty() {
-                in_occupied[c as usize] = false;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Compacts the occupied list once stale entries outnumber live cells
-    /// (amortized `O(1)` per membership update). Call once per batch of
-    /// updates.
-    pub fn maintain(&mut self) {
-        if self.occupied.len() > 2 * self.live_cells + 16 {
-            self.compact_occupied();
-        }
     }
 
     /// Calls `f(cell_index, chebyshev_cell_distance)` for every dense cell
@@ -436,28 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_roundtrip() {
-        let mut g = CellGrid::try_bind(&pts(), 1.0).unwrap();
-        g.insert(0);
-        g.insert(1);
-        g.insert(4);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.live_cells(), 2);
-        assert!(g.contains(1));
-        let cell0 = g.cell_of(0);
-        assert_eq!(g.entries(cell0).len(), 2);
-        assert!(g.remove(0));
-        // Swap-removal keeps node 1 reachable at its new slot.
-        assert!(g.contains(1));
-        assert_eq!(g.entries(cell0).len(), 1);
-        assert_eq!(g.entries(cell0)[0].id, 1);
-        assert!(!g.remove(0), "double remove reports inconsistency");
-        assert!(g.remove(1));
-        assert_eq!(g.live_cells(), 1);
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
     fn entries_carry_coordinates() {
         let p = pts();
         let mut g = CellGrid::try_bind(&p, 1.0).unwrap();
@@ -472,49 +377,46 @@ mod tests {
         for id in 0..5 {
             g.insert(id);
         }
+        assert_eq!(g.len(), 5);
         g.clear_members();
         assert!(g.is_empty());
-        assert_eq!(g.live_cells(), 0);
         assert!(g.occupied().is_empty());
         for id in 0..5 {
-            assert!(!g.contains(id));
+            assert!(g.entries(g.cell_of(id)).is_empty());
         }
         g.insert(2); // reusable after clearing
         assert_eq!(g.entries(g.cell_of(2)).len(), 1);
+        assert_eq!(g.occupied(), &[g.cell_of(2)]);
     }
 
     #[test]
-    fn occupied_tolerates_staleness_and_compacts() {
-        let mut g = CellGrid::try_bind(&pts(), 1.0).unwrap();
-        g.insert(0);
-        g.insert(2);
-        g.remove(0);
-        // Stale entry for node 0's cell is still listed...
-        assert_eq!(g.occupied().len(), 2);
-        assert_eq!(g.live_cells(), 1);
-        g.compact_occupied();
-        assert_eq!(g.occupied().len(), 1);
-        // ...and re-inserting re-registers the cell exactly once.
-        g.insert(0);
-        g.insert(1);
-        assert_eq!(g.occupied().len(), 2);
-    }
-
-    #[test]
-    fn maintain_compacts_when_stale_dominates() {
-        // 40 nodes in 40 distinct cells along a line.
-        let p: Vec<Point> = (0..40).map(|i| Point::new(i as f64 + 0.5, 0.5)).collect();
+    fn occupied_names_each_non_empty_cell_once_after_a_refill() {
+        // 40 nodes, two to a cell, along a line of 20 cells.
+        let p: Vec<Point> = (0..40)
+            .map(|i| Point::new((i / 2) as f64 + 0.25 + 0.5 * (i % 2) as f64, 0.5))
+            .collect();
         let mut g = CellGrid::try_bind(&p, 1.0).unwrap();
-        for id in 0..40 {
-            g.insert(id);
+        let refills: [&[NodeId]; 4] = [
+            &[0, 1, 2, 3, 38, 39],
+            &[1, 5, 4, 39],
+            &[],
+            &[7, 6, 0, 21, 20, 1],
+        ];
+        for members in refills {
+            g.clear_members();
+            for &id in members {
+                g.insert(id);
+            }
+            let mut expected: Vec<u32> = members.iter().map(|&id| g.cell_of(id)).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            let mut listed = g.occupied().to_vec();
+            listed.sort_unstable();
+            assert_eq!(listed, expected, "refill {members:?}");
+            assert_eq!(listed.len(), g.occupied().len(), "a cell listed twice");
+            let held: usize = g.occupied().iter().map(|&c| g.entries(c).len()).sum();
+            assert_eq!(held, members.len());
         }
-        for id in 1..40 {
-            g.remove(id);
-        }
-        assert_eq!(g.occupied().len(), 40);
-        g.maintain();
-        assert_eq!(g.occupied().len(), 1, "stale cells dropped");
-        assert!(g.contains(0));
     }
 
     #[test]
@@ -540,6 +442,17 @@ mod tests {
         let p = vec![Point::new(0.0, 0.0), Point::new(1.0e5, 1.0e5)];
         assert!(CellGrid::try_bind(&p, 1.0).is_none());
         assert!(CellGrid::try_bind(&p, 1.0e5).is_some());
+        // 10³⁰⁰ cells along one axis would saturate the integer cast; the
+        // f64 count is refused first, in debug and release builds alike.
+        let wide = vec![Point::new(0.0, 0.0), Point::new(1.0e300, 0.0)];
+        let tall = vec![Point::new(0.0, 0.0), Point::new(0.0, 1.0e300)];
+        assert!(CellGrid::try_bind(&wide, 1.0).is_none());
+        assert!(CellGrid::try_bind(&tall, 1.0).is_none());
+        assert_eq!(CellGrid::try_bind(&wide, 3.0e297).unwrap().dims(), (1, 334));
+        // An extent that overflows f64 never binds, at any side.
+        let overflowing = vec![Point::new(-1.0e308, 0.0), Point::new(1.0e308, 0.0)];
+        assert!(CellGrid::try_bind(&overflowing, 1.0).is_none());
+        assert!(CellGrid::try_bind(&overflowing, f64::MAX).is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The unit-disk communication graph `G = (V, E, R_T)` of the paper (§II).
 
+use crate::bbox::Bbox;
 use crate::cellgrid::CellGrid;
 use crate::point::Point;
 use crate::NodeId;
@@ -55,13 +56,21 @@ impl UnitDiskGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `radius` is not finite and strictly positive, or if any
-    /// position is non-finite.
+    /// Panics if `radius` is not finite and strictly positive, if any
+    /// position is non-finite, or if the positions' extent along an axis
+    /// overflows `f64` (say, points at `x = -1e308` and `x = 1e308`): no
+    /// finite cell side binds such a set.
     pub fn new(positions: Vec<Point>, radius: f64) -> Self {
         assert!(
             radius.is_finite() && radius > 0.0,
             "communication radius must be positive and finite"
         );
+        if let Some(b) = Bbox::enclosing(&positions) {
+            assert!(
+                b.width().is_finite() && b.height().is_finite(),
+                "the positions' extent overflows f64"
+            );
+        }
         let mut side = radius * SIDE_OVER_RADIUS;
         let mut grid = loop {
             match CellGrid::try_bind(&positions, side) {
@@ -298,6 +307,15 @@ mod tests {
             ],
             1.0,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "extent overflows f64")]
+    fn an_extent_that_overflows_f64_is_rejected() {
+        let _ = UnitDiskGraph::new(
+            vec![Point::new(-1.0e308, 0.0), Point::new(1.0e308, 0.0)],
+            1.0,
+        );
     }
 
     #[test]

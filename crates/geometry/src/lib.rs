@@ -12,9 +12,9 @@
 //! * [`Point`] — a 2-D point with distance arithmetic.
 //! * [`Bbox`] — axis-aligned bounding boxes for deployment areas.
 //! * [`CellGrid`] — the one spatial index: a dense grid bound to a fixed
-//!   point set with `O(1)` incremental membership updates. It builds the
-//!   unit-disk graph's adjacency and is the SINR resolver's steady-state
-//!   transmitter index.
+//!   point set, filled by allocation-free `O(1)` inserts and emptied in
+//!   one step per non-empty cell. It builds the unit-disk graph's
+//!   adjacency and holds the SINR resolver's transmitters.
 //! * [`placement`] — deterministic, seeded node-placement generators
 //!   (uniform random, jittered grid, clustered, line).
 //! * [`UnitDiskGraph`] — the communication graph `G = (V, E, R_T)`.

@@ -76,11 +76,16 @@ proptest! {
         radius in 0.3..2.0f64,
     ) {
         // One outlier 10⁵ away leaves too many cells of side `radius`, so
-        // the build has to double the side before its grid binds.
+        // the build has to double the side before its grid binds; one
+        // 10³⁰⁰ away needs more cells along an axis than an integer cast
+        // can hold, and is refused before the cast.
         let mut sparse = pts.clone();
         sparse.push(Point::new(1.0e5, 1.0e5));
+        let mut far = pts.clone();
+        far.push(Point::new(1.0e300, 1.0e300));
         prop_assert!(CellGrid::try_bind(&sparse, radius).is_none());
-        for pts in [pts, sparse] {
+        prop_assert!(CellGrid::try_bind(&far, radius).is_none());
+        for pts in [pts, sparse, far] {
             let g = UnitDiskGraph::new(pts, radius);
             for u in 0..g.len() {
                 for v in 0..g.len() {

@@ -55,17 +55,11 @@ pub const RESOLVER_EXACT_FALLBACKS: &str = "resolver.exact_fallbacks";
 pub const RESOLVER_CELLS_SCANNED: &str = "resolver.cells_scanned";
 /// Fraction of resolver decisions served by the fast path.
 pub const RESOLVER_HIT_RATE: &str = "resolver.hit_rate";
-/// Transmitters incrementally inserted into the persistent grid
-/// (start-transmitting delta entries applied).
+/// Transmitters inserted into the resolver's grid: the sum of the
+/// transmitter counts of the slots it bounds.
 pub const RESOLVER_DELTA_STARTED: &str = "resolver.delta.started";
-/// Transmitters incrementally removed from the persistent grid
-/// (stop-transmitting delta entries applied).
+/// Members cleared from the resolver's grid before each refill.
 pub const RESOLVER_DELTA_STOPPED: &str = "resolver.delta.stopped";
-/// Scheduled epoch rebuilds of the persistent transmitter grid.
-pub const RESOLVER_DELTA_EPOCH_REBUILDS: &str = "resolver.delta.epoch_rebuilds";
-/// Certified full rebuilds forced by a driver delta that failed
-/// validation (zero when the driver's deltas are consistent).
-pub const RESOLVER_DELTA_FULL_REBUILDS: &str = "resolver.delta.full_rebuilds";
 
 /// MW protocol state transitions observed (any kind → any kind).
 pub const MW_PHASE_TRANSITIONS: &str = "mw.phase_transitions";

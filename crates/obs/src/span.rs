@@ -30,12 +30,6 @@ pub mod names {
     pub const ENGINE_RESOLVE: &str = "resolve";
     /// Engine phase: message delivery + done detection (last quarter).
     pub const ENGINE_DELIVERY: &str = "delivery";
-    /// Resolver internals: incremental delta applied to the persistent grid.
-    pub const RESOLVER_DELTA_APPLY: &str = "delta_apply";
-    /// Resolver internals: scheduled epoch rebuild of the grid.
-    pub const RESOLVER_EPOCH_REBUILD: &str = "epoch_rebuild";
-    /// Resolver internals: certified full rebuild after a failed delta.
-    pub const RESOLVER_FULL_REBUILD: &str = "full_rebuild";
     /// Resolver internals: certification failed, exact O(k²) fallback ran.
     pub const RESOLVER_EXACT_FALLBACK: &str = "exact_fallback";
 }
@@ -282,7 +276,7 @@ mod tests {
         let spans = [
             SpanRecord::complete(SpanTrack::Engine, names::ENGINE_ACTIONS, 0, 1).with_arg("tx", 3),
             SpanRecord::complete(SpanTrack::Engine, names::ENGINE_RESOLVE, 1, 2),
-            SpanRecord::instant(SpanTrack::Resolver, names::RESOLVER_EPOCH_REBUILD, 1),
+            SpanRecord::instant(SpanTrack::Resolver, names::RESOLVER_EXACT_FALLBACK, 1),
             SpanRecord::complete(SpanTrack::Node(4), "listen", 0, 8),
         ];
         let doc = chrome_trace_json(&spans, 4, 0, &[]);
@@ -313,7 +307,7 @@ mod tests {
         );
         let instant = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("epoch_rebuild"))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("exact_fallback"))
             .expect("instant span present");
         assert_eq!(instant.get("ph").and_then(Json::as_str), Some("i"));
         assert!(instant.get("dur").is_none());

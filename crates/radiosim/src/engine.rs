@@ -14,7 +14,7 @@ use sinr_rng::SeedableRng;
 /// One node's slot-critical status bits, packed into a single byte.
 ///
 /// The engine keeps one `Vec<NodeFlags>` — a dense structure-of-arrays
-/// column — instead of separate `Vec<bool>`s for done/tx/prev-tx plus
+/// column — instead of separate `Vec<bool>`s for awake/active/done plus
 /// per-slot `wake`/`is_active` probes. The slot passes then decide
 /// "does this node need work?" from one byte load per node instead of
 /// touching three bool arrays, the wake table, and a virtual call.
@@ -31,19 +31,15 @@ impl NodeFlags {
     const ACTIVE: u8 = 1 << 1;
     /// The node has reported `is_done()` (mirror of the old done bitmap).
     const DONE: u8 = 1 << 2;
-    /// The node transmits in the slot being executed.
-    const TX: u8 = 1 << 3;
-    /// The node transmitted in the previous slot (delta baseline).
-    const PREV_TX: u8 = 1 << 4;
     /// The node is parked on a [`Protocol::quiet`] promise: both passes
     /// skip it until its due slot or a reception it heeds, and its
     /// state and generator lag at its sync slot until then.
-    const PARKED: u8 = 1 << 5;
+    const PARKED: u8 = 1 << 3;
     /// The node decided this slot — or before the run started, which
     /// counts as slot 0 — and is not yet accounted; the delivery pass
     /// records it in `newly_done` at its ascending-id turn. Never
     /// survives past the slot that accounts it.
-    const JUST_DONE: u8 = 1 << 6;
+    const JUST_DONE: u8 = 1 << 4;
 
     /// Both awake and (cached) active — the action/delivery gate.
     const RUNNABLE: u8 = Self::AWAKE | Self::ACTIVE;
@@ -62,16 +58,6 @@ impl NodeFlags {
     /// Whether the node has been recorded as done.
     pub fn done(self) -> bool {
         self.0 & Self::DONE != 0
-    }
-
-    /// Whether the node transmits this slot.
-    pub fn tx(self) -> bool {
-        self.0 & Self::TX != 0
-    }
-
-    /// Whether the node transmitted last slot.
-    pub fn prev_tx(self) -> bool {
-        self.0 & Self::PREV_TX != 0
     }
 
     /// Whether the node is parked on a [`Protocol::quiet`] promise: both
@@ -289,7 +275,7 @@ pub struct StepView<'a> {
 pub struct EngineAllocProfile {
     /// Traffic during the actions phase (wake-ups + node automata).
     pub actions: AllocStats,
-    /// Traffic during channel resolution (the resolver's delta path).
+    /// Traffic during channel resolution.
     pub resolve: AllocStats,
     /// Traffic during delivery, end-of-slot hooks, and termination scans.
     pub delivery: AllocStats,
@@ -443,21 +429,15 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     visit: Vec<u64>,
     work: WorkLedger,
     // Dense per-slot buffers, reused across slots so the steady-state hot
-    // loop performs no allocation (previously a fresh HashMap + Vecs per
-    // slot).
+    // loop performs no allocation. `tx_ids` keeps the executed slot's
+    // transmitters until the next action pass, for the step view.
     tx_ids: Vec<NodeId>,
     tx_msg: Vec<Option<P::Message>>,
     inbox: Vec<(NodeId, P::Message)>,
-    // Previous slot's transmitter list, rolled at the end of every slot;
-    // together with the current set (and the TX/PREV_TX flag bits) it
-    // yields the start/stop delta handed to stateful resolvers for free.
-    prev_tx_ids: Vec<NodeId>,
-    started: Vec<NodeId>,
-    stopped: Vec<NodeId>,
     // Previous slot's resolver-stats snapshot, kept only while a recorder
     // is enabled: per-slot diffing of the cumulative counters yields the
-    // resolver-internal spans (delta apply, rebuilds, fallbacks) without
-    // touching the resolver itself.
+    // resolver-internal fallback spans without touching the resolver
+    // itself.
     prev_resolver: Option<ResolverStats>,
     // The last slot's reception table, newly-done list and ran list,
     // reused across slots (mem::take'd during the step, put back before
@@ -547,9 +527,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             tx_ids: Vec::with_capacity(n),
             tx_msg: (0..n).map(|_| None).collect(),
             inbox: Vec::with_capacity(max_degree),
-            prev_tx_ids: Vec::with_capacity(n),
-            started: Vec::with_capacity(n),
-            stopped: Vec::with_capacity(n),
             prev_resolver: None,
             // Under SINR thresholds β ≥ 1 each node decodes at most one
             // sender per slot, so n pairs bounds the recycled table on
@@ -648,9 +625,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         debug_assert!(self.slot > 0, "no slot executed yet");
         StepView {
             slot: self.slot - 1,
-            // The buffers rolled at the end of the step: the slot's
-            // transmitter list now lives in `prev_tx_ids`.
-            transmitters: &self.prev_tx_ids,
+            transmitters: &self.tx_ids,
             receptions: &self.table,
             newly_done: &self.newly_done,
             ran: &self.ran,
@@ -675,15 +650,8 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         // the parked nodes due now into the action set.
         self.release_due(slot, obs, rec);
 
-        // 2. Actions, recorded into the dense reused buffers along with
-        // the `started` half of the resolver delta.
+        // 2. Actions, recorded into the dense reused buffers.
         self.phase_actions_fused(slot, obs, rec);
-        self.stopped.clear();
-        for &t in &self.prev_tx_ids {
-            if !self.flags[t].tx() {
-                self.stopped.push(t);
-            }
-        }
         let mut prof_mark = prof_start;
         if let (Some(p), Some(mark)) = (prof.as_deref_mut(), prof_mark) {
             prof_mark = Some(EngineAllocProfile::phase_mark(&mut p.actions, mark));
@@ -702,16 +670,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             );
         }
 
-        // 3. Channel resolution. The start/stop delta is exact by
-        // construction, so stateful resolvers can update their persistent
-        // indices in O(|delta|); stateless ones ignore it.
+        // 3. Channel resolution into the recycled table. No model reads
+        // the delta, so it is empty.
         let mut table = std::mem::take(&mut self.table);
         self.model.resolve_delta_into(
             &self.graph,
             &self.tx_ids,
             TxDelta {
-                started: &self.started,
-                stopped: &self.stopped,
+                started: &[],
+                stopped: &[],
             },
             &mut table,
         );
@@ -722,11 +689,12 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         }
         if obs {
             rec.gauge_set(keys::SIM_SLOT_TRANSMITTERS, self.tx_ids.len() as f64);
-            rec.span(
-                &SpanRecord::complete(SpanTrack::Engine, span_names::ENGINE_RESOLVE, q0 + 1, 2)
-                    .with_arg("started", count_i64(self.started.len()))
-                    .with_arg("stopped", count_i64(self.stopped.len())),
-            );
+            rec.span(&SpanRecord::complete(
+                SpanTrack::Engine,
+                span_names::ENGINE_RESOLVE,
+                q0 + 1,
+                2,
+            ));
             self.emit_resolver_spans(q0 + 1, rec);
         }
 
@@ -758,22 +726,13 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             );
         }
 
-        // 6. Roll the slot buffers (O(transmitters), not O(n)): this
-        // slot's transmitter list becomes the previous-slot list the next
-        // delta is computed against, and the TX bits migrate to PREV_TX.
-        // Order matters for nodes transmitting in both slots: their
-        // PREV_TX is cleared by the first loop and re-set by the second.
-        // Resolver statistics are read once at end of run, not
-        // snapshotted per slot.
-        for &t in &self.prev_tx_ids {
-            self.flags[t].remove(NodeFlags::PREV_TX);
-        }
+        // 6. Drop the slot's messages (O(transmitters), not O(n)); the
+        // transmitter list stays for the step view until the next action
+        // pass clears it. Resolver statistics are read once at end of
+        // run, not snapshotted per slot.
         for &t in &self.tx_ids {
             self.tx_msg[t] = None;
-            self.flags[t].insert(NodeFlags::PREV_TX);
-            self.flags[t].remove(NodeFlags::TX);
         }
-        std::mem::swap(&mut self.prev_tx_ids, &mut self.tx_ids);
 
         self.slot += 1;
         self.stats.slots = self.slot;
@@ -798,8 +757,8 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     }
 
     /// Diffs the model's cumulative resolver counters against the previous
-    /// slot's snapshot and emits resolver-internal spans for this slot's
-    /// increments (delta apply, epoch/full rebuilds, exact fallbacks).
+    /// slot's snapshot and emits a resolver-internal span for this slot's
+    /// exact fallbacks.
     /// `q_resolve` is the resolve phase's first quarter-slot tick. Runs
     /// only while a recorder is enabled; models without resolver stats
     /// emit nothing.
@@ -808,34 +767,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
             return;
         };
         if let Some(prev) = self.prev_resolver {
-            let started = cur.delta_started.saturating_sub(prev.delta_started);
-            let stopped = cur.delta_stopped.saturating_sub(prev.delta_stopped);
-            if started + stopped > 0 {
-                rec.span(
-                    &SpanRecord::complete(
-                        SpanTrack::Resolver,
-                        span_names::RESOLVER_DELTA_APPLY,
-                        q_resolve,
-                        1,
-                    )
-                    .with_arg("started", count_u64(started))
-                    .with_arg("stopped", count_u64(stopped)),
-                );
-            }
-            if cur.epoch_rebuilds > prev.epoch_rebuilds {
-                rec.span(&SpanRecord::instant(
-                    SpanTrack::Resolver,
-                    span_names::RESOLVER_EPOCH_REBUILD,
-                    q_resolve + 1,
-                ));
-            }
-            if cur.full_rebuilds > prev.full_rebuilds {
-                rec.span(&SpanRecord::instant(
-                    SpanTrack::Resolver,
-                    span_names::RESOLVER_FULL_REBUILD,
-                    q_resolve + 1,
-                ));
-            }
             let fallbacks = cur.exact_fallbacks.saturating_sub(prev.exact_fallbacks);
             if fallbacks > 0 {
                 rec.span(
@@ -902,10 +833,10 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
 
     /// Slot phases 2 + 3a: one sequential pass over the action set, in
     /// ascending id order, decides each node's action, maintains the
-    /// transmit buffers and the `started` delta, accounts tx/listen
-    /// activity, and emits the Transmit events. Every node in the set is
-    /// awake and active; the ACTIVE bits are refreshed after every
-    /// callback so the column stays exact. A parked node is in the set
+    /// transmit buffers, accounts tx/listen activity, and emits the
+    /// Transmit events. Every node in the set is awake and active; the
+    /// ACTIVE bits are refreshed after every callback so the column stays
+    /// exact. A parked node is in the set
     /// only at its due slot, where it catches up and runs: its coin
     /// succeeds there, or its promise or the draw-ahead horizon ends.
     /// Every node that runs joins the visit set, so delivery gives it
@@ -913,7 +844,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     // lint:hot — per-node action loop, runs every slot over the action set
     fn phase_actions_fused<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
         self.tx_ids.clear();
-        self.started.clear();
         for w in 0..self.act.len() {
             let mut bits = std::mem::take(&mut self.act[w]);
             while bits != 0 {
@@ -938,11 +868,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                 let listened = match self.nodes[v].begin_slot(&ctx, &mut rng) {
                     Action::Transmit(msg) => {
                         self.tx_ids.push(v);
-                        self.flags[v].insert(NodeFlags::TX);
                         self.tx_msg[v] = Some(msg);
-                        if !f.prev_tx() {
-                            self.started.push(v);
-                        }
                         self.stats.tx_slots[v] += 1;
                         if obs {
                             rec.event(slot, &ObsEvent::Transmit { node: v });

@@ -223,11 +223,6 @@ impl ExactKernel {
         }
     }
 
-    /// The transmitter bitmap of the slot in progress.
-    pub(crate) fn is_tx(&self) -> &[bool] {
-        &self.is_tx
-    }
-
     /// The candidate receivers of the slot in progress, in ascending
     /// order.
     pub(crate) fn candidates(&self) -> &[NodeId] {

@@ -54,4 +54,4 @@ pub use config::SinrConfig;
 pub use fading::FadingSinrModel;
 pub use model::{GraphModel, IdealModel, InterferenceModel, ReceptionTable, TxDelta};
 pub use power::{NonUniformSinrModel, PowerAssignment};
-pub use resolver::{FastSinrModel, ResolverStats, SinrModel, EPOCH_REBUILD_SLOTS};
+pub use resolver::{FastSinrModel, ResolverStats, SinrModel};

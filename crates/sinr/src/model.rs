@@ -102,17 +102,15 @@ impl ReceptionTable {
     }
 }
 
-/// The change in the transmitter set since the previous resolved slot,
-/// as reported by a driver that tracks per-node transitions anyway (the
-/// slot engine computes both lists for free during its action phase).
+/// The change in the transmitter set since the previous resolved slot:
+/// `started` are nodes transmitting now that were silent last slot,
+/// `stopped` nodes silent now that transmitted last slot.
 ///
-/// `started` are nodes transmitting now that were silent last slot;
-/// `stopped` are nodes silent now that transmitted last slot. Together
-/// with the previous set they determine the current one. Stateful
-/// resolvers use the delta to update persistent indices in `O(|delta|)`
-/// instead of rebuilding in `O(k)`; they remain responsible for verifying
-/// the delta against their own state and rebuilding when it is
-/// inconsistent, so a wrong delta can cost time but never correctness.
+/// No model reads it. A slot's receptions depend on that slot's
+/// transmitters alone, and [`SinrModel`](crate::SinrModel) refills its
+/// grid from them, so the slot engine passes an empty delta. The type and
+/// the `resolve_delta*` entry points stay only while the benchmark
+/// package implements them, and go with its next change (ROADMAP.md).
 #[derive(Debug, Clone, Copy)]
 pub struct TxDelta<'a> {
     /// Nodes that began transmitting this slot.
@@ -135,12 +133,12 @@ pub trait InterferenceModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable;
 
     /// Resolves one slot, additionally handing the model the transmitter-set
-    /// change since the slot it last resolved (see [`TxDelta`]).
+    /// change since the slot it last resolved (see [`TxDelta`], which no
+    /// model reads).
     ///
-    /// The default ignores the delta and calls [`InterferenceModel::resolve`];
-    /// stateless models need not care. Implementations must return exactly
-    /// what `resolve(g, transmitting)` would — the delta is a pure
-    /// performance hint, never allowed to change the table.
+    /// The default ignores the delta and calls [`InterferenceModel::resolve`].
+    /// Implementations must return exactly what `resolve(g, transmitting)`
+    /// would.
     fn resolve_delta(
         &self,
         g: &UnitDiskGraph,
@@ -154,11 +152,12 @@ pub trait InterferenceModel {
     /// Resolves one slot into a caller-owned table, recycling its buffer.
     ///
     /// Semantically identical to `*out = self.resolve_delta(g,
-    /// transmitting, delta)` — and that is the default. Stateful
-    /// resolvers override it to refill `out`'s existing allocation, so a
-    /// driver that keeps one table across slots performs zero
-    /// allocations per steady-state slot (the dynamic counterpart of the
-    /// static hot-path rule L8; `tests/alloc_profile.rs` enforces it).
+    /// transmitting, delta)` — and that is the default.
+    /// [`SinrModel`](crate::SinrModel) overrides it to refill `out`'s
+    /// existing allocation, so a driver that keeps one table across slots
+    /// performs zero allocations per steady-state slot (the dynamic
+    /// counterpart of the static hot-path rule L8; `tests/alloc_profile.rs`
+    /// enforces it).
     fn resolve_delta_into(
         &self,
         g: &UnitDiskGraph,

@@ -1,22 +1,20 @@
 //! The paper's physical model, [`SinrModel`]: the exact kernel
-//! (`crate::kernel`), plus an incrementally maintained grid of near/far
-//! interference bounds that decides most candidates without the full sum.
-//! The grid only skips work, never changes a table: [`SinrModel::new`]
-//! builds it once the slots it resolves on a graph are dense enough to pay
-//! for it ([`GRID_MIN_TX_PER_SLOT`]), and until then — or for good, when
+//! (`crate::kernel`), plus a grid of near/far interference bounds that
+//! decides most candidates without the full sum. The grid only skips work,
+//! never changes a table: [`SinrModel::new`] builds it once the slots it
+//! resolves on a graph are dense enough to pay for it
+//! ([`GRID_MIN_TX_PER_SLOT`]), and until then — or for good, when
 //! [`CellGrid::try_bind`] refuses a point set too scattered for a dense
 //! grid — every slot runs the exact decode alone. With the grid on, a
 //! dense slot costs far less than the exact pass:
 //!
 //! 1. The model binds a dense [`CellGrid`] (cell side `R_T`) to the graph's
-//!    point set **once**, and from then on maintains the transmitter set
-//!    *incrementally*: each slot applies only the start/stop **delta**
-//!    against the previous slot — either handed in by the driver via
-//!    [`InterferenceModel::resolve_delta`] (the slot engine computes the
-//!    delta for free during its action phase) or self-diffed against the
-//!    previous transmitter list. Membership updates are `O(1)` swap
-//!    insert/removals into packed per-cell entry lists; there is no
-//!    per-slot clear-and-refill and no hashing.
+//!    point set **once**. A slot's receptions depend on that slot's
+//!    transmitters alone (§II), so every slot the bounds decide (more than
+//!    [`SMALL_SLOT_EXACT_CUTOFF`] transmitters) clears the grid and inserts
+//!    its transmitters into packed per-cell entry lists: `O(k)` work into
+//!    buffers sized at bind time, with no hashing. Smaller slots leave the
+//!    members alone, since nothing reads them there.
 //! 2. Near/far classification is shared per *cell* instead of recomputed
 //!    per candidate: each occupied transmitter cell stamps itself into the
 //!    near lists of the candidate cells inside its `(2·reach+1)²` window
@@ -36,20 +34,11 @@
 //!    optimistically. The bounds carry a relative slack of [`SUM_SLACK`]
 //!    so they bracket the exact decode's floating-point sum (not just
 //!    the real-valued one) regardless of summation order — which also
-//!    makes the verdicts independent of the grid's *entry order*, so the
-//!    incremental membership history cannot influence results. Whenever
-//!    the bounds disagree, the candidate falls back to the exact decode,
-//!    so the produced [`ReceptionTable`] is bit-identical in every case —
-//!    the grid is a pure strength reduction, never an approximation.
-//!
-//! The persistent state is defensively certified: an externally supplied
-//! delta is validated element-by-element against the grid's own membership
-//! (plus a full `O(k)` containment sweep), and any inconsistency triggers
-//! a certified full rebuild of the batch state — a wrong delta can cost
-//! time, never correctness. A periodic epoch rebuild
-//! (every [`EPOCH_REBUILD_SLOTS`] slots) re-canonicalizes the packed
-//! entry lists and compacts the occupied-cell index, bounding any drift
-//! in layout quality over arbitrarily long runs.
+//!    makes the verdicts independent of the grid's *entry order*.
+//!    Whenever the bounds disagree, the candidate falls back to the exact
+//!    decode, so the produced [`ReceptionTable`] is bit-identical in every
+//!    case — the grid is a pure strength reduction, never an
+//!    approximation.
 //!
 //! All scratch state (the kernel's transmitter bitmap, candidate bitset,
 //! link and pair buffers, the transmitter grid, the stamped near lists) lives
@@ -73,10 +62,9 @@ use std::cell::RefCell;
 /// rare (the `ResolverStats` hit rate makes this observable).
 pub const DEFAULT_NEAR_REACH_CELLS: i64 = 4;
 
-/// Below this many transmitters the exact `O(k)` sum is cheaper than
-/// stamping the slot's candidate cells, so small slots skip the grid
-/// bounds (grid membership is still maintained so later slots stay
-/// incremental).
+/// At or below this many transmitters the exact `O(k)` sum is cheaper
+/// than refilling the grid and stamping the slot's candidate cells, so
+/// such slots skip the grid and leave its members as they are.
 pub const SMALL_SLOT_EXACT_CUTOFF: usize = 12;
 
 /// Slots [`SinrModel::new`] resolves on a graph without a grid before it
@@ -90,13 +78,6 @@ pub const GRID_SAMPLE_SLOTS: u32 = 64;
 /// off"): MW windows average 27.4 at `n = 1536`, where the grid lost, and
 /// 36.6 at `n = 2048`, where it won; TDMA frames fall on the same sides.
 pub const GRID_MIN_TX_PER_SLOT: u64 = 32;
-
-/// Slots between defensive full rebuilds of the persistent transmitter
-/// grid. A rebuild re-inserts the current set in `transmitting` order,
-/// re-canonicalizing packed entry order and compacting the occupied-cell
-/// index; correctness never depends on it (verdicts are order-independent
-/// by the [`SUM_SLACK`] bracket), it only bounds layout drift.
-pub const EPOCH_REBUILD_SLOTS: u64 = 1024;
 
 /// Relative slack applied to the interference bounds so they bracket the
 /// exact decode's *floating-point* sum, not just the real-valued one:
@@ -120,19 +101,16 @@ pub struct ResolverStats {
     /// Near-list entries examined during interference summation (one per
     /// near transmitter cell per fast-path candidate).
     pub cells_scanned: u64,
-    /// Transmitters incrementally inserted into the persistent grid
-    /// (nodes that started transmitting relative to the previous slot).
+    /// Transmitters inserted into the grid: the sum of `k` over the slots
+    /// the bounds decide, so nonzero exactly when the grid ran. The name
+    /// is left from a start/stop delta that no model reads any more; the
+    /// field stays while the benchmark package reads it, and goes with
+    /// [`TxDelta`] (ROADMAP.md).
     pub delta_started: u64,
-    /// Transmitters incrementally removed from the persistent grid
-    /// (nodes that stopped transmitting relative to the previous slot).
+    /// Members cleared from the grid before each refill: the `k` of the
+    /// previous slot the bounds decided. Named and kept like
+    /// `delta_started`.
     pub delta_stopped: u64,
-    /// Scheduled epoch rebuilds of the persistent grid (see
-    /// [`EPOCH_REBUILD_SLOTS`]).
-    pub epoch_rebuilds: u64,
-    /// Certified full rebuilds forced by an externally supplied delta
-    /// that failed validation against the grid's own membership. Always
-    /// zero when the driver's deltas are consistent.
-    pub full_rebuilds: u64,
 }
 impl ResolverStats {
     /// Fraction of candidates decided on the fast path (`None` before any
@@ -154,8 +132,6 @@ impl ResolverStats {
         self.cells_scanned += other.cells_scanned;
         self.delta_started += other.delta_started;
         self.delta_stopped += other.delta_stopped;
-        self.epoch_rebuilds += other.epoch_rebuilds;
-        self.full_rebuilds += other.full_rebuilds;
     }
 
     /// Exports the counters (and the derived hit rate, when defined) into
@@ -167,8 +143,6 @@ impl ResolverStats {
         rec.counter_add(keys::RESOLVER_CELLS_SCANNED, self.cells_scanned);
         rec.counter_add(keys::RESOLVER_DELTA_STARTED, self.delta_started);
         rec.counter_add(keys::RESOLVER_DELTA_STOPPED, self.delta_stopped);
-        rec.counter_add(keys::RESOLVER_DELTA_EPOCH_REBUILDS, self.epoch_rebuilds);
-        rec.counter_add(keys::RESOLVER_DELTA_FULL_REBUILDS, self.full_rebuilds);
         if let Some(rate) = self.hit_rate() {
             rec.gauge_set(keys::RESOLVER_HIT_RATE, rate);
         }
@@ -187,9 +161,8 @@ struct NearRef {
     sender: bool,
 }
 
-/// The persistent incremental state: the bound transmitter grid, the
-/// previous slot's transmitter list (for self-diffing), the epoch clock,
-/// and the per-slot candidate-cell stamping scratch.
+/// The grid state: the bound transmitter grid, the window that weighs
+/// building it, and the per-slot candidate-cell stamping scratch.
 #[derive(Debug, Clone, Default)]
 struct GridState {
     /// Dense grid bound to the current graph's point set; `None` before
@@ -210,11 +183,6 @@ struct GridState {
     bound_ptr: usize,
     bound_len: usize,
     bound_radius: f64,
-    /// The transmitter list of the previously resolved slot, for
-    /// self-diffing when the driver supplies no delta.
-    prev_tx: Vec<NodeId>,
-    /// Slots resolved since the last full (re)build of the grid.
-    slots_since_epoch: u64,
     /// Per-cell stamp: index into `near_refs` when the cell holds
     /// candidates this slot, [`NOT_STAMPED`] otherwise.
     cand_cell_idx: Vec<u32>,
@@ -242,7 +210,6 @@ impl GridState {
         self.bound_ptr = positions.as_ptr() as usize;
         self.bound_len = positions.len();
         self.bound_radius = g.radius();
-        self.prev_tx.clear();
         self.stamped.clear();
         self.sampling = sample;
         self.sample_slots = 0;
@@ -282,7 +249,6 @@ impl GridState {
         // a run would otherwise be the last allocating slots.
         let window_cap = (2 * reach + 1).pow(2) as usize;
         let lists = positions.len().min(cell_count);
-        self.prev_tx.reserve(positions.len());
         self.stamped.reserve(cell_count);
         self.near_refs
             .resize_with(lists, || Vec::with_capacity(window_cap));
@@ -291,113 +257,13 @@ impl GridState {
             list.reserve(shortfall);
         }
     }
-
-    /// Brings the bound grid's membership to the current transmitter set:
-    /// a full build on a fresh bind or a due epoch, otherwise the
-    /// start/stop delta (driver-supplied after validation, or self-diffed
-    /// against the previous slot). A no-op without a grid.
-    fn update_membership(
-        &mut self,
-        fresh: bool,
-        epoch_interval: u64,
-        stats: &mut ResolverStats,
-        transmitting: &[NodeId],
-        is_tx: &[bool],
-        delta: Option<TxDelta<'_>>,
-    ) {
-        let Some(grid) = &mut self.grid else {
-            return;
-        };
-        self.slots_since_epoch += 1;
-        let epoch_due = self.slots_since_epoch >= epoch_interval;
-        if fresh || epoch_due {
-            // Full (re)build in `transmitting` order: canonical entry
-            // layout, compacted occupied index.
-            grid.clear_members();
-            for &t in transmitting {
-                grid.insert(t);
-            }
-            grid.compact_occupied();
-            if !fresh {
-                stats.epoch_rebuilds += 1;
-            }
-            self.slots_since_epoch = 0;
-        } else if let Some(d) = delta {
-            // Driver-supplied delta: apply with per-element validation,
-            // then certify membership outright — every current
-            // transmitter present and the counts equal. Any mismatch
-            // falls back to a full rebuild, so an inconsistent delta can
-            // cost time but never correctness.
-            let mut ok = true;
-            for &t in d.stopped {
-                if t >= grid.bound_len() || !grid.remove(t) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                for &t in d.started {
-                    if t >= grid.bound_len() || grid.contains(t) {
-                        ok = false;
-                        break;
-                    }
-                    grid.insert(t);
-                }
-            }
-            if ok && grid.len() == transmitting.len() {
-                for &t in transmitting {
-                    if !grid.contains(t) {
-                        ok = false;
-                        break;
-                    }
-                }
-            } else {
-                ok = false;
-            }
-            if ok {
-                stats.delta_started += d.started.len() as u64;
-                stats.delta_stopped += d.stopped.len() as u64;
-            } else {
-                stats.full_rebuilds += 1;
-                grid.clear_members();
-                for &t in transmitting {
-                    grid.insert(t);
-                }
-                grid.compact_occupied();
-                self.slots_since_epoch = 0;
-            }
-        } else {
-            // Self-diff against the previous slot's transmitter list:
-            // correct by construction, no validation needed.
-            let mut stopped = 0u64;
-            let mut started = 0u64;
-            for &t in &self.prev_tx {
-                if !is_tx[t] {
-                    grid.remove(t);
-                    stopped += 1;
-                }
-            }
-            for &t in transmitting {
-                if !grid.contains(t) {
-                    grid.insert(t);
-                    started += 1;
-                }
-            }
-            debug_assert_eq!(grid.len(), transmitting.len());
-            stats.delta_started += started;
-            stats.delta_stopped += stopped;
-        }
-        grid.maintain();
-        self.prev_tx.clear();
-        self.prev_tx.extend_from_slice(transmitting);
-    }
 }
 
 /// The model's working state, reused across slots (interior mutability
 /// keeps [`InterferenceModel::resolve`]'s `&self` signature).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Persistent incremental grid state (see [`GridState`]).
+    /// The grid and its stamping scratch (see [`GridState`]).
     gs: GridState,
     /// The exact kernel's bitmaps, candidate list and decode buffers.
     kernel: ExactKernel,
@@ -521,9 +387,6 @@ fn stamp_candidate_cells(
         }
     }
     for &c in grid.occupied() {
-        if grid.entries(c).is_empty() {
-            continue; // stale occupied entry
-        }
         grid.for_each_window_cell(c, reach, |w, cheb| {
             let idx = cand_cell_idx[w as usize];
             if idx != NOT_STAMPED {
@@ -568,7 +431,6 @@ pub struct SinrModel {
     /// `Some(on)` forces the grid on or off; `None` builds it once the
     /// resolved slots are dense enough (see [`GRID_MIN_TX_PER_SLOT`]).
     forced: Option<bool>,
-    epoch_interval: u64,
     /// Boxed on the first slot: the model stays a few words by value, and
     /// a pristine one (kept for cloning) holds no heap.
     scratch: RefCell<Option<Box<Scratch>>>,
@@ -587,7 +449,6 @@ impl SinrModel {
             cfg,
             near_reach: DEFAULT_NEAR_REACH_CELLS,
             forced: None,
-            epoch_interval: EPOCH_REBUILD_SLOTS,
             scratch: RefCell::default(),
         }
     }
@@ -626,18 +487,6 @@ impl SinrModel {
         &self.cfg
     }
 
-    /// Overrides the epoch rebuild interval (default
-    /// [`EPOCH_REBUILD_SLOTS`]); mainly for tests that want to force
-    /// frequent rebuilds. An interval of 1 rebuilds every slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn set_epoch_interval(&mut self, slots: u64) {
-        assert!(slots > 0, "epoch interval must be at least 1 slot");
-        self.epoch_interval = slots;
-    }
-
     /// Snapshot of the cumulative resolver statistics.
     pub fn stats(&self) -> ResolverStats {
         self.scratch
@@ -653,17 +502,15 @@ impl SinrModel {
         }
     }
 
-    /// Shared implementation of `resolve` / `resolve_delta` /
-    /// `resolve_delta_into`: fills `pairs` (cleared first) with the
-    /// slot's receptions, sorted by receiver. The caller owns
-    /// the buffer so a driver that recycles one table performs no
-    /// allocation here once scratch capacities have grown to the
-    /// instance's working size — the module contract above.
+    /// Shared implementation of `resolve` and `resolve_delta_into`:
+    /// fills `pairs` (cleared first) with the slot's receptions, sorted by
+    /// receiver. The caller owns the buffer so a driver that recycles one
+    /// table performs no allocation here once scratch capacities have
+    /// grown to the instance's working size — the module contract above.
     fn resolve_inner(
         &self,
         g: &UnitDiskGraph,
         transmitting: &[NodeId],
-        delta: Option<TxDelta<'_>>,
         pairs: &mut Vec<(NodeId, NodeId)>,
     ) {
         let k = transmitting.len();
@@ -672,31 +519,28 @@ impl SinrModel {
         let Scratch { gs, kernel, stats } = &mut **scratch.get_or_insert_with(Box::default);
         kernel.begin_slot(g, transmitting);
 
-        let mut fresh = !gs.is_bound_to(g);
+        let fresh = !gs.is_bound_to(g);
         if fresh {
             gs.bind(g, self.forced.is_none());
         }
         // A forced grid is built at bind; otherwise it waits for a dense
         // window, since below the break-even the exact pass alone beats
-        // grid upkeep.
+        // the grid's work.
         if (fresh && self.forced == Some(true)) || (gs.sampling && gs.sample(k)) {
             gs.build_grid(g, self.near_reach);
-            fresh = true;
         }
-        gs.update_membership(
-            fresh,
-            self.epoch_interval,
-            stats,
-            transmitting,
-            kernel.is_tx(),
-            delta,
-        );
 
-        let counts = match &gs.grid {
-            // Stamp candidate cells only when the slot is worth the
-            // bounds; membership above was maintained regardless, so
-            // skipped slots keep the incremental state current.
+        let counts = match &mut gs.grid {
+            // Only a slot worth the bounds reads the grid, so only such a
+            // slot refills it with its transmitters.
             Some(grid) if k > SMALL_SLOT_EXACT_CUTOFF => {
+                stats.delta_stopped += grid.len() as u64;
+                grid.clear_members();
+                for &t in transmitting {
+                    grid.insert(t);
+                }
+                stats.delta_started += k as u64;
+                let grid = &*grid;
                 // A candidate's sender scan yields at most the bound-node
                 // population of its 3×3 cell window; size the collection
                 // buffer to that bind-time bound once so a record-density
@@ -760,18 +604,7 @@ impl SinrModel {
 impl InterferenceModel for SinrModel {
     fn resolve(&self, g: &UnitDiskGraph, transmitting: &[NodeId]) -> ReceptionTable {
         let mut pairs = Vec::new();
-        self.resolve_inner(g, transmitting, None, &mut pairs);
-        ReceptionTable::from_sorted_pairs(pairs)
-    }
-
-    fn resolve_delta(
-        &self,
-        g: &UnitDiskGraph,
-        transmitting: &[NodeId],
-        delta: TxDelta<'_>,
-    ) -> ReceptionTable {
-        let mut pairs = Vec::new();
-        self.resolve_inner(g, transmitting, Some(delta), &mut pairs);
+        self.resolve_inner(g, transmitting, &mut pairs);
         ReceptionTable::from_sorted_pairs(pairs)
     }
 
@@ -779,13 +612,13 @@ impl InterferenceModel for SinrModel {
         &self,
         g: &UnitDiskGraph,
         transmitting: &[NodeId],
-        delta: TxDelta<'_>,
+        _delta: TxDelta<'_>,
         out: &mut ReceptionTable,
     ) {
         // Recycle the caller's buffer: once it has grown to the slot
         // working set, a steady-state slot allocates nothing.
         let mut pairs = out.take_pairs();
-        self.resolve_inner(g, transmitting, Some(delta), &mut pairs);
+        self.resolve_inner(g, transmitting, &mut pairs);
         *out = ReceptionTable::from_sorted_pairs(pairs);
     }
 
@@ -908,14 +741,15 @@ mod tests {
         let s = fast.stats();
         assert!(s.fast_path_hits + s.exact_fallbacks > 0);
         assert!(s.cells_scanned > 0);
-        assert_eq!(s.delta_started, 0, "first slot is the initial grid build");
+        assert_eq!((s.delta_started, s.delta_stopped), (50, 0), "one fill");
         let rate = s.hit_rate().expect("candidates were resolved");
         assert!((0.0..=1.0).contains(&rate));
-        // A second, shifted slot exercises the incremental delta path.
+        // A second, shifted slot clears the first slot's members and
+        // inserts its own.
         let tx2: Vec<NodeId> = tx.iter().map(|&t| (t + 3) % 400).collect();
         let _ = fast.resolve(&g, &tx2);
         let s2 = fast.stats();
-        assert!(s2.delta_started > 0 && s2.delta_stopped > 0);
+        assert_eq!((s2.delta_started, s2.delta_stopped), (100, 50));
         fast.reset_stats();
         assert_eq!(fast.stats(), ResolverStats::default());
     }
@@ -931,11 +765,11 @@ mod tests {
         assert_eq!(s.fast_path_hits, 0, "small slots resolve exactly");
         assert_eq!(s.cells_scanned, 0);
         assert!(s.exact_fallbacks > 0);
-        // Membership is still maintained incrementally on skipped slots.
+        // Nothing reads the grid in a small slot, so none fills it.
         let tx2: Vec<NodeId> = tx.iter().map(|&t| t + 1).collect();
         let _ = fast.resolve(&g, &tx2);
         let s2 = fast.stats();
-        assert!(s2.delta_started > 0 && s2.delta_stopped > 0);
+        assert_eq!((s2.delta_started, s2.delta_stopped), (0, 0));
         assert_eq!(s2.fast_path_hits, 0);
     }
 
@@ -1001,105 +835,32 @@ mod tests {
         }
         let s = reused.stats();
         assert!(s.delta_started > 0 && s.delta_stopped > 0);
-        assert_eq!(s.full_rebuilds, 0);
     }
 
     #[test]
     fn resolve_delta_matches_resolve() {
+        // The engine's entry point, which refills one recycled table and
+        // hands in an empty delta, matches plain `resolve` in its tables
+        // and in its counters.
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 33), c.r_t());
         let naive = grid_off(c);
-        let with_delta = grid_on(c);
-        let self_diff = grid_on(c);
-        let mut prev: Vec<NodeId> = Vec::new();
-        let mut is_prev = vec![false; 300];
+        let into = grid_on(c);
+        let plain = grid_on(c);
+        let mut table = ReceptionTable::default();
+        let empty = TxDelta {
+            started: &[],
+            stopped: &[],
+        };
         for step in 0..30usize {
             let k = 10 + (step * 13) % 80;
             let tx: Vec<NodeId> = (0..k).map(|i| (i * 300 / k + step * 11) % 300).collect();
-            let started: Vec<NodeId> = tx.iter().copied().filter(|&t| !is_prev[t]).collect();
-            let mut is_now = vec![false; 300];
-            for &t in &tx {
-                is_now[t] = true;
-            }
-            let stopped: Vec<NodeId> = prev.iter().copied().filter(|&t| !is_now[t]).collect();
-            let delta = TxDelta {
-                started: &started,
-                stopped: &stopped,
-            };
             let expected = naive.resolve(&g, &tx);
-            assert_eq!(
-                with_delta.resolve_delta(&g, &tx, delta),
-                expected,
-                "step {step}"
-            );
-            assert_eq!(self_diff.resolve(&g, &tx), expected, "step {step}");
-            is_prev = is_now;
-            prev = tx;
+            into.resolve_delta_into(&g, &tx, empty, &mut table);
+            assert_eq!(table, expected, "step {step}");
+            assert_eq!(plain.resolve(&g, &tx), expected, "step {step}");
         }
-        // A consistent delta stream never forces a rebuild, and both
-        // update modes see the exact same start/stop traffic.
-        assert_eq!(with_delta.stats(), self_diff.stats());
-        assert_eq!(with_delta.stats().full_rebuilds, 0);
-    }
-
-    #[test]
-    fn inconsistent_delta_rebuilds_and_stays_correct() {
-        let c = cfg();
-        let g = UnitDiskGraph::new(scatter(300, 8.0, 8), c.r_t());
-        let naive = grid_off(c);
-        let fast = grid_on(c);
-        let tx0 = spread_tx(300, 60);
-        let _ = fast.resolve(&g, &tx0);
-        // Lie about the delta in several ways; tables must stay correct.
-        let tx1: Vec<NodeId> = (0..60).map(|i| (i * 5 + 1) % 300).collect();
-        let lies = [
-            TxDelta {
-                started: &[],
-                stopped: &[],
-            }, // missing everything
-            TxDelta {
-                started: &[tx0[0]],
-                stopped: &[],
-            }, // "starts" a node the grid already holds
-            TxDelta {
-                started: &[],
-                stopped: &[299],
-            }, // "stops" a node that never transmitted
-        ];
-        for (i, lie) in lies.iter().enumerate() {
-            let expected = naive.resolve(&g, &tx1);
-            assert_eq!(fast.resolve_delta(&g, &tx1, *lie), expected, "lie {i}");
-        }
-        assert_eq!(fast.stats().full_rebuilds, 3, "every lie forced a rebuild");
-        // After the rebuilds the state is healthy again: a truthful
-        // self-diffed slot needs no rebuild.
-        let tx2 = spread_tx(300, 40);
-        assert_eq!(fast.resolve(&g, &tx2), naive.resolve(&g, &tx2));
-        assert_eq!(fast.stats().full_rebuilds, 3);
-    }
-
-    #[test]
-    fn epoch_rebuilds_fire_and_preserve_results() {
-        let c = cfg();
-        let g = UnitDiskGraph::new(scatter(300, 8.0, 13), c.r_t());
-        let naive = grid_off(c);
-        let mut fast = grid_on(c);
-        fast.set_epoch_interval(4);
-        for step in 0..20usize {
-            let k = 20 + (step * 7) % 60;
-            let tx: Vec<NodeId> = (0..k).map(|i| (i * 300 / k + step * 3) % 300).collect();
-            assert_eq!(fast.resolve(&g, &tx), naive.resolve(&g, &tx), "step {step}");
-        }
-        let s = fast.stats();
-        assert_eq!(s.epoch_rebuilds, 4, "20 slots at interval 4");
-        assert_eq!(s.full_rebuilds, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 slot")]
-    fn zero_epoch_interval_rejected() {
-        let mut fast = grid_on(cfg());
-        fast.set_epoch_interval(0);
+        assert_eq!(into.stats(), plain.stats());
     }
 
     #[test]
@@ -1119,7 +880,11 @@ mod tests {
         assert_eq!(fast.resolve(&g, &tx), naive.resolve(&g, &tx));
         let s = fast.stats();
         assert_eq!(s.fast_path_hits, 0, "no grid, no fast path");
-        assert_eq!(s.delta_started, 0, "no grid, no delta tracking");
+        assert_eq!(
+            (s.delta_started, s.delta_stopped),
+            (0, 0),
+            "no grid, no members"
+        );
         assert!(s.exact_fallbacks > 0);
     }
 
@@ -1145,7 +910,7 @@ mod tests {
         let window = GRID_SAMPLE_SLOTS as usize;
         let model = SinrModel::new(c);
         // A window short of its last slot: still no grid, so every
-        // candidate is decoded exactly and no delta is tracked.
+        // candidate is decoded exactly and nothing is inserted.
         run_slots(&model, &g, 60, window - 1);
         let s = model.stats();
         assert!(s.exact_fallbacks > 0);
@@ -1154,11 +919,11 @@ mod tests {
         run_slots(&model, &g, 60, 1);
         let s = model.stats();
         assert!(s.fast_path_hits > 0 && s.cells_scanned > 0);
-        assert_eq!(s.delta_started, 0, "built from scratch");
-        // From then on it tracks each slot's delta.
+        assert_eq!((s.delta_started, s.delta_stopped), (60, 0), "one fill");
+        // From then on every slot above the cutoff refills it.
         run_slots(&model, &g, 60, 2);
         let s = model.stats();
-        assert!(s.delta_started > 0 && s.delta_stopped > 0);
+        assert_eq!((s.delta_started, s.delta_stopped), (180, 120));
     }
 
     #[test]
@@ -1232,10 +997,12 @@ mod tests {
     #[test]
     fn resolver_stats_are_pinned_on_a_fixed_slot_sequence() {
         // Grid slots above SMALL_SLOT_EXACT_CUTOFF, exact slots at or
-        // below it, two lone transmitters and an empty slot, with epoch
-        // rebuilds in between. The counters are fixed numbers: neither
-        // candidate order nor the exact kernel's lone-transmitter path may
-        // move one of them.
+        // below it, two lone transmitters and an empty slot. The counters
+        // are fixed numbers: neither candidate order nor the exact
+        // kernel's lone-transmitter path may move one of them. The five
+        // grid slots insert 40 + 60 + 13 + 120 + 90 = 323 transmitters and
+        // clear the 0 + 40 + 60 + 13 + 120 = 233 members their grid slot
+        // predecessors left.
         let c = cfg();
         let g = UnitDiskGraph::new(scatter(300, 8.0, 17), c.r_t());
         let shifted = |k: usize, step: usize| -> Vec<NodeId> {
@@ -1253,8 +1020,7 @@ mod tests {
             shifted(90, 4),
         ];
         let naive = grid_off(c);
-        let mut fast = grid_on(c);
-        fast.set_epoch_interval(4);
+        let fast = grid_on(c);
         for (i, tx) in slots.iter().enumerate() {
             assert_eq!(fast.resolve(&g, tx), naive.resolve(&g, tx), "slot {i}");
         }
@@ -1264,10 +1030,8 @@ mod tests {
                 fast_path_hits: 952,
                 exact_fallbacks: 146,
                 cells_scanned: 23622,
-                delta_started: 193,
-                delta_stopped: 66,
-                epoch_rebuilds: 2,
-                full_rebuilds: 0,
+                delta_started: 323,
+                delta_stopped: 233,
             }
         );
     }
@@ -1280,8 +1044,6 @@ mod tests {
             cells_scanned: 3,
             delta_started: 4,
             delta_stopped: 5,
-            epoch_rebuilds: 6,
-            full_rebuilds: 7,
         };
         a.merge(&a.clone());
         assert_eq!(
@@ -1292,8 +1054,6 @@ mod tests {
                 cells_scanned: 6,
                 delta_started: 8,
                 delta_stopped: 10,
-                epoch_rebuilds: 12,
-                full_rebuilds: 14,
             }
         );
     }

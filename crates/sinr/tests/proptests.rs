@@ -73,6 +73,22 @@ fn arb_slot_sequence() -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> 
         })
 }
 
+/// A placement plus up to 11 transmitter sets drawn independently, so
+/// consecutive slots share no more than chance: maximal churn, far harsher
+/// than a protocol's slot-to-slot evolution.
+fn arb_churn_sequence() -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> {
+    (2.0..7.0f64)
+        .prop_flat_map(|extent| arb_points(60, extent))
+        .prop_flat_map(|pts| {
+            let n = pts.len();
+            let sets = prop::collection::vec(
+                prop::collection::btree_set(0..n, 0..=n).prop_map(|s| s.into_iter().collect()),
+                1..12,
+            );
+            (Just(pts), sets)
+        })
+}
+
 /// A `cols × rows` integer lattice and a slot sequence over it: a lone
 /// transmitter in the middle, an empty slot, then random transmitter sets.
 fn arb_lattice_sequence() -> impl Strategy<Value = (usize, usize, Vec<Vec<NodeId>>)> {
@@ -116,18 +132,10 @@ fn resolvers(
     ]
 }
 
-/// The start/stop lists between two ascending transmitter sets, as the
-/// slot engine reports them.
-fn delta_between(prev: &[NodeId], now: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
-    let started = now.iter().copied().filter(|t| !prev.contains(t)).collect();
-    let stopped = prev.iter().copied().filter(|t| !now.contains(t)).collect();
-    (started, stopped)
-}
-
 /// Runs `slots` through the reference and through every resolver under
 /// test, twice: by `resolve` on one instance, and by `resolve_delta_into`
-/// on another that refills one recycled table with the true delta. Every
-/// table must equal the reference's bit for bit.
+/// on another that refills one recycled table with an empty delta, as the
+/// slot engine does. Every table must equal the reference's bit for bit.
 fn check_against_reference(
     cfg: SinrConfig,
     g: &UnitDiskGraph,
@@ -138,14 +146,12 @@ fn check_against_reference(
     let by_resolve = resolvers(cfg, g, reach);
     let by_delta = resolvers(cfg, g, reach);
     let mut tables = vec![ReceptionTable::default(); by_delta.len()];
-    let mut prev: Vec<NodeId> = Vec::new();
+    let empty = TxDelta {
+        started: &[],
+        stopped: &[],
+    };
     for (slot, tx) in slots.iter().enumerate() {
         let expected = oracle.resolve(g, tx);
-        let (started, stopped) = delta_between(&prev, tx);
-        let delta = TxDelta {
-            started: &started,
-            stopped: &stopped,
-        };
         for (((name, fresh), (_, recycled)), table) in
             by_resolve.iter().zip(&by_delta).zip(&mut tables)
         {
@@ -156,7 +162,7 @@ fn check_against_reference(
                 name,
                 slot
             );
-            recycled.resolve_delta_into(g, tx, delta, table);
+            recycled.resolve_delta_into(g, tx, empty, table);
             prop_assert_eq!(
                 &*table,
                 &expected,
@@ -165,7 +171,6 @@ fn check_against_reference(
                 slot
             );
         }
-        prev.clone_from(tx);
     }
     Ok(())
 }
@@ -279,6 +284,21 @@ proptest! {
     ) {
         // Reach sweeps the near/far split from the tightest window to one
         // far larger than the default.
+        let cfg = SinrConfig::with_unit_range(ALPHAS[alpha_idx], BETAS[beta_idx], 2.0);
+        let g = UnitDiskGraph::new(pts, cfg.r_t());
+        check_against_reference(cfg, &g, &slots, 1 + reach_raw as i64)?;
+    }
+
+    #[test]
+    fn resolvers_are_bit_identical_to_the_reference_under_maximal_churn(
+        (pts, slots) in arb_churn_sequence(),
+        alpha_idx in 0usize..4,
+        beta_idx in 0usize..3,
+        reach_raw in 0usize..5,
+    ) {
+        // Every slot replaces most of the previous slot's transmitters, so
+        // each grid slot refills a grid whose members share little with
+        // the slot's.
         let cfg = SinrConfig::with_unit_range(ALPHAS[alpha_idx], BETAS[beta_idx], 2.0);
         let g = UnitDiskGraph::new(pts, cfg.r_t());
         check_against_reference(cfg, &g, &slots, 1 + reach_raw as i64)?;

@@ -1,6 +1,6 @@
 //! The dynamic zero-allocation gate: steady-state slots of the fused
 //! sequential engine must perform **zero** heap allocations, driving the
-//! SINR model with its incremental grid on or off.
+//! SINR model with its grid on or off.
 //!
 //! Static guards already exist — lint L8 bans allocating constructs in
 //! `// lint:hot` items — but a lint cannot see an allocation hidden
@@ -11,10 +11,10 @@
 //! per-slot ledger must read zero.
 //!
 //! The instances have the bench workload's shape (uniform placement,
-//! expected degree 12). The grid runs at n = 2048 — large enough that the
-//! grid path, the delta-resolution path, and the epoch rebuilds all run.
-//! The model without a grid runs at n = 256, which a debug build finishes
-//! in seconds.
+//! expected degree 12). The grid runs at n = 2048 — large enough that its
+//! slots refill it, stamp candidate cells and decode from the bounds, and
+//! that small slots skip it. The model without a grid runs at n = 256,
+//! which a debug build finishes in seconds.
 
 use sinr_coloring::mw::{run_mw_profiled, MwConfig};
 use sinr_coloring::params::MwParams;

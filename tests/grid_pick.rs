@@ -24,8 +24,8 @@ fn uniform_degree_12(n: usize, seed: u64) -> Vec<Point> {
     placement::uniform_with_expected_degree(n, cfg.r_t(), 12.0, seed)
 }
 
-/// Whether a run's model built its grid: only a grid tracks transmitter
-/// deltas.
+/// Whether a run's model ran its grid: only a grid inserts transmitters,
+/// and `delta_started` counts them.
 fn built_grid(stats: Option<ResolverStats>) -> bool {
     stats
         .expect("the SINR model reports its counters")
