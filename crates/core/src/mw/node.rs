@@ -593,6 +593,59 @@ impl Protocol for MwNode {
         }
     }
 
+    // lint:hot — absorbed receptions, runs once per parked A_i node that heeds one
+    fn absorb(&mut self, ctx: &NodeCtx, lag: u64, received: &[(NodeId, MwMessage)]) -> bool {
+        // Only the listen and compete loops take receptions in while
+        // parked, and only in a slot that is theirs: not the listen loop's
+        // last slot, which computes χ, nor a compete slot whose increment
+        // reaches the threshold. Where Fig. 1 would act on more than
+        // `d_v(w) := c_w` (a color taken, line 5 or 12; a counter within
+        // the reset window, lines 13–15), the node wakes instead.
+        let (level, c_v) = match self.phase {
+            MwPhase::Listen { level, remaining } if remaining > lag.saturating_add(1) => {
+                (level, None)
+            }
+            MwPhase::Compete { level } => {
+                // `c_v` as this slot's `end_slot` would compare it: `lag`
+                // quiet increments, then this slot's own.
+                let c_v = self
+                    .counter
+                    .saturating_add(i64::try_from(lag).unwrap_or(i64::MAX))
+                    .saturating_add(1);
+                if c_v >= self.counter_threshold {
+                    return false;
+                }
+                (level, Some(c_v))
+            }
+            _ => return false,
+        };
+        let window = self.params.reset_window(level);
+        let wakes = |msg: &MwMessage| match *msg {
+            MwMessage::Compete {
+                level: l,
+                counter: c_w,
+            } => l == level && c_v.is_some_and(|c_v| (c_v - c_w).abs() <= window),
+            _ => msg.announces_color(level),
+        };
+        if received.iter().any(|(_, msg)| wakes(msg)) {
+            return false;
+        }
+        // Fig. 1 lines 4 and 14, with this slot's clock.
+        let now = i64::try_from(ctx.local_slot).unwrap_or(i64::MAX);
+        for &(w, msg) in received {
+            if let MwMessage::Compete {
+                level: l,
+                counter: c_w,
+            } = msg
+            {
+                if l == level {
+                    self.record_estimate(w, c_w, now);
+                }
+            }
+        }
+        true
+    }
+
     fn skip_quiet(&mut self, slots: u64) {
         // What `slots` empty slots of `begin_slot` + `end_slot` do when no
         // coin succeeds: the slot count, and the phase's countdown.
@@ -624,6 +677,7 @@ mod tests {
     use super::*;
     use crate::chi::chi;
     use proptest::prelude::*;
+    use proptest::TestCaseError;
     use sinr_model::SinrConfig;
 
     fn params() -> MwParams {
@@ -1390,5 +1444,116 @@ mod tests {
                 }
             }
         }
+
+        /// `absorb` keeps its contract with the engine in every phase, for
+        /// lags 0, 1 and many and inboxes of up to three candidates: when
+        /// it takes a slot in, the node equals the wake path's (catch up
+        /// `lag` quiet slots, run the slot as a quiet listen with the
+        /// inbox) once both have skipped the same quiet slots, and the
+        /// wake path's quiet promise ends at the slot and with the coin
+        /// the parked node's did; when it refuses, the node is unchanged.
+        #[test]
+        fn absorb_matches_the_wake_path_or_changes_nothing(
+            extra in 0u64..12,
+            heard in prop::collection::vec(-300i64..300, 0..4),
+            many in 2u64..400,
+            (offset, k) in (-40i64..40, 0u64..40),
+            picks in prop::collection::vec(0usize..1_000, 1..4),
+        ) {
+            let mut absorbed = 0;
+            for (i, state) in scripted_states(extra, &heard).into_iter().enumerate() {
+                let Driven { node, slot } = state;
+                let promise = node.quiet();
+                for lag in [0, 1, many] {
+                    // Counters near the one this slot's `end_slot` compares
+                    // against, so the reset window is hit and missed.
+                    let c_v = node.counter + i64::try_from(lag).expect("lag fits") + 1;
+                    let pool = candidates(&node, c_v + offset);
+                    let inbox: Vec<(NodeId, MwMessage)> =
+                        picks.iter().map(|&p| pool[p % pool.len()]).collect();
+                    let c = ctx(node.id, slot + lag);
+                    let mut parked = node.clone();
+                    if !parked.absorb(&c, lag, &inbox) {
+                        prop_assert_eq!(
+                            snapshot(&parked),
+                            snapshot(&node),
+                            "state {}, lag {}: a refused {:?} changed the node", i, lag, inbox
+                        );
+                        continue;
+                    }
+                    absorbed += 1;
+                    let Some(quiet) = promise else {
+                        return Err(TestCaseError::Fail(format!(
+                            "state {i}: absorbed without a quiet promise"
+                        )));
+                    };
+                    prop_assert!(lag < quiet.slots, "state {}: lag {} outside the promise", i, lag);
+                    let mut woken = node.clone();
+                    woken.skip_quiet(lag);
+                    let mut rng = RecordingRng::default();
+                    prop_assert_eq!(woken.begin_slot(&c, &mut rng), Action::Listen);
+                    woken.end_slot(&c, &inbox);
+                    let Some(after) = woken.quiet() else {
+                        return Err(TestCaseError::Fail(format!(
+                            "state {i}, lag {lag}: the woken node promises nothing"
+                        )));
+                    };
+                    prop_assert_eq!(after.coin.to_bits(), quiet.coin.to_bits(), "state {}", i);
+                    prop_assert_eq!(
+                        (slot + lag + 1).saturating_add(after.slots),
+                        slot.saturating_add(quiet.slots),
+                        "state {}, lag {}: the promise ends elsewhere", i, lag
+                    );
+                    for k in [0, k.min(after.slots)] {
+                        let mut woken = woken.clone();
+                        woken.skip_quiet(k);
+                        let mut parked = parked.clone();
+                        parked.skip_quiet(lag + 1 + k);
+                        prop_assert_eq!(
+                            snapshot(&parked),
+                            snapshot(&woken),
+                            "state {}, lag {}, k {}: absorbing {:?}", i, lag, k, inbox
+                        );
+                    }
+                }
+            }
+            // Any one candidate is absorbed somewhere: a listen loop takes
+            // in every message that announces no color at its own level,
+            // and the two listen states wait at different levels.
+            prop_assert!(absorbed > 0 || picks.len() > 1, "nothing absorbed: {:?}", picks);
+        }
+    }
+
+    #[test]
+    fn absorb_takes_estimates_in_and_leaves_the_rest_to_the_wake_path() {
+        let p = params();
+        let compete = |counter: i64| MwMessage::Compete { level: 0, counter };
+        // A_0, listening: a competitor's counter is absorbed at any lag
+        // short of the loop's last slot; a color announcement is not.
+        let mut node = MwNode::new(5, p);
+        let listen = p.listen_slots();
+        assert!(node.absorb(&ctx(5, 3), 3, &[(7, compete(40))]));
+        assert_eq!(copies(&node, 3), [(7, 40)]);
+        assert!(!node.absorb(&ctx(5, listen - 1), listen - 1, &[(8, compete(1))]));
+        assert!(!node.absorb(&ctx(5, 4), 4, &[(9, MwMessage::ColorTaken { level: 0 })]));
+        assert_eq!(copies(&node, 3), [(7, 40)]);
+        // A_0, competing at counter 10 after 2 lagging slots: the slot's
+        // own counter is 13, so a counter within the reset window wakes the
+        // node and one beyond it is absorbed.
+        node.phase = MwPhase::Compete { level: 0 };
+        node.counter = 10;
+        let w = p.reset_window(0);
+        assert!(!node.absorb(&ctx(5, 20), 2, &[(8, compete(13 + w))]));
+        assert!(!node.absorb(&ctx(5, 20), 2, &[(8, compete(13 - w))]));
+        assert!(node.absorb(&ctx(5, 20), 2, &[(8, compete(14 + w))]));
+        assert_eq!(copies(&node, 20), [(7, 40 - 3 + 20), (8, 14 + w)]);
+        assert_eq!(node.counter, 10, "the counter is still owed its slots");
+        // The slot whose increment reaches the threshold colors the node.
+        let lag = u64::try_from(p.counter_threshold() - 11).expect("threshold above 11");
+        assert!(!node.absorb(&ctx(5, 30), lag, &[(9, compete(-500))]));
+        assert!(node.absorb(&ctx(5, 30), lag - 1, &[(9, compete(-500))]));
+        // Every other phase wakes for what it heeds.
+        node.phase = MwPhase::Request { leader: 2 };
+        assert!(!node.absorb(&ctx(5, 40), 0, &[(2, MwMessage::Grant { to: 5, tc: 1 })]));
     }
 }

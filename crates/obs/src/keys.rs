@@ -41,11 +41,16 @@ pub const SIM_WORK_PARKS: &str = "sim.work.parks";
 /// Engine work ledger: coins parked nodes drew ahead.
 pub const SIM_WORK_COINS_AHEAD: &str = "sim.work.coins_ahead";
 /// Engine work ledger: coins replayed on a real generator when a parked
-/// node caught up before its drawn-ahead slot.
+/// node caught up before its drawn-ahead slot (it was woken, a call
+/// ended, or a reception shortened its promise).
 pub const SIM_WORK_COINS_REPLAYED: &str = "sim.work.coins_replayed";
-/// Engine work ledger: receptions that left their receiver parked (it
-/// heeded none of its slot's receptions).
+/// Engine work ledger: receptions at a parked receiver that heeded none
+/// of its slot's receptions, so none was copied and it stayed parked.
 pub const SIM_WORK_RX_LEFT_PARKED: &str = "sim.work.rx_left_parked";
+/// Engine work ledger: parked receivers that heeded a reception and
+/// absorbed the slot's receptions, staying parked without a slot
+/// callback.
+pub const SIM_WORK_ABSORBED: &str = "sim.work.absorbed";
 
 /// Resolver slots fully served by certified grid bounds.
 pub const RESOLVER_FAST_PATH_HITS: &str = "resolver.fast_path_hits";

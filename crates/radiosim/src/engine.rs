@@ -1,5 +1,6 @@
 //! The slot-synchronous simulation engine.
 
+use crate::calendar::{Calendar, NIL, WHEEL};
 use crate::protocol::{Action, NodeCtx, Protocol, RandSlotRng, SlotRng};
 use crate::stats::SimStats;
 use crate::wakeup::WakeupSchedule;
@@ -32,7 +33,7 @@ impl NodeFlags {
     /// The node has reported `is_done()` (mirror of the old done bitmap).
     const DONE: u8 = 1 << 2;
     /// The node is parked on a [`Protocol::quiet`] promise: both passes
-    /// skip it until its due slot or a reception it heeds, and its
+    /// skip it until its due slot or a reception that wakes it, and its
     /// state and generator lag at its sync slot until then.
     const PARKED: u8 = 1 << 3;
     /// The node decided this slot — or before the run started, which
@@ -61,7 +62,7 @@ impl NodeFlags {
     }
 
     /// Whether the node is parked on a [`Protocol::quiet`] promise: both
-    /// passes skip it until its due slot or a reception it heeds.
+    /// passes skip it until its due slot or a reception that wakes it.
     pub fn parked(self) -> bool {
         self.0 & Self::PARKED != 0
     }
@@ -96,6 +97,10 @@ impl NodeFlags {
 /// and draws again. Bounds the work one park decision can cost.
 const DRAW_AHEAD: u64 = 4096;
 
+// A node parked on a coin that can succeed is due within one turn of the
+// calendar's wheel, so its bucket examines it at most twice.
+const _: () = assert!(WHEEL >= DRAW_AHEAD);
+
 /// The first slot in `next..end`, at most [`DRAW_AHEAD`] of them, whose
 /// `chance(coin)` succeeds on a copy of `rng`, where `rng` is positioned
 /// at slot `next`'s draw; else the first slot not drawn. Every slot
@@ -124,95 +129,6 @@ fn draw_ahead(rng: &StdRng, at: &mut StdRng, coin: f64, next: u64, end: u64) -> 
     (t, t - next)
 }
 
-/// Buckets of the due calendar's timer wheel: a node due at slot `s`
-/// waits in bucket `s % WHEEL`. At least [`DRAW_AHEAD`], so a node
-/// parked on a coin that can succeed is examined at most twice before
-/// it is due; an entry due in a later turn of the wheel stays in its
-/// bucket and is examined once per turn.
-const WHEEL: u64 = 4096;
-
-/// The empty link: an unlinked node, or an empty bucket.
-const NIL: u32 = u32::MAX;
-
-/// A node id as a calendar link. [`Simulator::new`] refuses graphs with
-/// `NIL` nodes or more, so every id converts.
-fn link_of(v: NodeId) -> u32 {
-    u32::try_from(v).unwrap_or(NIL)
-}
-
-/// The due calendar: a timer wheel of [`WHEEL`] buckets keyed by due
-/// slot, each bucket a circular doubly linked list threaded through
-/// intrusive per-node links, so linking and unlinking a node cost O(1)
-/// and a slot examines only its own bucket. Sleeping nodes wait in it at
-/// their wake slot and parked nodes at their due slot; a node parked
-/// with no due slot (`u64::MAX`) is never linked.
-///
-/// New entries go to the tail of their bucket and releasing a bucket
-/// keeps the order of the entries it leaves, so the sleeping nodes of a
-/// bucket, all linked in ascending id order at construction, stay in
-/// ascending id order.
-struct Calendar {
-    /// Each bucket's first entry, or `NIL`.
-    heads: Vec<u32>,
-    /// Each node's successor and predecessor in its bucket (`NIL` while
-    /// unlinked; a lone entry links to itself).
-    next: Vec<u32>,
-    prev: Vec<u32>,
-}
-
-impl Calendar {
-    fn new(n: usize) -> Self {
-        Calendar {
-            heads: vec![NIL; WHEEL as usize],
-            next: vec![NIL; n],
-            prev: vec![NIL; n],
-        }
-    }
-
-    fn bucket(slot: u64) -> usize {
-        (slot % WHEEL) as usize
-    }
-
-    /// Appends node `v` to the tail of the bucket of `due`.
-    fn link(&mut self, v: NodeId, due: u64) {
-        debug_assert_eq!(self.next[v], NIL, "node {v} is linked twice");
-        let b = Self::bucket(due);
-        let vl = link_of(v);
-        let h = self.heads[b];
-        if h == NIL {
-            self.heads[b] = vl;
-            self.next[v] = vl;
-            self.prev[v] = vl;
-        } else {
-            let t = self.prev[h as usize];
-            self.next[t as usize] = vl;
-            self.prev[v] = t;
-            self.next[v] = h;
-            self.prev[h as usize] = vl;
-        }
-    }
-
-    /// Removes node `v` from the bucket of `due`, where it is linked.
-    fn unlink(&mut self, v: NodeId, due: u64) {
-        debug_assert_ne!(self.next[v], NIL, "node {v} is not linked");
-        let b = Self::bucket(due);
-        let vl = link_of(v);
-        let nx = self.next[v];
-        if nx == vl {
-            self.heads[b] = NIL;
-        } else {
-            let p = self.prev[v];
-            self.next[p as usize] = nx;
-            self.prev[nx as usize] = p;
-            if self.heads[b] == vl {
-                self.heads[b] = nx;
-            }
-        }
-        self.next[v] = NIL;
-        self.prev[v] = NIL;
-    }
-}
-
 /// Sets node `v`'s bit in a node bitset.
 fn set_bit(bits: &mut [u64], v: NodeId) {
     bits[v / 64] |= 1 << (v % 64);
@@ -233,8 +149,11 @@ struct WorkLedger {
     coins_ahead: u64,
     coins_replayed: u64,
     /// Receptions counted and emitted at a parked receiver that heeded
-    /// none of them and so stayed parked.
+    /// none of them, so that none was copied and it stayed parked.
     rx_left_parked: u64,
+    /// Parked receivers that heeded a reception and absorbed the slot's
+    /// receptions, so that they stayed parked and ran no slot callback.
+    absorbed: u64,
 }
 
 /// Everything that happened in one simulated slot.
@@ -258,12 +177,14 @@ pub struct StepView<'a> {
     /// The nodes whose protocol state can have changed this slot,
     /// ascending: every awake node the delivery pass visited. Those are
     /// the nodes that ran `on_wake`, `begin_slot` or `end_slot` (a parked
-    /// node is caught up first) or were polled for `is_done`, and the rare
-    /// inactive receiver the table names. A parked receiver that heeds
-    /// none of its receptions runs no callback and is not listed. Any
-    /// other node changed at most as quiet slots change a node (see
-    /// [`Protocol::quiet`]), so an observer that tracks protocol state
-    /// need re-read only these nodes.
+    /// node is caught up first), absorbed their receptions while parked
+    /// ([`Protocol::absorb`]: no slot callback runs, but the node took
+    /// them in) or were polled for `is_done`, and the rare inactive
+    /// receiver the table names. A parked receiver that heeds none of its
+    /// receptions runs nothing and is not listed. Any other node changed
+    /// at most as quiet slots change a node (see [`Protocol::quiet`]), so
+    /// an observer that tracks protocol state need re-read only these
+    /// nodes.
     pub ran: &'a [NodeId],
 }
 
@@ -388,8 +309,9 @@ pub struct RunOutcome {
 /// O(events + n/64). A recorder only receives the events and
 /// spans those steps emit; with [`NoopRecorder`] the emission compiles
 /// away. Both passes skip a node parked on a [`Protocol::quiet`] promise
-/// until its due slot or a reception it heeds (see the [`Protocol`]
-/// docs); every public entry point catches parked nodes up before it
+/// until its due slot or a reception that wakes it; a parked receiver
+/// ignores, absorbs or wakes for its receptions (see the [`Protocol`]
+/// docs). Every public entry point catches parked nodes up before it
 /// returns.
 pub struct Simulator<P: Protocol, M: InterferenceModel> {
     graph: UnitDiskGraph,
@@ -409,7 +331,7 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // wakes), the first slot not yet applied to it (`sync`; its
     // generator sits at that slot's draw), the coin it was parked with,
     // the first slot whose drawn-ahead coin is not known to fail
-    // (`ahead`, reused when a heeded reception wakes it early), and the
+    // (`ahead`, reused when a reception wakes it early), and the
     // generator the draw-ahead left at `ahead`'s draw (`ahead_rng`,
     // restored by a catch-up at `ahead` in place of replaying the coins).
     due: Vec<u64>,
@@ -573,8 +495,11 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     ///
     /// Exact between calls. Inside a run (from a `run_observed` or
     /// `run_recorded` observer) a parked node reads as of its last real
-    /// slot: only state that quiet slots leave unchanged is current (see
-    /// [`Protocol::quiet`]).
+    /// slot, plus the receptions it absorbed since ([`Protocol::absorb`]):
+    /// only state that quiet slots leave unchanged is current (see
+    /// [`Protocol::quiet`]). A parked receiver that ignored its receptions
+    /// is unchanged, one that absorbed them is listed in
+    /// [`StepView::ran`], and one that woke ran the slot.
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
@@ -791,19 +716,8 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// stay in ascending id order and wake in it.
     // lint:hot — calendar release loop, runs every slot over one bucket
     fn release_due<R: Recorder + ?Sized>(&mut self, slot: u64, obs: bool, rec: &mut R) {
-        let b = Calendar::bucket(slot);
-        let head = std::mem::replace(&mut self.calendar.heads[b], NIL);
-        if head == NIL {
-            return;
-        }
-        let mut e = head;
-        loop {
-            let v = e as usize;
-            // Read before `v` is released or relinked; the entries not yet
-            // walked keep their links until their turn.
-            let nx = self.calendar.next[v];
-            self.calendar.next[v] = NIL;
-            self.calendar.prev[v] = NIL;
+        let mut bucket = self.calendar.release(slot);
+        while let Some(v) = self.calendar.next_released(&mut bucket) {
             self.work.visits += 1;
             if self.due[v] != slot {
                 debug_assert!(self.due[v] > slot, "node {v} was not released when due");
@@ -824,10 +738,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                     rec.event(slot, &ObsEvent::Wake { node: v });
                 }
             }
-            if nx == head {
-                break;
-            }
-            e = nx;
         }
     }
 
@@ -926,7 +836,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// ahead on a copy of its generator, and its due slot is the first
     /// success, the end of the promise or the draw-ahead horizon,
     /// whichever comes first; the calendar holds it there. `woken` marks
-    /// a visit forced by a heeded reception while parked: that slot was
+    /// a visit forced by a reception while parked: that slot was
     /// quiet, so each slot since the last draw-ahead drew exactly one
     /// coin, and with the same coin that draw — its `ahead` and the
     /// generator kept there — still holds from here to its first success.
@@ -960,7 +870,21 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         true
     }
 
-    /// Runs this slot's `begin_slot` for a parked node a heeded reception
+    /// Offers this slot's heeded receptions `inbox` to parked node `v`
+    /// ([`Protocol::absorb`]) and returns whether it took them in. If it
+    /// did, it stays parked: its due slot, sync slot, drawn-ahead
+    /// generator and calendar link still hold, because the slot was quiet
+    /// and the node's promise still ends where it did. If not, it changed
+    /// nothing, and the caller wakes it.
+    // lint:hot — absorbed receptions, runs once per parked receiver that heeds one
+    fn absorb(&mut self, v: NodeId, ctx: &NodeCtx, inbox: &[(NodeId, P::Message)]) -> bool {
+        let lag = ctx.global_slot - self.sync[v];
+        let absorbed = self.nodes[v].absorb(ctx, lag, inbox);
+        self.work.absorbed += u64::from(absorbed);
+        absorbed
+    }
+
+    /// Runs this slot's `begin_slot` for a parked node that receptions
     /// woke, after taking it out of the calendar and catching it up
     /// through the previous slot. The slot is quiet and its coin was
     /// drawn ahead as a failure, so the node listens.
@@ -1012,9 +936,11 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// inside one. Sleeping nodes are skipped unless a pending JUST_DONE
     /// needs accounting: nodes done at construction carry JUST_DONE into
     /// slot 0. A parked node is in the set only when the table names it:
-    /// its receptions are counted and emitted, and it wakes only if it
-    /// heeds one of them, which it is asked before any message is copied
-    /// into its inbox; otherwise it stays parked and runs no callback.
+    /// its receptions are counted and emitted, and it is asked whether it
+    /// heeds one of them before any message is copied into its inbox. If
+    /// it heeds none, it stays parked and runs nothing. If it does, it is
+    /// offered the inbox to absorb, and stays parked if it takes it in;
+    /// otherwise it wakes and runs the slot.
     // lint:hot — per-node delivery loop, runs every slot over the visit set
     fn phase_delivery_fused<R: Recorder + ?Sized>(
         &mut self,
@@ -1081,19 +1007,21 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                                 global_slot: slot,
                                 local_slot: slot - self.stats.wake_slot[v],
                             };
-                            if f.parked() {
-                                self.wake_parked(v, &ctx);
-                                fl.remove(NodeFlags::PARKED);
-                            }
-                            self.work.end_slots += 1;
-                            self.nodes[v].end_slot(&ctx, &inbox);
-                            let active = self.nodes[v].is_active();
-                            fl.set_active(active);
-                            if !f.done() && self.nodes[v].is_done() {
-                                fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
-                            }
-                            if active && self.park(v, slot, f.parked()) {
-                                fl.insert(NodeFlags::PARKED);
+                            if !(f.parked() && self.absorb(v, &ctx, &inbox)) {
+                                if f.parked() {
+                                    self.wake_parked(v, &ctx);
+                                    fl.remove(NodeFlags::PARKED);
+                                }
+                                self.work.end_slots += 1;
+                                self.nodes[v].end_slot(&ctx, &inbox);
+                                let active = self.nodes[v].is_active();
+                                fl.set_active(active);
+                                if !f.done() && self.nodes[v].is_done() {
+                                    fl.insert(NodeFlags::DONE | NodeFlags::JUST_DONE);
+                                }
+                                if active && self.park(v, slot, f.parked()) {
+                                    fl.insert(NodeFlags::PARKED);
+                                }
                             }
                         } else {
                             self.work.rx_left_parked += rx.len() as u64;
@@ -1215,6 +1143,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         rec.counter_add(keys::SIM_WORK_COINS_AHEAD, w.coins_ahead);
         rec.counter_add(keys::SIM_WORK_COINS_REPLAYED, w.coins_replayed);
         rec.counter_add(keys::SIM_WORK_RX_LEFT_PARKED, w.rx_left_parked);
+        rec.counter_add(keys::SIM_WORK_ABSORBED, w.absorbed);
         if let Some(rs) = self.model.resolver_stats() {
             rs.export_into(rec);
         }

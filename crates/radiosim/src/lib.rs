@@ -56,6 +56,7 @@
 //! assert!(outcome.all_done);
 //! ```
 
+mod calendar;
 pub mod energy;
 pub mod engine;
 pub mod protocol;

@@ -76,13 +76,14 @@ impl<R: sinr_rng::Rng> SlotRng for RandSlotRng<R> {
 
 /// A protocol's promise about its next slots (see [`Protocol::quiet`]).
 ///
-/// Each of the next `slots` slots in which the node heeds nothing is a
-/// *quiet slot*. In a quiet slot `begin_slot` makes exactly one
-/// `chance(coin)` draw — none when `coin ≤ 0`, exactly as
-/// [`RandSlotRng::chance`] — and transmits iff that draw succeeds; the
-/// node stays active and keeps its `is_done` answer; and a quiet slot in
-/// which it listens changes the node only in the way
-/// [`Protocol::skip_quiet`] applies for `k` such slots at once.
+/// Each of the next `slots` slots in which the node heeds nothing, or
+/// [absorbs](Protocol::absorb) what it heeds, is a *quiet slot*. In a
+/// quiet slot `begin_slot` makes exactly one `chance(coin)` draw — none
+/// when `coin ≤ 0`, exactly as [`RandSlotRng::chance`] — and transmits
+/// iff that draw succeeds; the node stays active and keeps its `is_done`
+/// answer; and a quiet slot in which it listens changes the node only in
+/// the way [`Protocol::skip_quiet`] applies for `k` such slots at once,
+/// plus what it absorbed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quiet {
     /// The send probability of every quiet slot.
@@ -109,18 +110,30 @@ pub struct Quiet {
 ///
 /// A protocol that promises quiet slots ([`Protocol::quiet`]) lets the
 /// engine *park* the node: its coins are drawn ahead on a copy of its
-/// generator, and the engine skips it until its first transmission, the
-/// end of the promise, or a reception it [heeds](Protocol::heeds). On
-/// waking, the engine brings the real generator past the skipped coins
-/// and applies [`Protocol::skip_quiet`]. At the slot the coins were drawn
-/// ahead to it restores the copy the draw-ahead left there; earlier — a
-/// heeded reception, the end of a call, or a promise that a reception
-/// shortened — it replays the skipped coins. Either way callbacks,
-/// generator streams and statistics are exactly those of a node visited
-/// every slot. `run`, `run_observed`, `run_recorded` and `step` catch
-/// every parked node up before they return. An observer *inside* a run
-/// sees a parked node as of its last real slot, so it should read only
-/// state that quiet slots leave unchanged.
+/// generator, and the engine skips it until its first transmission or
+/// the end of the promise. On waking, the engine brings the real
+/// generator past the skipped coins and applies [`Protocol::skip_quiet`].
+/// At the slot the coins were drawn ahead to it restores the copy the
+/// draw-ahead left there; earlier — a woken receiver, the end of a call,
+/// or a promise that a reception shortened — it replays the skipped
+/// coins. Either way callbacks, generator streams and statistics are
+/// exactly those of a node visited every slot. `run`, `run_observed`,
+/// `run_recorded` and `step` catch every parked node up before they
+/// return. An observer *inside* a run sees a parked node as of its last
+/// real slot, plus what it absorbed, so it should read only state that
+/// quiet slots leave unchanged.
+///
+/// A parked node that the interference model grants receptions has one
+/// of three outcomes, decided before anything is copied or caught up:
+///
+/// 1. **Ignore.** It [heeds](Protocol::heeds) none of them: it stays
+///    parked and no callback runs.
+/// 2. **Absorb.** It heeds one, and [`Protocol::absorb`] takes the
+///    receptions in: it stays parked with its due slot and drawn-ahead
+///    coins, and no slot callback runs.
+/// 3. **Wake.** It heeds one and does not absorb them: it is caught up,
+///    runs this slot's `begin_slot` (a quiet listen) and `end_slot`, and
+///    parks again if it promises quiet slots.
 pub trait Protocol {
     /// The message type broadcast by this protocol.
     type Message: Clone;
@@ -185,6 +198,31 @@ pub trait Protocol {
     /// nothing it heeds, at once (see [`Quiet`]). The engine has already
     /// made their `chance` draws. Defaults to doing nothing.
     fn skip_quiet(&mut self, _slots: u64) {}
+
+    /// Takes in this slot's `received` messages while the node stays
+    /// parked, and returns whether it did. The engine asks a parked node
+    /// that heeds one of its receptions, in a quiet slot before its due
+    /// slot, before it would wake the node. `ctx` is this slot's context,
+    /// and `lag` is the number of quiet slots before this one that the
+    /// node has not yet applied (the slot minus its sync slot). Defaults
+    /// to `false`.
+    ///
+    /// Returning `true` promises that absorbing, then
+    /// `skip_quiet(lag + 1 + k)`, leaves the node exactly as catching up
+    /// `lag` slots with `skip_quiet(lag)`, running this slot as a quiet
+    /// listen (`begin_slot`, then `end_slot(ctx, received)`), then
+    /// `skip_quiet(k)` would, for every `k` the promise still covers. Its
+    /// quiet promise must then end at the same slot with the same coin,
+    /// since the node keeps its due slot, its sync slot and its
+    /// drawn-ahead generator. The node is read as of its sync slot, so
+    /// state that quiet slots change is `lag` slots behind; the
+    /// countdowns [`Protocol::skip_quiet`] applies are still owed.
+    ///
+    /// Returning `false` promises that the call changed nothing; the
+    /// engine then wakes the node and runs the slot.
+    fn absorb(&mut self, _ctx: &NodeCtx, _lag: u64, _received: &[(NodeId, Self::Message)]) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -189,18 +189,27 @@ trait Watched: Protocol {
     type Seen: PartialEq + Debug;
     fn seen(&self) -> Self::Seen;
     fn begin_calls(&self) -> u64;
+    /// `absorb` calls that took a slot's receptions in.
+    fn absorbs(&self) -> u64 {
+        0
+    }
 }
 
 /// Checks [`StepView::ran`] after every slot of a run: the list is
 /// ascending without duplicates, it names every node whose observable
-/// state changed since the previous slot, and it leaves out every awake
-/// active receiver that ran no `begin_slot` — a parked node that heeded
-/// none of its receptions. Keeps the first fault.
+/// state changed since the previous slot, and of the awake active
+/// receivers that ran no `begin_slot` it names exactly those that
+/// absorbed their receptions: a parked node that heeded none of them is
+/// left out. Keeps the first fault.
 struct RanWatch<S> {
-    /// Each node's `begin_slot` count and state as last seen.
-    before: Vec<(u64, S)>,
+    /// Each node's `begin_slot` and `absorb` counts and state as last
+    /// seen.
+    before: Vec<(u64, u64, S)>,
     /// Receptions at parked receivers that heeded nothing.
     unheeded: u64,
+    /// Parked receivers that absorbed their slot's receptions, one per
+    /// receiver and slot.
+    absorbed: u64,
     fault: Option<String>,
 }
 
@@ -209,6 +218,7 @@ impl<S: PartialEq + Debug> RanWatch<S> {
         let mut watch = RanWatch {
             before: Vec::new(),
             unheeded: 0,
+            absorbed: 0,
             fault: None,
         };
         watch.resync(sim);
@@ -221,7 +231,7 @@ impl<S: PartialEq + Debug> RanWatch<S> {
         self.before = sim
             .nodes()
             .iter()
-            .map(|p| (p.begin_calls(), p.seen()))
+            .map(|p| (p.begin_calls(), p.absorbs(), p.seen()))
             .collect();
     }
 
@@ -241,10 +251,24 @@ impl<S: PartialEq + Debug> RanWatch<S> {
             return;
         }
         let listed = |v: NodeId| ran.binary_search(&v).is_ok();
+        let mut last = None;
         for &(r, sender) in view.receptions.pairs() {
             let node = sim.node(r);
             let awake = sim.stats().wake_slot[r] <= slot;
-            if awake && node.is_active() && node.begin_calls() == self.before[r].0 {
+            if !awake || !node.is_active() || node.begin_calls() != self.before[r].0 {
+                continue;
+            }
+            if node.absorbs() != self.before[r].1 {
+                // Pairs come sorted by receiver: count each one once.
+                if last != Some(r) {
+                    self.absorbed += 1;
+                }
+                if !listed(r) && self.fault.is_none() {
+                    self.fault = Some(format!(
+                        "slot {slot}: parked node {r} absorbed {sender}'s message but is not listed"
+                    ));
+                }
+            } else {
                 self.unheeded += 1;
                 if listed(r) && self.fault.is_none() {
                     self.fault = Some(format!(
@@ -252,9 +276,10 @@ impl<S: PartialEq + Debug> RanWatch<S> {
                     ));
                 }
             }
+            last = Some(r);
         }
         for (v, node) in sim.nodes().iter().enumerate() {
-            let now = (node.begin_calls(), node.seen());
+            let now = (node.begin_calls(), node.absorbs(), node.seen());
             if now != self.before[v] {
                 if !listed(v) && self.fault.is_none() {
                     self.fault = Some(format!(
@@ -328,12 +353,15 @@ fn promisers_match_the_reference(
     Ok(())
 }
 
-/// A protocol with deadlines, two coins and noise: it alternates between
-/// two phases with their own send probabilities, each lasting a random
-/// number of slots drawn in its last slot, which is therefore not quiet.
-/// A node marked `noisy` sends only noise, which `end_slot` ignores; any
-/// other reception is recorded and extends the current phase, and one
-/// stamped with a multiple of 3 also switches the phase. The node is done
+/// A protocol with deadlines, two coins, notes and noise: it alternates
+/// between two phases with their own send probabilities, each lasting a
+/// random number of slots drawn in its last slot, which is therefore not
+/// quiet. A node marked `noisy` sends only noise, which `end_slot`
+/// ignores; any other node sends a note in a third of its slots, by slot
+/// and id, and a call in the others. Notes and calls are recorded; a
+/// call also extends the current phase, and one stamped with a multiple
+/// of 3 switches the phase. A parked node absorbs a slot of notes, which
+/// leaves its promise as it was, and wakes for a call. The node is done
 /// once it has acted `done_at` times and goes silent at `rounds`.
 #[derive(Debug, Clone)]
 struct Promiser {
@@ -349,10 +377,22 @@ struct Promiser {
     heard: Vec<(u64, NodeId)>,
     begin_calls: u64,
     end_calls: u64,
+    absorbs: u64,
 }
 
-/// A slot stamp and whether the message is noise.
-type Stamped = (u64, bool);
+/// What a [`Promiser`] message asks of its receiver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Says {
+    /// Nothing: receivers do not heed it.
+    Noise,
+    /// To be recorded: a parked receiver absorbs it.
+    Note,
+    /// To be recorded and acted on: a parked receiver wakes for it.
+    Call,
+}
+
+/// A slot stamp and what the message says.
+type Stamped = (u64, Says);
 
 impl Promiser {
     fn new(coins: [f64; 2], rounds: u64, done_at: u64, born_done: bool, noisy: bool) -> Self {
@@ -368,6 +408,7 @@ impl Promiser {
             heard: Vec::new(),
             begin_calls: 0,
             end_calls: 0,
+            absorbs: 0,
         }
     }
 
@@ -388,22 +429,31 @@ impl Protocol for Promiser {
             self.left = 1 + rng.pick(12);
         }
         if rng.chance(self.coins[self.phase]) {
-            Action::Transmit((ctx.global_slot, self.noisy))
+            let says = if self.noisy {
+                Says::Noise
+            } else if (ctx.global_slot + ctx.id as u64) % 3 == 1 {
+                Says::Note
+            } else {
+                Says::Call
+            };
+            Action::Transmit((ctx.global_slot, says))
         } else {
             Action::Listen
         }
     }
     fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, Stamped)]) {
         self.end_calls += 1;
-        for &(s, (stamp, noise)) in received {
+        for &(s, (stamp, says)) in received {
             assert_eq!(stamp, ctx.global_slot);
-            if noise {
+            if says == Says::Noise {
                 continue;
             }
             self.heard.push((ctx.global_slot, s));
-            self.left += 2;
-            if stamp % 3 == 0 {
-                self.phase ^= 1;
+            if says == Says::Call {
+                self.left += 2;
+                if stamp % 3 == 0 {
+                    self.phase ^= 1;
+                }
             }
         }
     }
@@ -426,11 +476,24 @@ impl Protocol for Promiser {
         })
     }
     fn heeds(&self, _sender: NodeId, msg: &Stamped) -> bool {
-        !msg.1
+        msg.1 != Says::Noise
     }
     fn skip_quiet(&mut self, slots: u64) {
         self.acted += slots;
         self.left -= slots;
+    }
+    fn absorb(&mut self, ctx: &NodeCtx, _lag: u64, received: &[(NodeId, Stamped)]) -> bool {
+        if received.iter().any(|&(_, (_, says))| says == Says::Call) {
+            return false;
+        }
+        for &(s, (stamp, says)) in received {
+            assert_eq!(stamp, ctx.global_slot);
+            if says == Says::Note {
+                self.heard.push((ctx.global_slot, s));
+            }
+        }
+        self.absorbs += 1;
+        true
     }
 }
 
@@ -449,6 +512,9 @@ impl Watched for Promiser {
     }
     fn begin_calls(&self) -> u64 {
         self.begin_calls
+    }
+    fn absorbs(&self) -> u64 {
+        self.absorbs
     }
 }
 
@@ -689,7 +755,8 @@ fn coins_beyond_the_draw_ahead_horizon_stay_exact() {
 fn ran_names_every_changed_node_and_no_receiver_that_heeded_nothing() {
     // Twelve neighbours, every third one noisy and every fourth one done
     // at construction, waking over ten slots: parked nodes hear noise,
-    // which they ignore, and messages, which wake them.
+    // which they ignore, notes, which they absorb, and calls, which wake
+    // them.
     let pts: Vec<Point> = (0..12).map(|i| Point::new(i as f64 * 0.1, 0.0)).collect();
     let graph = UnitDiskGraph::new(pts, 1.0);
     let mk = |v: NodeId| {
@@ -717,6 +784,9 @@ fn ran_names_every_changed_node_and_no_receiver_that_heeded_nothing() {
     let left_parked = rec.registry().counter(keys::SIM_WORK_RX_LEFT_PARKED);
     assert_eq!(Some(watch.unheeded), left_parked);
     assert!(watch.unheeded > 0, "no parked receiver heard only noise");
+    let absorbed = rec.registry().counter(keys::SIM_WORK_ABSORBED);
+    assert_eq!(Some(watch.absorbed), absorbed);
+    assert!(watch.absorbed > 0, "no parked receiver absorbed a note");
 }
 
 /// Even ids are done at construction (their output is fixed before the
@@ -968,9 +1038,112 @@ fn the_work_ledger_follows_callbacks_not_nodes_times_slots() {
     assert_eq!(counter(keys::SIM_WORK_COINS_AHEAD), 0);
     assert_eq!(counter(keys::SIM_WORK_COINS_REPLAYED), 0);
     assert_eq!(counter(keys::SIM_WORK_RX_LEFT_PARKED), 0);
+    assert_eq!(counter(keys::SIM_WORK_ABSORBED), 0);
     // Each run costs one calendar entry, one action bit and one visit
     // bit: the visits stay within twice the callbacks.
     assert_eq!(visits, 3 * 5 * n);
     assert!(visits <= 2 * (begin + end), "{visits} visits");
     assert!(visits * 500 < n * out.slots, "{visits} visits");
+
+    // 64 isolated pairs: a silent Beat every 2 500 slots beside a loud
+    // one every 100. The silent one runs at slots 0, 2 500, 5 000, 7 500
+    // and 9 999 and hears 4 of its partner's 100 messages (slots 0 to
+    // 9 900) while running; it absorbs the other 96 while parked, each
+    // for one visit bit and no callback.
+    let pairs = 64;
+    let pts: Vec<Point> = (0..2 * pairs)
+        .map(|i| Point::new((i / 2) as f64 * 3.0 + (i % 2) as f64 * 0.5, 0.0))
+        .collect();
+    let graph = UnitDiskGraph::new(pts, 1.0);
+    let mut sim = Simulator::new(
+        graph,
+        IdealModel::new(),
+        WakeupSchedule::Synchronous,
+        1,
+        |v| match v % 2 {
+            0 => Beat::new(2_500, false, 10_000),
+            _ => Beat::new(100, true, 10_000),
+        },
+    );
+    let out = sim.run(MAX_SLOTS);
+    assert!(out.all_done);
+    assert_eq!(out.slots, 10_000);
+    for v in 0..2 * pairs as usize {
+        let expected = if v % 2 == 0 { 96 } else { 0 };
+        assert_eq!(sim.node(v).absorbs, expected, "node {v}");
+    }
+    let mut rec = sinr_obs::FullRecorder::new();
+    sim.export_metrics(&mut rec);
+    let counter = |key: &str| {
+        rec.registry()
+            .counter(key)
+            .unwrap_or_else(|| panic!("{key}"))
+    };
+    // The loud Beat runs 101 times: 100 messages, then its last slot.
+    assert_eq!(counter(keys::SIM_WORK_ABSORBED), 96 * pairs);
+    assert_eq!(counter(keys::SIM_WORK_BEGIN_SLOTS), (5 + 101) * pairs);
+    assert_eq!(counter(keys::SIM_WORK_END_SLOTS), (4 + 100) * pairs);
+    assert_eq!(counter(keys::SIM_WORK_PARKS), (4 + 100) * pairs);
+    assert_eq!(counter(keys::SIM_WORK_RX_LEFT_PARKED), 0);
+    assert_eq!(counter(keys::SIM_WORK_COINS_REPLAYED), 0);
+    assert_eq!(counter(keys::SIM_WORK_VISITS), (3 * (5 + 101) + 96) * pairs);
+    assert_eq!(sim.stats().receptions, 100 * pairs);
+}
+
+/// Runs every `every` slots from its first, transmitting its slot stamp
+/// then if it is `loud`, and promises the slots in between quiet, with
+/// coin 0, until it goes done and silent at `rounds`. Absorbs whatever
+/// it hears while parked, which `end_slot` ignores.
+#[derive(Debug)]
+struct Beat {
+    every: u64,
+    loud: bool,
+    rounds: u64,
+    acted: u64,
+    absorbs: u64,
+}
+
+impl Beat {
+    fn new(every: u64, loud: bool, rounds: u64) -> Self {
+        Beat {
+            every,
+            loud,
+            rounds,
+            acted: 0,
+            absorbs: 0,
+        }
+    }
+}
+
+impl Protocol for Beat {
+    type Message = u64;
+    fn begin_slot<R: SlotRng + ?Sized>(&mut self, ctx: &NodeCtx, _rng: &mut R) -> Action<u64> {
+        let t = self.acted;
+        self.acted += 1;
+        if self.loud && t.is_multiple_of(self.every) {
+            Action::Transmit(ctx.global_slot)
+        } else {
+            Action::Listen
+        }
+    }
+    fn end_slot(&mut self, _ctx: &NodeCtx, _received: &[(NodeId, u64)]) {}
+    fn is_done(&self) -> bool {
+        self.acted >= self.rounds
+    }
+    fn is_active(&self) -> bool {
+        self.acted < self.rounds
+    }
+    fn quiet(&self) -> Option<Quiet> {
+        Some(Quiet {
+            coin: 0.0,
+            slots: (self.every - 1).min(self.rounds - self.acted - 1),
+        })
+    }
+    fn skip_quiet(&mut self, slots: u64) {
+        self.acted += slots;
+    }
+    fn absorb(&mut self, _ctx: &NodeCtx, _lag: u64, _received: &[(NodeId, u64)]) -> bool {
+        self.absorbs += 1;
+        true
+    }
 }
