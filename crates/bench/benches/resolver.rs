@@ -14,7 +14,9 @@
 //! Rows with `n >= 4096` are slot-capped (the cap is recorded per row as
 //! `slot_cap`): they measure steady-state per-slot cost over the first
 //! few thousand slots — which include the dense compete/request phases —
-//! not a complete coloring.
+//! not a complete coloring. In full mode the `n = 16384` row replays a
+//! late window of its complete run instead (`replay_window`), where slots
+//! carry about five times the transmitters of the first few thousand.
 //!
 //! The replay phase also re-checks bit-identity: the grid off, on, and
 //! at the default pick must produce equal `ReceptionTable`s on every
@@ -55,6 +57,13 @@ const LARGE_SLOTS: u64 = 3000;
 /// Quick-mode slot cap for large-n rows. `QUICK_SLOTS` would end inside
 /// the silent listen phase and measure empty transmit sets.
 const QUICK_LARGE_SLOTS: u64 = 1200;
+/// The full-mode row that replays a late window of its complete run: at
+/// `n = 16384` the first `LARGE_SLOTS` slots carry about 47 transmitters
+/// each, the rest of the run about 240, and the grid's far-field bound
+/// matters only there.
+const LATE_WINDOW_N: usize = 16384;
+/// First slot of that window; it spans `LARGE_SLOTS` slots.
+const LATE_WINDOW_FROM: u64 = 60_000;
 /// Replay repetitions; the fastest repetition is reported.
 const REPS: usize = 3;
 
@@ -92,9 +101,13 @@ struct SizeResult {
     /// `speedup_end_to_end` divides the picked side by the other.
     picked_on: bool,
     fast_path_hit_rate: Option<f64>,
-    /// Slot cap applied to this row (`None` = complete run). Large-n rows
-    /// are always capped; see [`LARGE_SLOTS`].
+    /// Slot cap applied to this row's end-to-end and profiled runs
+    /// (`None` = complete run). Large-n rows are always capped; see
+    /// [`LARGE_SLOTS`].
     slot_cap: Option<u64>,
+    /// The slots `[from, to)` the replay captured, when they are not the
+    /// capped run's; see [`LATE_WINDOW_N`].
+    replay_window: Option<(u64, u64)>,
     alloc: AllocNumbers,
 }
 
@@ -106,6 +119,11 @@ fn slot_cap(n: usize, quick: bool) -> Option<u64> {
         (false, true) => Some(LARGE_SLOTS),
         (false, false) => None,
     }
+}
+
+/// The late window a row of size `n` replays, if any.
+fn replay_window(n: usize, quick: bool) -> Option<(u64, u64)> {
+    (!quick && n == LATE_WINDOW_N).then_some((LATE_WINDOW_FROM, LATE_WINDOW_FROM + LARGE_SLOTS))
 }
 
 fn config(inst: &Instance, seed: u64, quick: bool) -> MwConfig {
@@ -126,15 +144,28 @@ fn grid_on(cfg: SinrConfig) -> SinrModel {
     SinrModel::with_grid(cfg, Some(DEFAULT_NEAR_REACH_CELLS))
 }
 
-/// Captures the per-slot transmitter sets of a fixed-seed MW run.
-fn capture_slots(inst: &Instance, config: &MwConfig) -> Vec<Vec<usize>> {
+/// Captures the per-slot transmitter sets of a fixed-seed MW run: every
+/// slot, or those of `window` alone (the run then stops at its end).
+fn capture_slots(
+    inst: &Instance,
+    config: &MwConfig,
+    window: Option<(u64, u64)>,
+) -> Vec<Vec<usize>> {
+    let (from, config) = match window {
+        Some((from, to)) => (from, config.with_max_slots(to)),
+        None => (0, *config),
+    };
     let mut slots = Vec::new();
     run_mw_observed(
         &inst.graph,
         SinrModel::new(inst.cfg),
-        config,
+        &config,
         WakeupSchedule::Synchronous,
-        |_, view| slots.push(view.transmitters.to_vec()),
+        |_, view| {
+            if view.slot >= from {
+                slots.push(view.transmitters.to_vec());
+            }
+        },
     );
     slots
 }
@@ -185,7 +216,11 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
     let cfg = config(&inst, seed, quick);
     let reps = if quick { 2 } else { REPS };
 
-    let slots = capture_slots(&inst, &cfg);
+    let window = replay_window(n, quick);
+    let slots = match window {
+        Some(_) => capture_slots(&inst, &MwConfig::new(inst.params).with_seed(seed), window),
+        None => capture_slots(&inst, &cfg, None),
+    };
     let total_tx: usize = slots.iter().map(Vec::len).sum();
 
     let off_model = grid_off(inst.cfg);
@@ -267,6 +302,7 @@ fn bench_size(n: usize, quick: bool) -> SizeResult {
         picked_on: default_run.resolver.is_some_and(|r| r.delta_started > 0),
         fast_path_hit_rate: hit_rate,
         slot_cap: slot_cap(n, quick),
+        replay_window: window,
         alloc,
     }
 }
@@ -328,7 +364,7 @@ fn render_json(results: &[SizeResult], overhead: &RecorderOverhead, quick: bool)
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"resolver\",\n");
-    s.push_str("  \"schema_version\": 8,\n");
+    s.push_str("  \"schema_version\": 9,\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"workload\": \"MW coloring, uniform placement, expected degree 12, synchronous wakeup, seed 1000+n\",\n");
     s.push_str("  \"results\": [\n");
@@ -345,6 +381,13 @@ fn render_json(results: &[SizeResult], overhead: &RecorderOverhead, quick: bool)
             "      \"slot_cap\": {},\n",
             r.slot_cap
                 .map_or_else(|| "null".to_string(), |c| c.to_string())
+        ));
+        s.push_str(&format!(
+            "      \"replay_window\": {},\n",
+            r.replay_window.map_or_else(
+                || "null".to_string(),
+                |(from, to)| format!("[{from}, {to}]")
+            )
         ));
         s.push_str(&format!(
             "      \"mean_tx_per_slot\": {:.2},\n",

@@ -160,6 +160,11 @@ pub struct MwNode {
     /// construction: the compete arm compares against it every slot, and
     /// recomputing the ceil-of-product there costs more than the compare.
     counter_threshold: i64,
+    /// `⌈γζ_i ln n⌉` of the current level, cached from
+    /// [`MwParams::reset_window`] by [`MwNode::enter_level`]: the level is
+    /// its only changing input, and every heeded reception of a compete
+    /// or absorbed slot compares against it.
+    reset_window: i64,
     /// Slots attributed to the *current* phase kind but not yet flushed
     /// into `MwCold::phase_slots` (flushed by [`MwNode::set_phase`] on
     /// every kind transition). Keeps the hot loop's accounting to one
@@ -192,6 +197,7 @@ impl MwNode {
             color: None,
             counter: 0,
             counter_threshold,
+            reset_window: 0,
             phase_slots_pending: 0,
             estimates: Vec::new(),
             cold: Box::default(),
@@ -290,6 +296,7 @@ impl MwNode {
     fn enter_level(&mut self, level: usize) {
         self.estimates.clear();
         self.counter = 0;
+        self.reset_window = self.params.reset_window(level);
         self.cold.levels_entered += 1;
         self.set_phase(MwPhase::Listen {
             level,
@@ -330,11 +337,10 @@ impl MwNode {
 
     /// `χ(P_v)` for the current level's reset window (Fig. 1 line 6),
     /// over the copies `d_v(w)` as they read at local slot `now`.
-    fn chi_value(&mut self, level: usize, now: i64) -> i64 {
-        let window = self.params.reset_window(level);
+    fn chi_value(&mut self, now: i64) -> i64 {
         chi_scratch(
             self.estimates.iter().map(|&(_, aged)| aged + now),
-            window,
+            self.reset_window,
             &mut self.cold.chi_intervals,
         )
     }
@@ -486,7 +492,7 @@ impl Protocol for MwNode {
                 // c_v := χ(P_v) and start competing (Fig. 1 lines 6–7).
                 let remaining = remaining - 1;
                 if remaining == 0 {
-                    self.counter = self.chi_value(level, now);
+                    self.counter = self.chi_value(now);
                     self.set_phase(MwPhase::Compete { level });
                 } else {
                     self.phase = MwPhase::Listen { level, remaining };
@@ -512,8 +518,8 @@ impl Protocol for MwNode {
                         if l == level {
                             // Fig. 1 lines 13–15.
                             self.record_estimate(w, c_w, now);
-                            if (self.counter - c_w).abs() <= self.params.reset_window(level) {
-                                self.counter = self.chi_value(level, now);
+                            if (self.counter - c_w).abs() <= self.reset_window {
+                                self.counter = self.chi_value(now);
                                 self.cold.resets += 1;
                             }
                         }
@@ -619,7 +625,7 @@ impl Protocol for MwNode {
             }
             _ => return false,
         };
-        let window = self.params.reset_window(level);
+        let window = self.reset_window;
         let wakes = |msg: &MwMessage| match *msg {
             MwMessage::Compete {
                 level: l,

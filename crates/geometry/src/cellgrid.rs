@@ -52,6 +52,17 @@ pub struct CellEntry {
     pub id: NodeId,
 }
 
+/// The cell side over a distance threshold `radius` that a grid's users
+/// bind with. A point's cell index is a rounded quotient, so at a side of
+/// exactly `radius` two points `radius` apart can land two cells apart: a
+/// lattice with spacing `radius` that does not start at the origin loses
+/// pairs that way. In a grid that binds (fewer than 2³² cells), rounding
+/// moves the difference of two quotients by at most about 2⁻¹⁹ cells,
+/// half this margin. So at a side of `radius · SIDE_OVER_RADIUS`, two
+/// points in cells `r ≥ 1` apart (Chebyshev) lie more than `(r − 1) ·
+/// radius` apart: every pair within `radius` shares one 3×3 window.
+pub const SIDE_OVER_RADIUS: f64 = 1.0 + 1.0 / 262_144.0;
+
 /// Dense grids refuse to allocate more than `4·n + 4096` cells — beyond
 /// that (pathologically scattered point sets) a dense table wastes memory
 /// and scan time, and callers should bind a coarser cell side or do

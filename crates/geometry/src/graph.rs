@@ -1,18 +1,9 @@
 //! The unit-disk communication graph `G = (V, E, R_T)` of the paper (§II).
 
 use crate::bbox::Bbox;
-use crate::cellgrid::CellGrid;
+use crate::cellgrid::{CellGrid, SIDE_OVER_RADIUS};
 use crate::point::Point;
 use crate::NodeId;
-
-/// The grid's cell side over the radius. A point's cell index is a rounded
-/// quotient, so at a side of exactly `radius` two points `radius` apart can
-/// land two cells apart: a lattice with spacing `radius` that does not
-/// start at the origin loses edges that way. In a grid that binds (fewer
-/// than 2³² cells), rounding moves the difference of two quotients by at
-/// most about 2⁻¹⁹, half this margin, so every pair the `dist² ≤ radius²`
-/// test accepts lies in one 3×3 window.
-const SIDE_OVER_RADIUS: f64 = 1.0 + 1.0 / 262_144.0;
 
 /// A unit-disk graph: nodes at fixed positions, an edge between `u` and `v`
 /// iff `δ(u, v) ≤ R_T`.

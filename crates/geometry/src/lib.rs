@@ -43,7 +43,7 @@ pub mod placement;
 pub mod point;
 
 pub use bbox::Bbox;
-pub use cellgrid::{CellEntry, CellGrid};
+pub use cellgrid::{CellEntry, CellGrid, SIDE_OVER_RADIUS};
 pub use graph::UnitDiskGraph;
 pub use point::Point;
 

@@ -31,13 +31,16 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
 }
 
 /// Formats `x` as a JSON number; non-finite values become `null` (JSON has
-/// no NaN/Infinity). Integral floats keep a trailing `.0` so the value
-/// round-trips as a float.
+/// no NaN/Infinity). Integral floats keep a trailing `.0`, or take an
+/// exponent from `1e15` on, so the value round-trips as a float: the
+/// parser reads a number without fraction or exponent as an `i64`.
 pub fn push_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 1e15 {
         let _ = write!(out, "{:.1}", x);
+    } else if x == x.trunc() {
+        let _ = write!(out, "{x:e}");
     } else {
         let _ = write!(out, "{x}");
     }
@@ -91,20 +94,11 @@ pub fn render_flat_object(fields: &[(String, JsonValue)]) -> String {
 /// Parses a single flat JSON object — scalar values only, no nesting.
 /// Returns `None` on any syntax error or on nested arrays/objects. Field
 /// order is preserved, so `render_flat_object(&parse_flat_object(s)?) == s`
-/// for lines this crate emits.
+/// for lines this crate emits. The grammar is [`parse_value`]'s.
 pub fn parse_flat_object(s: &str) -> Option<Vec<(String, JsonValue)>> {
-    let mut p = Parser {
-        bytes: s.trim().as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(s);
     let fields = p.object()?;
-    p.skip_ws();
-    if p.pos == p.bytes.len() {
-        Some(fields)
-    } else {
-        None
-    }
+    p.finish(fields)
 }
 
 /// A full JSON value — nesting allowed.
@@ -123,6 +117,37 @@ pub enum Json {
 }
 
 impl Json {
+    /// Renders the value back to JSON source, without whitespace. A
+    /// document [`parse_value`] accepts renders to one it reads back
+    /// equal.
+    pub fn render_into(&self, out: &mut String) {
+        match self {
+            Json::Scalar(v) => v.render_into(out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_str_escaped(out, k);
+                    out.push(':');
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
     /// The value of field `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -182,15 +207,18 @@ const MAX_DEPTH: usize = 128;
 /// Parses one complete JSON document (nested objects and arrays allowed,
 /// at most 128 levels deep). Returns `None` on any syntax error, deeper
 /// nesting or trailing garbage.
+///
+/// The grammar is RFC 8259's, strictly: whitespace is space, tab, line
+/// feed or carriage return; a number has no leading zeros, digits on both
+/// sides of its point and in its exponent, and must be finite as an
+/// `f64` (an integer, one without fraction or exponent, must fit an
+/// `i64`); a `\u` escape takes exactly four hex digits, and a surrogate
+/// only as half of a pair; control characters appear in strings only
+/// escaped.
 pub fn parse_value(s: &str) -> Option<Json> {
-    let mut p = Parser {
-        bytes: s.trim().as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(s);
     let v = p.json_value()?;
-    p.skip_ws();
-    (p.pos == p.bytes.len()).then_some(v)
+    p.finish(v)
 }
 
 struct Parser<'a> {
@@ -201,6 +229,22 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(s: &'a str) -> Self {
+        let mut p = Parser {
+            bytes: s.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// `v` when only whitespace follows the cursor.
+    fn finish<T>(&mut self, v: T) -> Option<T> {
+        self.skip_ws();
+        (self.pos == self.bytes.len()).then_some(v)
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -331,28 +375,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn number(&mut self) -> Option<JsonValue> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        match self.bump()? {
+            b'0' => {}
+            b'1'..=b'9' => {
+                self.digits();
             }
+            _ => return None,
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return None;
+            }
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return None;
+            }
+            is_float = true;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
         if is_float {
-            text.parse().ok().map(JsonValue::Float)
+            let x: f64 = text.parse().ok()?;
+            x.is_finite().then_some(JsonValue::Float(x))
         } else {
             text.parse().ok().map(JsonValue::Int)
         }
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Option<u32> {
+        let mut code = 0;
+        for _ in 0..4 {
+            code = code * 16 + char::from(self.bump()?).to_digit(16)?;
+        }
+        Some(code)
     }
 
     fn string(&mut self) -> Option<String> {
@@ -368,18 +445,29 @@ impl<'a> Parser<'a> {
                     b'"' => out.push('"'),
                     b'\\' => out.push('\\'),
                     b'/' => out.push('/'),
+                    b'b' => out.push('\u{8}'),
+                    b'f' => out.push('\u{c}'),
                     b'n' => out.push('\n'),
                     b'r' => out.push('\r'),
                     b't' => out.push('\t'),
                     b'u' => {
-                        let end = self.pos.checked_add(4)?;
-                        let hex = self.bytes.get(self.pos..end)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                        let mut code = self.hex4()?;
+                        if (0xD800..0xDC00).contains(&code) {
+                            // A high surrogate must pair with a low one.
+                            if self.bump()? != b'\\' || self.bump()? != b'u' {
+                                return None;
+                            }
+                            let low = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return None;
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        }
                         out.push(char::from_u32(code)?);
-                        self.pos = end;
                     }
                     _ => return None,
                 },
+                b if b < 0x20 => return None,
                 b => {
                     // Re-decode multi-byte UTF-8 sequences starting here.
                     if b < 0x80 {
@@ -420,12 +508,49 @@ mod tests {
     #[test]
     fn f64_formatting_is_json_safe() {
         let mut out = String::new();
-        push_f64(&mut out, 2.0);
-        out.push(' ');
-        push_f64(&mut out, 0.25);
-        out.push(' ');
-        push_f64(&mut out, f64::NAN);
-        assert_eq!(out, "2.0 0.25 null");
+        for x in [2.0, 0.25, f64::NAN, 1e15, -2.5e300, 1e-7] {
+            push_f64(&mut out, x);
+            out.push(' ');
+        }
+        assert_eq!(out, "2.0 0.25 null 1e15 -2.5e300 0.0000001 ");
+    }
+
+    #[test]
+    fn the_grammar_is_strict() {
+        // Each of these was once read as a value.
+        for text in [r#""\u+041""#, "01", "1.", "1e999"] {
+            assert_eq!(parse_value(text), None, "{text}");
+        }
+        for text in [
+            "-",
+            "+1",
+            ".5",
+            "1e",
+            "1e+",
+            "-01",
+            "1.e3",
+            "0x10",
+            "1e-",
+            r#""\u00g1""#,
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            "\"a\u{1}b\"",
+            "\u{a0}1",
+            "1\u{c}",
+            "9223372036854775808",
+        ] {
+            assert_eq!(parse_value(text), None, "{text:?}");
+        }
+        let float = |x| Some(Json::Scalar(JsonValue::Float(x)));
+        assert_eq!(parse_value("-0"), Some(Json::Scalar(JsonValue::Int(0))));
+        assert_eq!(parse_value(" 1E+2\n"), float(100.0));
+        assert_eq!(parse_value("1e-999"), float(0.0));
+        assert_eq!(parse_value("-0.5e1"), float(-5.0));
+        assert_eq!(
+            parse_value(r#""\ud83d\ude42\b\f""#),
+            Some(Json::Scalar(JsonValue::Str("\u{1f642}\u{8}\u{c}".into())))
+        );
     }
 
     #[test]

@@ -52,12 +52,18 @@ pub const SIM_WORK_RX_LEFT_PARKED: &str = "sim.work.rx_left_parked";
 /// callback.
 pub const SIM_WORK_ABSORBED: &str = "sim.work.absorbed";
 
-/// Resolver slots fully served by certified grid bounds.
+/// Candidates of grid slots decided without an exact sum: by the
+/// certified bounds or by the sender certificate.
 pub const RESOLVER_FAST_PATH_HITS: &str = "resolver.fast_path_hits";
-/// Resolver slots that fell back to the exact O(k²) path.
+/// Every other candidate: decoded by the exact sum, or decided in a slot
+/// without the grid.
 pub const RESOLVER_EXACT_FALLBACKS: &str = "resolver.exact_fallbacks";
-/// Grid cells scanned by the resolver's far-field accumulation.
+/// Near-list entries the resolver's grid path examined.
 pub const RESOLVER_CELLS_SCANNED: &str = "resolver.cells_scanned";
+/// Candidates decided by the sender certificate (lone or isolated).
+pub const RESOLVER_CERTIFIED: &str = "resolver.certified";
+/// Link terms summed by the exact decode (`k` per decoded candidate).
+pub const RESOLVER_EXACT_TERMS: &str = "resolver.exact_terms";
 /// Fraction of resolver decisions served by the fast path.
 pub const RESOLVER_HIT_RATE: &str = "resolver.hit_rate";
 /// Transmitters inserted into the resolver's grid: the sum of the

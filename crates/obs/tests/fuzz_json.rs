@@ -1,12 +1,16 @@
 //! Fuzzes the JSON readers behind `sinrcolor diff` (run reports, profile
 //! reports and diff policies): random bytes and mutated valid documents
 //! must come back parsed or rejected, never as a panic or a stack
-//! overflow. This is the dynamic counterpart of lint L2's static
-//! no-panic rule for library code.
+//! overflow, and every document that parses must render back to one that
+//! parses equal. This is the dynamic counterpart of lint L2's static
+//! no-panic rule for library code. The writers' output must parse too:
+//! sinrbench reads its children's result lines back with `parse_value`.
 
 use proptest::prelude::*;
 use proptest::TestCaseResult;
-use sinr_obs::json::{parse_flat_object, parse_value, render_flat_object};
+use sinr_obs::json::{
+    parse_flat_object, parse_value, push_f64, push_str_escaped, render_flat_object, Json, JsonValue,
+};
 
 /// Valid documents the mutations start from: a run report, an event line,
 /// a diff policy, and values that exercise every branch of the grammar.
@@ -60,11 +64,23 @@ fn arb_edits() -> impl Strategy<Value = Vec<Edit>> {
     prop::collection::vec((0u32..5, 0usize..4096, 0u32..512), 1..12)
 }
 
-/// Parses `text` both ways. A flat object that parses renders back into
-/// a line that parses to the same fields, as the event log reader relies
-/// on; a full document parses whenever its flat form does.
+/// Parses `text` both ways. A document that parses renders back into one
+/// that parses equal. A flat object that parses renders back into a line
+/// that parses to the same fields, as the event log reader relies on; a
+/// full document parses whenever its flat form does.
 fn check(text: &str) -> TestCaseResult {
     let value = parse_value(text);
+    if let Some(v) = &value {
+        let mut again = String::new();
+        v.render_into(&mut again);
+        prop_assert_eq!(
+            parse_value(&again).as_ref(),
+            Some(v),
+            "{:?} rendered as {:?}",
+            text,
+            again
+        );
+    }
     if let Some(fields) = parse_flat_object(text) {
         prop_assert!(value.is_some(), "flat but not a value: {:?}", text);
         let line = render_flat_object(&fields);
@@ -92,6 +108,42 @@ proptest! {
     fn mutated_documents_parse_or_are_rejected(seed in 0usize..SEEDS.len(), edits in arb_edits()) {
         let doc = mutate(SEEDS[seed].as_bytes(), &edits);
         check(&String::from_utf8_lossy(&doc))?;
+    }
+
+    #[test]
+    fn every_written_number_parses_back(bits in any::<u64>(), scale in -330i32..330) {
+        // Raw bit patterns cover subnormals, NaNs and infinities; scaled
+        // integers cover the large integral values written with an
+        // exponent.
+        for x in [f64::from_bits(bits), (bits >> 11) as f64 * 10f64.powi(scale)] {
+            let mut text = String::new();
+            push_f64(&mut text, x);
+            let expected = if x.is_finite() { JsonValue::Float(x) } else { JsonValue::Null };
+            prop_assert_eq!(parse_value(&text), Some(Json::Scalar(expected)), "{}", text);
+        }
+    }
+
+    #[test]
+    fn every_written_string_parses_back(chars in prop::collection::vec(0u32..0x11_0000, 0..40)) {
+        let s: String = chars.into_iter().filter_map(char::from_u32).collect();
+        let mut text = String::new();
+        push_str_escaped(&mut text, &s);
+        prop_assert_eq!(parse_value(&text), Some(Json::Scalar(JsonValue::Str(s))));
+    }
+}
+
+#[test]
+fn inputs_once_read_as_values_are_rejected() {
+    // `\u` took a leading `+` as hex, a leading zero and a bare point
+    // were read as numbers, and an overflowing exponent came back as
+    // infinity, which renders as `null`.
+    for text in [r#""\u+041""#, "01", "1.", "1e999"] {
+        assert_eq!(parse_value(text), None, "{text}");
+        assert_eq!(
+            parse_flat_object(&format!("{{\"k\":{text}}}")),
+            None,
+            "{text}"
+        );
     }
 }
 

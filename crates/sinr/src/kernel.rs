@@ -20,29 +20,57 @@
 //!    the first one on ties. Adjacency is tested as `dist² ≤ R_T²`, the
 //!    same test `UnitDiskGraph::new` makes its edges with, so no adjacency
 //!    list is searched.
-//! 3. **The lone-transmitter certificate** ([`certified_lone_sender`]).
+//! 3. **The sender certificate** ([`CertDisk`]), which decides part or all
+//!    of a transmitter's neighbourhood without a per-candidate sum.
 //!    `R_T` is defined as the range at which a lone sender's SINR is
-//!    `2β`: `R_T = (P / (2Nβ))^{1/α}`. When one node `t` transmits, a
-//!    candidate `u` (a neighbor of `t`, so `δ(u, t) ≤ R_T`) hears no
-//!    interference, and the exact decode computes its total as exactly
-//!    the signal, its interference as exactly 0 and its SINR as
-//!    `P / δ^α / N`. The square root, the power of the distance and the
-//!    divisions are each monotone up to rounding, so that SINR is at
-//!    least the one at the adjacency radius, up to a relative error far
-//!    below [`SUM_SLACK`]. One check per slot,
-//!    `P / R_T^α / N ≥ β · (1 + SUM_SLACK)`, therefore proves that every
-//!    candidate decodes `t`, and the slot needs no per-candidate sum. A
-//!    graph built at the configured `R_T` passes it with a factor of 2 to
-//!    spare; a context whose adjacency radius reaches past the lone-decode
-//!    range [`SinrConfig::r_max`] fails it and takes the exact decode.
+//!    `2β`: `R_T = (P / (2Nβ))^{1/α}`. Take a transmitter `t`, a radius
+//!    `ρ ≤ R_T`, and suppose the exact distance from `t` to every other
+//!    transmitter exceeds `R_T + ρ`. A candidate `u` within `ρ` of `t`
+//!    then lies more than `δ(t, w) − ρ > R_T` from every other
+//!    transmitter `w`, so `t` is `u`'s only adjacent sender and the exact
+//!    decode keeps one link. `u`'s interference is `Σ_w P / δ(u, w)^α`,
+//!    and each term is at most `P / (δ(t, w) − ρ)^α`: every neighbour in
+//!    the `ρ`-disk hears at most `I = Σ_w P / (δ(t, w) − ρ)^α`, the
+//!    interference bounded from the disk's edge, and a signal of at least
+//!    `P / ρ^α`. The square root, the power of the distance and the
+//!    divisions are each monotone up to rounding, so `u`'s SINR is at
+//!    least `P / ρ^α / (N + I)`, up to relative errors of a few ulps per
+//!    term and about `k·ε` for the exact decode's sum, all far below
+//!    [`SUM_SLACK`]. One check per transmitter and disk,
+//!    `P / ρ^α / (N + I) ≥ β · (1 + SUM_SLACK)`, therefore proves that
+//!    every neighbour in the disk decodes `t`. The certificate tries the
+//!    whole disk (`ρ = R_T`: `2·R_T` apart, every neighbour) and then an
+//!    inner one ([`INNER_DISK`]), whose stronger signal often outweighs
+//!    the closer edge; a transmitter that fails both leaves its
+//!    neighbours to the per-candidate decode.
+//!    - With one transmitter (`k = 1`), `I = 0` and the whole-disk check
+//!      is the SNR at the adjacency radius: a graph built at the
+//!      configured `R_T` passes it with a factor of 2 to spare, and a
+//!      context whose adjacency radius reaches past the lone-decode range
+//!      [`SinrConfig::r_max`] fails it. The slot then emits one pair per
+//!      candidate.
+//!    - A small slot ([`ExactKernel::certify_pairwise`]) takes `I` from
+//!      exact pairwise distances.
+//!    - A grid slot takes the exact terms over the near cells of `t`'s
+//!      cell, and bounds the rings beyond by cell counts (see
+//!      `crate::resolver`): a transmitter `r` cells from `t`'s cell lies
+//!      more than `(r − 1)·R_T` from `t`, so more than `(r − 2)·R_T` from
+//!      any neighbour of `t`.
+//!
+//!    Isolation is judged by exact distances, never by cell distance
+//!    alone. (For the whole disk, with `β ≥ 1`, a transmitter within
+//!    `2·R_T` would also fail the SINR check, since its own term is at
+//!    least the signal; for the inner disk only the isolation test keeps
+//!    a second adjacent sender out.)
 //!
 //! [`ExactKernel::finish_slot`] decodes the candidates in ascending order
 //! and each decodes at most one sender, so the pairs come out sorted by
-//! receiver and the reception table takes them without a sort. A slot
-//! without a grid decodes every candidate exactly; a grid slot first
-//! tries its certified bounds and falls back to [`decode_exact`]. Once the
-//! scratch has grown to the graph, a slot that refills a recycled table
-//! allocates nothing.
+//! receiver and the reception table takes them without a sort. A candidate
+//! that neighbours a certified transmitter takes its pair from the
+//! certificate. Any other candidate of a slot without a grid is decoded
+//! exactly; in a grid slot it first tries the certified bounds and falls
+//! back to [`decode_exact`]. Once the scratch has grown to the graph, a
+//! slot that refills a recycled table allocates nothing.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, sinr_from_signal};
@@ -55,10 +83,12 @@ use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 pub(crate) struct SlotCounts {
     /// Candidates decided from the certified grid bounds.
     pub(crate) fast_hits: u64,
-    /// Candidates decided exactly: every candidate the bounds did not
-    /// decide, by [`decode_exact`] or by the lone-transmitter certificate
-    /// that stands in for it. Set when the slot finishes.
-    pub(crate) fallbacks: u64,
+    /// Candidates decided by the sender certificate.
+    pub(crate) certified: u64,
+    /// Candidates decided by [`decode_exact`]: every candidate that
+    /// neither the bounds nor a certificate decided. Set when the slot
+    /// finishes.
+    pub(crate) exact: u64,
     /// Near-list entries examined on the grid path.
     pub(crate) cells: u64,
 }
@@ -151,17 +181,93 @@ pub(crate) fn decode_exact(
     best.map(|(_, v)| v)
 }
 
+/// The fraction of `R_T` that the sender certificate's inner disk spans.
+/// Read off a replay of dense MW slots (`docs/PERFORMANCE.md`, "Resolver
+/// architecture"): between 0.5 and 0.85 the two disks certify 30–49 %
+/// more candidates than the whole disk alone, most at 0.75.
+pub(crate) const INNER_DISK: f64 = 0.75;
+
+/// One disk of the sender certificate: the neighbours within `ρ` of a
+/// transmitter, `ρ ≤ R_T` (the derivation is in the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CertDisk {
+    /// `ρ²`; a neighbour lies in the disk when its squared distance is at
+    /// most this.
+    rho2: f64,
+    rho: f64,
+    /// `(R_T + ρ)²` with [`SUM_SLACK`] to spare: the transmitter is
+    /// isolated when every other one lies farther than this (squared),
+    /// so no neighbour in the disk is adjacent to another transmitter,
+    /// whatever the rounding of its distances.
+    pub(crate) iso_r2: f64,
+    /// The power received at `ρ`, the least any neighbour in the disk
+    /// hears from the transmitter.
+    signal: f64,
+    /// The interference past which [`CertDisk::certifies`] fails; only
+    /// cuts work short.
+    pub(crate) budget: f64,
+    /// Whether the disk holds every neighbour.
+    whole: bool,
+}
+
+impl CertDisk {
+    /// The disk of squared radius `rho2 ≤ R_T²`.
+    pub(crate) fn new(ctx: &ExactCtx<'_>, rho2: f64) -> Self {
+        let rho = rho2.sqrt();
+        let reach = ctx.adjacency_r2.sqrt() + rho;
+        let signal = received_power(ctx.power, rho, ctx.alpha);
+        CertDisk {
+            rho2,
+            rho,
+            iso_r2: reach * reach * (1.0 + SUM_SLACK),
+            signal,
+            budget: signal / ctx.beta - ctx.noise,
+            whole: rho2 >= ctx.adjacency_r2,
+        }
+    }
+
+    /// The certificate's disks, widest first: every neighbour, then those
+    /// within [`INNER_DISK`]` · R_T`.
+    pub(crate) fn both(ctx: &ExactCtx<'_>) -> [CertDisk; 2] {
+        let inner = INNER_DISK * ctx.adjacency_r2.sqrt();
+        [
+            CertDisk::new(ctx, ctx.adjacency_r2),
+            CertDisk::new(ctx, inner * inner),
+        ]
+    }
+
+    /// The most another transmitter at squared distance `d2 > iso_r2`
+    /// from a transmitter adds at a neighbour in the disk: its power at
+    /// the disk's edge, `P / (δ − ρ)^α`.
+    #[inline]
+    pub(crate) fn edge_term(&self, ctx: &ExactCtx<'_>, d2: f64) -> f64 {
+        received_power(ctx.power, d2.sqrt() - self.rho, ctx.alpha)
+    }
+
+    /// Whether every neighbour in the disk decodes the transmitter when it
+    /// hears at most `interference` from the slot's other transmitters:
+    /// the SINR at `ρ` clears `β` with [`SUM_SLACK`] to spare.
+    #[inline]
+    pub(crate) fn certifies(&self, ctx: &ExactCtx<'_>, interference: f64) -> bool {
+        self.signal / (ctx.noise + interference) >= ctx.beta * (1.0 + SUM_SLACK)
+    }
+}
+
 /// The slot's one transmitter, when it has exactly one and every
-/// candidate provably decodes it: the SNR at the adjacency radius clears
-/// `β` with [`SUM_SLACK`] to spare (the derivation is in the module docs).
+/// candidate provably decodes it: the sender certificate with no
+/// interference.
 // lint:hot — lone-transmitter certificate, runs once per slot
 fn certified_lone_sender(ctx: &ExactCtx<'_>) -> Option<NodeId> {
     let [t] = *ctx.transmitting else {
         return None;
     };
-    let snr_at_radius = received_power(ctx.power, ctx.adjacency_r2.sqrt(), ctx.alpha) / ctx.noise;
-    (snr_at_radius >= ctx.beta * (1.0 + SUM_SLACK)).then_some(t)
+    CertDisk::new(ctx, ctx.adjacency_r2)
+        .certifies(ctx, 0.0)
+        .then_some(t)
 }
+
+/// "Hears no certified sender" in `ExactKernel::heard`.
+const UNHEARD: u32 = u32::MAX;
 
 /// Reusable scratch of the exact kernel: the transmitter bitmap, the
 /// candidate bitset and list, and the decode scratch. It starts empty and
@@ -175,6 +281,10 @@ pub(crate) struct ExactKernel {
     candidate_bits: Vec<u64>,
     /// Candidate receivers of the slot in progress, in ascending order.
     candidates: Vec<NodeId>,
+    /// Per node: the certified transmitter it neighbours this slot, or
+    /// [`UNHEARD`]. Only candidates are marked, and the decode loop resets
+    /// each mark as it reads it.
+    heard: Vec<u32>,
     /// The buffers and counters every candidate's decode reuses.
     scratch: DecodeScratch,
 }
@@ -187,6 +297,7 @@ impl ExactKernel {
         let n = g.len();
         if self.is_tx.len() < n {
             self.is_tx.resize(n, false);
+            self.heard.resize(n, UNHEARD);
             self.candidate_bits.resize(n.div_ceil(64), 0);
             // At most every node is a candidate, and each candidate
             // decodes at most one pair: one reservation up front keeps
@@ -237,6 +348,60 @@ impl ExactKernel {
         }
     }
 
+    /// Marks the neighbours of transmitter `t` in `disk` as hearing it:
+    /// `t` passed the sender certificate for that disk, so they are
+    /// silent candidates and all decode it. A node id that does not fit
+    /// the mark is left to the per-candidate decode.
+    pub(crate) fn certify(
+        &mut self,
+        ctx: &ExactCtx<'_>,
+        g: &UnitDiskGraph,
+        t: NodeId,
+        disk: &CertDisk,
+    ) {
+        let Ok(mark) = u32::try_from(t) else {
+            return;
+        };
+        if mark == UNHEARD {
+            return;
+        }
+        let pt = ctx.positions[t];
+        for &u in g.neighbors(t) {
+            if disk.whole || ctx.positions[u].distance_squared(pt) <= disk.rho2 {
+                debug_assert!(!self.is_tx[u], "certified {t} neighbours transmitter {u}");
+                self.heard[u] = mark;
+            }
+        }
+    }
+
+    /// Runs the sender certificate over a slot without the grid, from
+    /// exact pairwise distances: `O(k²)`, for the small slots the grid
+    /// leaves to the exact decode.
+    // lint:hot — pairwise sender certificate, runs once per small slot
+    pub(crate) fn certify_pairwise(&mut self, ctx: &ExactCtx<'_>, g: &UnitDiskGraph) {
+        let disks = CertDisk::both(ctx);
+        for &t in ctx.transmitting {
+            let pt = ctx.positions[t];
+            let mut isolated = [true; 2];
+            let mut interference = [0.0f64; 2];
+            for &w in ctx.transmitting {
+                if w != t {
+                    let d2 = pt.distance_squared(ctx.positions[w]);
+                    for ((disk, iso), sum) in disks.iter().zip(&mut isolated).zip(&mut interference)
+                    {
+                        *iso &= d2 > disk.iso_r2;
+                        *sum += disk.edge_term(ctx, d2);
+                    }
+                }
+            }
+            let passed =
+                (0..disks.len()).find(|&i| isolated[i] && disks[i].certifies(ctx, interference[i]));
+            if let Some(i) = passed {
+                self.certify(ctx, g, t, &disks[i]);
+            }
+        }
+    }
+
     /// Finishes the slot begun by [`ExactKernel::begin_slot`] with
     /// `ctx.transmitting`: `decode` returns the sender each candidate
     /// hears, if any; `pairs` (cleared first) receives the receptions
@@ -245,9 +410,11 @@ impl ExactKernel {
     ///
     /// A slot whose lone transmitter [`certified_lone_sender`] returns emits
     /// `(u, t)` for every candidate without calling `decode`. Otherwise
-    /// every candidate is decoded in ascending order. Every candidate
-    /// `decode` did not count as a fast-path hit counts as an exact
-    /// decode.
+    /// the candidates are taken in ascending order: one that
+    /// [`ExactKernel::certify`] marked takes its certified sender, and
+    /// `decode` decides the others. Every candidate that `decode` did not
+    /// count as a fast-path hit and no certificate decided counts as an
+    /// exact decode.
     // lint:hot — candidate decode loop, runs once per slot
     pub(crate) fn finish_slot<F>(
         &mut self,
@@ -259,28 +426,40 @@ impl ExactKernel {
         F: FnMut(NodeId, &mut DecodeScratch) -> Option<NodeId>,
     {
         pairs.clear();
-        let scratch = &mut self.scratch;
+        let ExactKernel {
+            is_tx,
+            candidates,
+            heard,
+            scratch,
+            ..
+        } = self;
         scratch.counts = SlotCounts::default();
         if let Some(t) = certified_lone_sender(ctx) {
-            pairs.extend(self.candidates.iter().map(|&u| (u, t)));
+            pairs.extend(candidates.iter().map(|&u| (u, t)));
+            scratch.counts.certified = candidates.len() as u64;
         } else {
             // Each candidate decodes at most one pair: a fresh list grows
             // once here, and a recycled list that holds the slot not at
             // all.
-            pairs.reserve(self.candidates.len());
-            for &u in &self.candidates {
-                if let Some(v) = decode(u, scratch) {
+            pairs.reserve(candidates.len());
+            for &u in candidates.iter() {
+                let mark = std::mem::replace(&mut heard[u], UNHEARD);
+                if mark != UNHEARD {
+                    scratch.counts.certified += 1;
+                    pairs.push((u, mark as NodeId));
+                } else if let Some(v) = decode(u, scratch) {
                     pairs.push((u, v));
                 }
             }
         }
 
-        scratch.counts.fallbacks = self.candidates.len() as u64 - scratch.counts.fast_hits;
+        let counts = &mut scratch.counts;
+        counts.exact = candidates.len() as u64 - counts.fast_hits - counts.certified;
 
         for &t in ctx.transmitting {
-            self.is_tx[t] = false;
+            is_tx[t] = false;
         }
-        scratch.counts
+        *counts
     }
 }
 
@@ -363,6 +542,37 @@ mod tests {
         let pairs = kernel_pairs(&mut ExactKernel::default(), &g, &ctx);
         assert_eq!(pairs, vec![(7, 12), (11, 12), (13, 12), (17, 12)]);
         assert_eq!(pairs, decode_every_node(&ctx));
+    }
+
+    #[test]
+    fn pairwise_certificate_decides_isolated_senders_and_leaves_the_rest() {
+        // A 9×9 lattice of spacing R_T: the corners lie far apart and
+        // certify their two neighbours each; 40 and 42 lie 2·R_T apart,
+        // share the receiver 41 and are left to the exact decode.
+        let cfg = SinrConfig::default_unit();
+        let g = UnitDiskGraph::new(lattice(9), cfg.r_t());
+        let slots: [(&[NodeId], u64); 4] = [
+            (&[0, 80], 4),
+            (&[40, 42], 0),
+            (&[0, 40, 42, 80], 4),
+            (&[0, 8, 72, 80], 8),
+        ];
+        let mut kernel = ExactKernel::default();
+        for (tx, certified) in slots {
+            let ctx = ExactCtx::new(&cfg, &g, tx);
+            kernel.begin_slot(&g, tx);
+            kernel.certify_pairwise(&ctx, &g);
+            let mut pairs = Vec::new();
+            let counts = kernel.finish_slot(&ctx, &mut pairs, |u, cs| {
+                decode_exact(&ctx, u, &mut cs.links)
+            });
+            assert_eq!(pairs, decode_every_node(&ctx), "{tx:?}");
+            assert_eq!(counts.certified, certified, "{tx:?}");
+            assert_eq!(
+                counts.exact + counts.certified,
+                kernel.candidates().len() as u64
+            );
+        }
     }
 
     #[test]

@@ -8,25 +8,36 @@
 //! grid — every slot runs the exact decode alone. With the grid on, a
 //! dense slot costs far less than the exact pass:
 //!
-//! 1. The model binds a dense [`CellGrid`] (cell side `R_T`) to the graph's
-//!    point set **once**. A slot's receptions depend on that slot's
-//!    transmitters alone (§II), so every slot the bounds decide (more than
-//!    [`SMALL_SLOT_EXACT_CUTOFF`] transmitters) clears the grid and inserts
-//!    its transmitters into packed per-cell entry lists: `O(k)` work into
-//!    buffers sized at bind time, with no hashing. Smaller slots leave the
-//!    members alone, since nothing reads them there.
+//! 1. The model binds a dense [`CellGrid`] to the graph's point set
+//!    **once**, with cells of side `R_T · (1 + 2⁻¹⁸)`
+//!    ([`SIDE_OVER_RADIUS`]): rounded cell indices then never put two
+//!    nodes `r` cells apart (Chebyshev) within `(r − 1) · R_T` of each
+//!    other, so every sender lies in its receiver's 3×3 window and every
+//!    cell distance below converts to a true distance. A slot's
+//!    receptions depend on that slot's transmitters alone (§II), so every
+//!    slot the bounds decide (more than [`SMALL_SLOT_EXACT_CUTOFF`]
+//!    transmitters) clears the grid and inserts its transmitters into
+//!    packed per-cell entry lists, then sums the per-cell counts into a
+//!    summed-area table: `O(k + cells)` work into buffers sized at bind
+//!    time, with no hashing. Smaller slots leave the members alone, since
+//!    nothing reads them there.
 //! 2. Near/far classification is shared per *cell* instead of recomputed
 //!    per candidate: each occupied transmitter cell stamps itself into the
-//!    near lists of the candidate cells inside its `(2·reach+1)²` window
-//!    (pure dense-index arithmetic). A candidate receiver then walks its
-//!    cell's near list, streaming each near cell's packed
-//!    `(x, y, id)` entries for the exact near sum; everything not in the
-//!    list is *far* and only counted. The far tail is bounded by
-//!    `|far| · P / (reach·R_T)^α` — a Lemma-3-style conservative ring
-//!    bound: every far transmitter sits strictly beyond `reach · R_T`, so
-//!    its true contribution is strictly below the per-node cap (see
-//!    `Distributed Node Coloring in the SINR Model`, Lemma 3, and the
-//!    uniform-power tail bounds of Avin et al., arXiv:0906.2311).
+//!    near lists of the candidate and transmitter cells inside its
+//!    `(2·reach+1)²` window (pure dense-index arithmetic). A candidate
+//!    receiver then walks its cell's near list, streaming each near cell's
+//!    packed `(x, y, id)` entries for the exact near sum; everything not
+//!    in the list is *far* and only counted. The far tail is first charged
+//!    crudely, `|far| · P / (reach·R_T)^α`, as if every far transmitter
+//!    sat at the nearest far distance. A candidate that tail cannot decide
+//!    is decided again against the **ring bound** of its cell, Lemma 3's
+//!    ring decomposition (`Distributed Node Coloring in the SINR Model`,
+//!    Lemma 3, and the uniform-power tail bounds of Avin et al.,
+//!    arXiv:0906.2311): the summed-area table counts the transmitters in
+//!    each Chebyshev ring `r > reach` around the cell in `O(1)`, and ring
+//!    `r` is charged at `P / ((r − 1)·R_T)^α`, a margin of `1 + 2⁻¹⁸` below
+//!    `(r − 1)` cell sides. The rings run to the grid's edge, and the bound
+//!    is computed once per stamped cell, on first use.
 //! 3. A sender is decoded from the bounds only when the *pessimistic*
 //!    SINR (far tail fully charged) already clears `β` **and** no other
 //!    sender clears `β` even *optimistically* (far tail zero). A slot
@@ -39,18 +50,25 @@
 //!    decode, so the produced [`ReceptionTable`] is bit-identical in every
 //!    case — the grid is a pure strength reduction, never an
 //!    approximation.
+//! 4. Before any candidate, each transmitter tries the kernel's sender
+//!    certificate, for its whole `R_T`-disk and then an inner `ρ`-disk:
+//!    exact distances to the transmitters of its cell's near list (all
+//!    beyond `R_T + ρ`, each charged at `P / (δ − ρ)^α`), plus its cell's
+//!    rings charged at `P / ((r − 2)·R_T)^α`. The neighbours in a disk
+//!    that passes decode the transmitter with no sum at all.
 //!
 //! All scratch state (the kernel's transmitter bitmap, candidate bitset,
-//! link and pair buffers, the transmitter grid, the stamped near lists) lives
-//! in one box behind a `RefCell` and is reused across slots, so the model
-//! is `Send` but not `Sync`, and a steady-state slot resolved through
-//! [`InterferenceModel::resolve_delta_into`] performs no allocation.
+//! link and pair buffers, the transmitter grid, the stamped near lists,
+//! the ring table) lives in one box behind a `RefCell` and is reused across
+//! slots, so the model is `Send` but not `Sync`, and a steady-state slot
+//! resolved through [`InterferenceModel::resolve_delta_into`] performs no
+//! allocation.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_signal};
-use crate::kernel::{decode_exact, DecodeScratch, ExactCtx, ExactKernel};
+use crate::kernel::{decode_exact, CertDisk, DecodeScratch, ExactCtx, ExactKernel, SlotCounts};
 use crate::model::{InterferenceModel, ReceptionTable, TxDelta};
-use sinr_geometry::{CellGrid, NodeId, UnitDiskGraph};
+use sinr_geometry::{CellGrid, NodeId, UnitDiskGraph, SIDE_OVER_RADIUS};
 use std::cell::RefCell;
 
 /// Default near-window half-width, in grid cells (cell side = `R_T`).
@@ -92,15 +110,27 @@ pub const SUM_SLACK: f64 = 1e-9;
 /// decided, and what its grid did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
-    /// Candidate receivers decided purely from the certified bounds.
+    /// Candidate receivers of grid slots decided without an exact sum: by
+    /// the certified bounds (crude tail or ring bound) or by the sender
+    /// certificate.
     pub fast_path_hits: u64,
-    /// Candidate receivers that needed the full exact interference sum
-    /// (bound disagreement, a small slot below the grid cutoff, or a slot
-    /// without a grid).
+    /// Every other candidate receiver: a grid-slot candidate that needed
+    /// the full exact interference sum (bound disagreement), and every
+    /// candidate of a slot decided without the grid (a small slot below
+    /// the grid cutoff, or a slot without a grid), whether the exact decode
+    /// or the sender certificate that stands in for it decided it.
     pub exact_fallbacks: u64,
-    /// Near-list entries examined during interference summation (one per
-    /// near transmitter cell per fast-path candidate).
+    /// Near-list entries examined during interference summation: one per
+    /// near transmitter cell per fast-path candidate, and per transmitter
+    /// that tries the sender certificate in a grid slot.
     pub cells_scanned: u64,
+    /// Candidate receivers decided by the kernel's sender certificate,
+    /// lone or isolated, with no per-candidate sum; counted in
+    /// `fast_path_hits` in grid slots and in `exact_fallbacks` elsewhere.
+    pub certified: u64,
+    /// Link terms summed by the exact decode: `k` per candidate it
+    /// decodes in a slot of `k` transmitters.
+    pub exact_terms: u64,
     /// Transmitters inserted into the grid: the sum of `k` over the slots
     /// the bounds decide, so nonzero exactly when the grid ran. The name
     /// is left from a start/stop delta that no model reads any more; the
@@ -130,6 +160,8 @@ impl ResolverStats {
         self.fast_path_hits += other.fast_path_hits;
         self.exact_fallbacks += other.exact_fallbacks;
         self.cells_scanned += other.cells_scanned;
+        self.certified += other.certified;
+        self.exact_terms += other.exact_terms;
         self.delta_started += other.delta_started;
         self.delta_stopped += other.delta_stopped;
     }
@@ -141,11 +173,28 @@ impl ResolverStats {
         rec.counter_add(keys::RESOLVER_FAST_PATH_HITS, self.fast_path_hits);
         rec.counter_add(keys::RESOLVER_EXACT_FALLBACKS, self.exact_fallbacks);
         rec.counter_add(keys::RESOLVER_CELLS_SCANNED, self.cells_scanned);
+        rec.counter_add(keys::RESOLVER_CERTIFIED, self.certified);
+        rec.counter_add(keys::RESOLVER_EXACT_TERMS, self.exact_terms);
         rec.counter_add(keys::RESOLVER_DELTA_STARTED, self.delta_started);
         rec.counter_add(keys::RESOLVER_DELTA_STOPPED, self.delta_stopped);
         if let Some(rate) = self.hit_rate() {
             rec.gauge_set(keys::RESOLVER_HIT_RATE, rate);
         }
+    }
+
+    /// Adds one slot's counters: a grid slot's certified candidates are
+    /// fast-path hits, every other slot's candidates exact fallbacks.
+    fn add_slot(&mut self, counts: &SlotCounts, k: usize, grid_slot: bool) {
+        let candidates = counts.fast_hits + counts.certified + counts.exact;
+        if grid_slot {
+            self.fast_path_hits += counts.fast_hits + counts.certified;
+            self.exact_fallbacks += counts.exact;
+        } else {
+            self.exact_fallbacks += candidates;
+        }
+        self.cells_scanned += counts.cells;
+        self.certified += counts.certified;
+        self.exact_terms += counts.exact * k as u64;
     }
 }
 
@@ -184,13 +233,23 @@ struct GridState {
     bound_len: usize,
     bound_radius: f64,
     /// Per-cell stamp: index into `near_refs` when the cell holds
-    /// candidates this slot, [`NOT_STAMPED`] otherwise.
+    /// candidates or transmitters this slot, [`NOT_STAMPED`] otherwise.
     cand_cell_idx: Vec<u32>,
-    /// Candidate cells stamped this slot (indices into `cand_cell_idx`,
-    /// unstamped at the start of the next slot).
+    /// Cells stamped this slot (indices into `cand_cell_idx`, unstamped at
+    /// the start of the next slot).
     stamped: Vec<u32>,
-    /// Near list per stamped candidate cell; pooled and reused.
+    /// Near list per stamped cell; pooled and reused.
     near_refs: Vec<Vec<NearRef>>,
+    /// Ring bound per stamped cell, NaN until a candidate of the cell
+    /// first needs it in the slot.
+    ring_tail: Vec<f64>,
+    /// Summed-area table of the slot's transmitters per cell,
+    /// `(rows + 1) × (cols + 1)`: entry `(y, x)` counts those in rows `< y`
+    /// and columns `< x`.
+    sat: Vec<u32>,
+    /// `ring_cap[j] = P / (j·R_T)^α`, the most one transmitter farther than
+    /// `j·R_T` adds (infinite at `j = 0`), for every ring the grid has.
+    ring_cap: Vec<f64>,
 }
 
 impl GridState {
@@ -230,10 +289,10 @@ impl GridState {
 
     /// Builds the grid over the bound graph `g` with a near window of
     /// `reach` cells unless [`CellGrid::try_bind`] refuses; stops sampling.
-    fn build_grid(&mut self, g: &UnitDiskGraph, reach: i64) {
+    fn build_grid(&mut self, g: &UnitDiskGraph, cfg: &SinrConfig, reach: i64) {
         let positions = g.positions();
         self.sampling = false;
-        self.grid = CellGrid::try_bind(positions, g.radius());
+        self.grid = CellGrid::try_bind(positions, g.radius() * SIDE_OVER_RADIUS);
         let Some(grid) = &self.grid else {
             return;
         };
@@ -241,8 +300,17 @@ impl GridState {
         let cell_count = (rows * cols) as usize;
         self.cand_cell_idx.clear();
         self.cand_cell_idx.resize(cell_count, NOT_STAMPED);
+        self.sat.clear();
+        self.sat.resize(((rows + 1) * (cols + 1)) as usize, 0);
+        // Rings reach at most `max(rows, cols) − 1` cells; the crude tail
+        // reads the cap at `reach`.
+        self.ring_cap.clear();
+        self.ring_cap.extend(
+            (0..rows.max(cols).max(reach + 1))
+                .map(|j| received_power(cfg.power(), j as f64 * g.radius(), cfg.alpha())),
+        );
         // Build the whole near-reference list pool up front: one list per
-        // possibly-stamped cell (distinct candidate cells,
+        // possibly-stamped cell (distinct candidate and transmitter cells,
         // ≤ min(n, cells)), each sized to its Chebyshev window bound.
         // Together with the `stamped` reservation this makes every later
         // stamping pass allocation-free — candidate-count records late in
@@ -256,6 +324,7 @@ impl GridState {
             let shortfall = window_cap.saturating_sub(list.capacity());
             list.reserve(shortfall);
         }
+        self.ring_tail.resize(self.near_refs.len(), f64::NAN);
     }
 }
 
@@ -270,26 +339,171 @@ struct Scratch {
     stats: ResolverStats,
 }
 
+/// The slot's transmitters counted ring by ring around a cell: the
+/// summed-area table over the per-cell counts, and the per-ring caps.
+struct Rings<'a> {
+    sat: &'a [u32],
+    ring_cap: &'a [f64],
+    rows: i64,
+    cols: i64,
+    reach: i64,
+    k: u32,
+}
+
+impl Rings<'_> {
+    /// Transmitters in the cells within Chebyshev distance `r` of cell
+    /// `(cx, cy)`, clipped to the grid.
+    #[inline]
+    fn within(&self, cx: i64, cy: i64, r: i64) -> u32 {
+        let w = self.cols + 1;
+        let x0 = (cx - r).max(0);
+        let x1 = (cx + r).min(self.cols - 1) + 1;
+        let y0 = (cy - r).max(0);
+        let y1 = (cy + r).min(self.rows - 1) + 1;
+        let at = |y: i64, x: i64| self.sat[(y * w + x) as usize];
+        // Exact in wrapping arithmetic: the box count is non-negative.
+        at(y1, x1)
+            .wrapping_sub(at(y0, x1))
+            .wrapping_sub(at(y1, x0))
+            .wrapping_add(at(y0, x0))
+    }
+
+    /// Upper bound on the interference that the transmitters beyond the
+    /// near window of `cell` add at a receiver: ring `r > reach` around the
+    /// cell is charged at `ring_cap[r − offset]`. A transmitter in ring `r`
+    /// lies more than `(r − 1)·R_T` from every point of the cell (the
+    /// side margin), so `offset = 1` bounds a receiver inside the cell and
+    /// `offset = 2` one within `R_T` of a transmitter inside it.
+    ///
+    /// The rings run until every transmitter is counted (at the latest at
+    /// the grid's edge), or until the bound is at most `enough`: the
+    /// transmitters past the last summed ring are then charged at the next
+    /// ring's cap. A caller that needs the tightest bound passes `0.0`.
+    // lint:hot — ring bound, runs once per stamped cell that needs it
+    fn tail(&self, grid: &CellGrid, cell: u32, offset: i64, enough: f64) -> f64 {
+        let (cx, cy) = grid.cell_coords(cell);
+        let edge = cx.max(cy).max(self.cols - 1 - cx).max(self.rows - 1 - cy);
+        let mut inner = self.within(cx, cy, self.reach);
+        let mut tail = 0.0f64;
+        let mut r = self.reach;
+        while inner < self.k && r < edge {
+            r += 1;
+            let outer = self.within(cx, cy, r);
+            if outer > inner {
+                tail += f64::from(outer - inner) * self.ring_cap[(r - offset) as usize];
+                inner = outer;
+            }
+            let bound = tail + f64::from(self.k - inner) * self.ring_cap[(r + 1 - offset) as usize];
+            if bound <= enough {
+                return bound;
+            }
+        }
+        debug_assert_eq!(inner, self.k, "the rings miss transmitters");
+        tail
+    }
+}
+
+/// Fills the summed-area table `sat` with the transmitters of `grid`'s
+/// members: each occupied cell's count goes to its entry, and one pass of
+/// running row sums turns the counts into the table in place. `O(cells)`.
+// lint:hot — summed-area table, runs once per grid slot
+fn build_ring_table(grid: &CellGrid, sat: &mut [u32]) {
+    let (rows, cols) = grid.dims();
+    let (rows, cols) = (rows as usize, cols as usize);
+    let w = cols + 1;
+    sat[w..].fill(0);
+    // A grid binds fewer than 2³² nodes, so every count fits.
+    for &c in grid.occupied() {
+        let count = u32::try_from(grid.entries(c).len()).unwrap_or(u32::MAX);
+        let c = c as usize;
+        sat[(c / cols + 1) * w + c % cols + 1] = count;
+    }
+    for y in 1..=rows {
+        let mut run = 0u32;
+        let (above, row) = sat[(y - 1) * w..(y + 1) * w].split_at_mut(w);
+        for x in 1..=cols {
+            run += row[x];
+            row[x] = above[x] + run;
+        }
+    }
+}
+
 /// Immutable per-slot context of every candidate of a grid slot: the
-/// exact decode's inputs, the stamped near lists, and the precomputed
-/// bounds.
+/// exact decode's inputs, the stamped near lists, the ring table and the
+/// precomputed bounds.
 struct SlotCtx<'a> {
     exact: ExactCtx<'a>,
     grid: &'a CellGrid,
     cand_cell_idx: &'a [u32],
     near_refs: &'a [Vec<NearRef>],
+    rings: Rings<'a>,
     far_cap: f64,
     k: usize,
 }
 
+/// Runs the sender certificate (module docs, point 4) over every
+/// transmitter of a grid slot and marks the neighbours of those that pass.
+/// Returns the near-list entries it examined.
+// lint:hot — grid sender certificate, runs once per grid slot
+fn certify_senders(ctx: &SlotCtx<'_>, g: &UnitDiskGraph, kernel: &mut ExactKernel) -> u64 {
+    let exact = &ctx.exact;
+    let disks = CertDisk::both(exact);
+    let mut cells = 0u64;
+    for &t in exact.transmitting {
+        let pt = exact.positions[t];
+        let cell = ctx.grid.cell_of(t);
+        let refs = &ctx.near_refs[ctx.cand_cell_idx[cell as usize] as usize];
+        cells += refs.len() as u64;
+        let mut isolated = [true; 2];
+        let mut interference = [0.0f64; 2];
+        for r in refs {
+            for e in ctx.grid.entries(r.cell) {
+                if e.id != t {
+                    let dx = pt.x - e.x;
+                    let dy = pt.y - e.y;
+                    let d2 = dx * dx + dy * dy;
+                    for ((disk, iso), sum) in disks.iter().zip(&mut isolated).zip(&mut interference)
+                    {
+                        *iso &= d2 > disk.iso_r2;
+                        *sum += disk.edge_term(exact, d2);
+                    }
+                }
+            }
+        }
+        // The rings are charged once, for the widest disk still in reach
+        // of its budget. Rings beyond the first few barely move a bound
+        // that passes with room to spare, so they stop once half the room
+        // is left; a narrower disk reads the same bound.
+        let mut tail = None;
+        for (i, disk) in disks.iter().enumerate() {
+            if !isolated[i] || interference[i] > disk.budget {
+                continue;
+            }
+            let room = disk.budget - interference[i];
+            let tail = *tail.get_or_insert_with(|| ctx.rings.tail(ctx.grid, cell, 2, 0.5 * room));
+            if disk.certifies(exact, interference[i] + tail) {
+                kernel.certify(exact, g, t, disk);
+                break;
+            }
+        }
+    }
+    cells
+}
+
 /// Resolves one candidate receiver of a grid slot: the sender it
 /// decodes, if any. A candidate the bounds decide counts as a fast-path
-/// hit in `cs`; any other falls back to the exact decode.
+/// hit in `cs`; any other falls back to the exact decode. `ring_tail` is
+/// the memo of the ring bounds per stamped cell.
 ///
 /// Pure in `(ctx, u)`: the same candidate produces the same reception and
 /// counter increments whatever slot or candidate came before it.
 // lint:hot — resolver inner loop, runs once per candidate per slot
-fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Option<NodeId> {
+fn resolve_candidate(
+    ctx: &SlotCtx<'_>,
+    ring_tail: &mut [f64],
+    u: NodeId,
+    cs: &mut DecodeScratch,
+) -> Option<NodeId> {
     let exact = &ctx.exact;
     let grid = ctx.grid;
     let positions = exact.positions;
@@ -298,10 +512,12 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Op
     // stamping: this candidate's cell carries the list of occupied
     // transmitter cells within `reach`. Stream each near cell's packed
     // entries for the exact near sum; everything else is far and only
-    // counted. Senders must lie within R_T = one cell side, so they live
-    // in cells flagged `sender` (Chebyshev ≤ 1) and are collected for the
-    // SINR evaluation below.
-    let refs = &ctx.near_refs[ctx.cand_cell_idx[grid.cell_of(u) as usize] as usize];
+    // counted. Senders must lie within R_T, so they live in cells flagged
+    // `sender` (Chebyshev ≤ 1) and are collected for the SINR evaluation
+    // below.
+    let cell = grid.cell_of(u);
+    let stamp = ctx.cand_cell_idx[cell as usize] as usize;
+    let refs = &ctx.near_refs[stamp];
     let mut near_sum = 0.0f64;
     let mut near_count = 0usize;
     cs.sender_buf.clear();
@@ -326,9 +542,10 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Op
     let total_high = (near_sum + far_tail) * (1.0 + SUM_SLACK);
 
     // `certified` clears β even pessimistically; `possible` counts
-    // senders clearing β optimistically.
+    // senders clearing β optimistically, and `signal` is the last one's.
     let mut certified: Option<NodeId> = None;
     let mut possible = 0u64;
+    let mut last = (u, 0.0f64);
     for &v in &cs.sender_buf {
         let d2 = positions[v].distance_squared(pu);
         if d2 <= exact.adjacency_r2 {
@@ -338,6 +555,7 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Op
             let optimistic = sinr_from_signal(exact.noise, signal, total_low);
             if optimistic >= exact.beta {
                 possible += 1;
+                last = (v, signal);
                 let pessimistic = sinr_from_signal(exact.noise, signal, total_high);
                 if pessimistic >= exact.beta && certified.is_none() {
                     certified = Some(v);
@@ -345,45 +563,67 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut DecodeScratch) -> Op
             }
         }
     }
-    match certified {
+    match (certified, possible) {
         // v decodes even with the tail fully charged and no other sender
         // can reach β: the exact decode necessarily picks exactly v.
-        Some(v) if possible == 1 => {
+        (Some(v), 1) => {
             cs.counts.fast_hits += 1;
             Some(v)
         }
         // No sender reaches β even with zero far tail.
-        None if possible == 0 => {
+        (None, 0) => {
             cs.counts.fast_hits += 1;
             None
+        }
+        // One sender might decode, but not against the crude tail: charge
+        // the far field ring by ring instead.
+        (None, 1) => {
+            let mut tail = ring_tail[stamp];
+            if tail.is_nan() {
+                tail = ctx.rings.tail(grid, cell, 1, 0.0);
+                ring_tail[stamp] = tail;
+            }
+            let (v, signal) = last;
+            let high = (near_sum + tail) * (1.0 + SUM_SLACK);
+            if sinr_from_signal(exact.noise, signal, high) >= exact.beta {
+                cs.counts.fast_hits += 1;
+                Some(v)
+            } else {
+                decode_exact(exact, u, &mut cs.links)
+            }
         }
         // The bounds disagree: decode exactly.
         _ => decode_exact(exact, u, &mut cs.links),
     }
 }
-/// Stamps this slot's candidate cells and builds their near lists: every
-/// occupied transmitter cell registers itself (with its sender flag) in
-/// each stamped candidate cell inside its `(2·reach+1)²` window.
+
+/// Stamps this slot's candidate and transmitter cells and builds their
+/// near lists: every occupied transmitter cell registers itself (with its
+/// sender flag) in each stamped cell inside its `(2·reach+1)²` window.
+/// Each newly stamped cell's ring bound is reset to NaN.
 ///
-/// `near_refs` must hold at least as many pooled lists as there are
-/// distinct candidate cells (the caller grows the pool beforehand, so
-/// this stays allocation-free apart from amortized list growth).
+/// `near_refs` and `ring_tail` must hold at least as many pooled entries
+/// as there are distinct stamped cells (the caller grows the pools
+/// beforehand, so this stays allocation-free apart from amortized list
+/// growth).
 // lint:hot — cell-stamping pass, runs once per grid slot
 fn stamp_candidate_cells(
     grid: &CellGrid,
-    candidates: &[NodeId],
+    nodes: [&[NodeId]; 2],
     reach: i64,
     cand_cell_idx: &mut [u32],
     stamped: &mut Vec<u32>,
     near_refs: &mut [Vec<NearRef>],
+    ring_tail: &mut [f64],
 ) {
-    for &u in candidates {
+    for &u in nodes.into_iter().flatten() {
         let c = grid.cell_of(u);
         if cand_cell_idx[c as usize] == NOT_STAMPED {
             let idx = stamped.len() as u32;
             cand_cell_idx[c as usize] = idx;
             stamped.push(c);
             near_refs[idx as usize].clear();
+            ring_tail[idx as usize] = f64::NAN;
         }
     }
     for &c in grid.occupied() {
@@ -527,10 +767,10 @@ impl SinrModel {
         // window, since below the break-even the exact pass alone beats
         // the grid's work.
         if (fresh && self.forced == Some(true)) || (gs.sampling && gs.sample(k)) {
-            gs.build_grid(g, self.near_reach);
+            gs.build_grid(g, &self.cfg, self.near_reach);
         }
 
-        let counts = match &mut gs.grid {
+        let (counts, grid_slot) = match &mut gs.grid {
             // Only a slot worth the bounds reads the grid, so only such a
             // slot refills it with its transmitters.
             Some(grid) if k > SMALL_SLOT_EXACT_CUTOFF => {
@@ -552,52 +792,70 @@ impl SinrModel {
                 gs.stamped.clear();
                 // Safety net only: the pool built at bind time already
                 // holds one list per possibly-stamped cell, and lists are
-                // indexed by stamped order (distinct candidate cells),
-                // never by raw candidate count. A stamped cell collects at
-                // most one reference per cell of its Chebyshev window, so
-                // new lists are sized to that bound and never grow during
-                // a pass.
+                // indexed by stamped order (distinct candidate and
+                // transmitter cells), never by raw node count. A stamped
+                // cell collects at most one reference per cell of its
+                // Chebyshev window, so new lists are sized to that bound
+                // and never grow during a pass.
                 let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
-                let lists_needed = kernel.candidates().len().min(gs.cand_cell_idx.len());
+                let lists_needed = (kernel.candidates().len() + k).min(gs.cand_cell_idx.len());
                 while gs.near_refs.len() < lists_needed {
                     gs.near_refs.push(Vec::with_capacity(window_cap));
                 }
+                gs.ring_tail.resize(gs.near_refs.len(), f64::NAN);
                 stamp_candidate_cells(
                     grid,
-                    kernel.candidates(),
+                    [kernel.candidates(), transmitting],
                     self.near_reach,
                     &mut gs.cand_cell_idx,
                     &mut gs.stamped,
                     &mut gs.near_refs,
+                    &mut gs.ring_tail,
                 );
+                build_ring_table(grid, &mut gs.sat);
+                let (rows, cols) = grid.dims();
                 let ctx = SlotCtx {
                     exact,
                     grid,
                     cand_cell_idx: &gs.cand_cell_idx,
                     near_refs: &gs.near_refs,
-                    // Far transmitters sit strictly beyond `near_reach`
-                    // cells (two cells whose dense coordinates differ by
-                    // more than `reach` in a coordinate are separated by
-                    // more than `reach · cell` in that coordinate), so
-                    // each contributes strictly less than this cap.
-                    far_cap: received_power(
-                        exact.power,
-                        self.near_reach as f64 * g.radius(),
-                        exact.alpha,
-                    ),
+                    rings: Rings {
+                        sat: &gs.sat,
+                        ring_cap: &gs.ring_cap,
+                        rows,
+                        cols,
+                        reach: self.near_reach,
+                        // A grid binds fewer than 2³² nodes.
+                        k: u32::try_from(k).unwrap_or(u32::MAX),
+                    },
+                    // Far transmitters sit more than `near_reach` cells
+                    // away, so more than `near_reach · R_T` (the side
+                    // margin), and each contributes less than this cap.
+                    far_cap: gs.ring_cap[self.near_reach as usize],
                     k,
                 };
-                kernel.finish_slot(&exact, pairs, |u, cs| resolve_candidate(&ctx, u, cs))
+                let cert_cells = certify_senders(&ctx, g, kernel);
+                let ring_tail = &mut gs.ring_tail[..];
+                let mut counts = kernel.finish_slot(&exact, pairs, |u, cs| {
+                    resolve_candidate(&ctx, ring_tail, u, cs)
+                });
+                counts.cells += cert_cells;
+                (counts, true)
             }
-            // No grid, or a slot too small for it: every candidate is
-            // decoded exactly.
-            _ => kernel.finish_slot(&exact, pairs, |u, cs| {
-                decode_exact(&exact, u, &mut cs.links)
-            }),
+            // No grid, or a slot too small for it: every candidate that no
+            // certificate decides is decoded exactly. Small slots try the
+            // sender certificate from exact pairwise distances.
+            _ => {
+                if (2..=SMALL_SLOT_EXACT_CUTOFF).contains(&k) {
+                    kernel.certify_pairwise(&exact, g);
+                }
+                let counts = kernel.finish_slot(&exact, pairs, |u, cs| {
+                    decode_exact(&exact, u, &mut cs.links)
+                });
+                (counts, false)
+            }
         };
-        stats.fast_path_hits += counts.fast_hits;
-        stats.exact_fallbacks += counts.fallbacks;
-        stats.cells_scanned += counts.cells;
+        stats.add_slot(&counts, k, grid_slot);
     }
 }
 
@@ -1029,11 +1287,82 @@ mod tests {
             ResolverStats {
                 fast_path_hits: 952,
                 exact_fallbacks: 146,
-                cells_scanned: 23622,
+                cells_scanned: 32453,
+                certified: 76,
+                exact_terms: 1102,
                 delta_started: 323,
                 delta_stopped: 233,
             }
         );
+    }
+
+    #[test]
+    fn ring_caps_bound_every_transmitter_of_their_ring_strictly() {
+        // Offset lattices of spacing one cell side: rounded cell indices
+        // put some pairs exactly `(r − 1)` sides apart into cells `r` apart,
+        // the tightest pairs a ring's charge must still bound.
+        let c = cfg();
+        let side = c.r_t() * SIDE_OVER_RADIUS;
+        let mut tight = 0;
+        for (ox, oy) in [(0.37, -1.9), (-3.3, 7.7), (1e3 + 0.3, -0.7)] {
+            let pts: Vec<Point> = (0..144)
+                .map(|i| Point::new((i % 12) as f64 * side + ox, (i / 12) as f64 * side + oy))
+                .collect();
+            let g = UnitDiskGraph::new(pts, c.r_t());
+            let mut gs = GridState::default();
+            gs.bind(&g, false);
+            gs.build_grid(&g, &c, 1);
+            let grid = gs.grid.as_ref().expect("a lattice binds");
+            for a in 0..g.len() {
+                for b in 0..g.len() {
+                    let r = grid.cheb(grid.cell_of(a), grid.cell_of(b));
+                    if r >= 2 {
+                        let d = g.position(a).distance(g.position(b));
+                        let power = received_power(c.power(), d, c.alpha());
+                        let cap = gs.ring_cap[(r - 1) as usize];
+                        assert!(power < cap, "{a}-{b}: ring {r} at {d} charged {cap}");
+                        tight += usize::from(d <= (r - 1) as f64 * side);
+                    }
+                }
+            }
+        }
+        assert!(tight > 0, "no pair sits at the edge of its ring");
+    }
+
+    #[test]
+    fn the_grid_certificate_judges_isolation_by_exact_distance() {
+        // `t`'s nearest other transmitter `w` sits two cells away but
+        // 2.6·R_T off, so `t` is isolated and its whole disk certified,
+        // with its four receivers 0.9·R_T away. `t2`'s nearest sits two
+        // cells away within 2·R_T: only its inner disk is certified, with
+        // its four receivers 0.5·R_T away. Twelve background transmitters,
+        // three cells apart, certify one receiver each.
+        let c = cfg();
+        let side = c.r_t() * SIDE_OVER_RADIUS;
+        let mut pts = vec![Point::new(0.0, 0.0)];
+        let mut tx = Vec::new();
+        for (t, gap, rx) in [
+            (Point::new(5.1 * side, 5.5 * side), 2.6, 0.9),
+            (Point::new(5.1 * side, 12.5 * side), 2.0 - 1e-9, 0.5),
+        ] {
+            tx.extend([pts.len(), pts.len() + 1]);
+            pts.extend([t, Point::new(t.x + gap, t.y)]);
+            for (dx, dy) in [(rx, 0.0), (0.0, rx), (-rx, 0.0), (0.0, -rx)] {
+                pts.push(Point::new(t.x + dx, t.y + dy));
+            }
+        }
+        for j in 0..12 {
+            let t = Point::new(20.5 * side, (3 * j) as f64 * side + 0.5);
+            tx.push(pts.len());
+            pts.extend([t, Point::new(t.x + 0.6, t.y)]);
+        }
+        let g = UnitDiskGraph::new(pts, c.r_t());
+        let grid = CellGrid::try_bind(g.positions(), side).expect("binds");
+        assert_eq!(grid.cheb(grid.cell_of(1), grid.cell_of(2)), 2);
+        assert_eq!(grid.cheb(grid.cell_of(7), grid.cell_of(8)), 2);
+        let fast = grid_on(c);
+        assert_eq!(fast.resolve(&g, &tx), grid_off(c).resolve(&g, &tx));
+        assert_eq!(fast.stats().certified, 4 + 4 + 12);
     }
 
     #[test]
@@ -1042,8 +1371,10 @@ mod tests {
             fast_path_hits: 1,
             exact_fallbacks: 2,
             cells_scanned: 3,
-            delta_started: 4,
-            delta_stopped: 5,
+            certified: 4,
+            exact_terms: 5,
+            delta_started: 6,
+            delta_stopped: 7,
         };
         a.merge(&a.clone());
         assert_eq!(
@@ -1052,8 +1383,10 @@ mod tests {
                 fast_path_hits: 2,
                 exact_fallbacks: 4,
                 cells_scanned: 6,
-                delta_started: 8,
-                delta_stopped: 10,
+                certified: 8,
+                exact_terms: 10,
+                delta_started: 12,
+                delta_stopped: 14,
             }
         );
     }

@@ -17,12 +17,13 @@ use sinr_coloring::mw::{MwCold, MwMessage, MwNode, MwPhase, MwPhaseKind};
 use sinr_model::{ReceptionTable, SinrModel};
 use sinr_radiosim::{NodeFlags, StepView};
 
-/// Committed budget for the per-node protocol state. Measured 176 bytes
-/// (x86-64) after the hot/cold split boxed the leader bookkeeping and
-/// the diagnostics counters behind `MwCold` — down from 344 when the
-/// struct carried everything inline. The fused slot passes stream one
-/// `MwNode` per node per slot, so this is the dominant per-slot
-/// memory-traffic term.
+/// Committed budget for the per-node protocol state. Measured 184 bytes
+/// (x86-64): 176 after the hot/cold split boxed the leader bookkeeping
+/// and the diagnostics counters behind `MwCold` — down from 344 when the
+/// struct carried everything inline — plus the current level's reset
+/// window, which every heeded reception compares against. The fused slot
+/// passes stream one `MwNode` per node per slot, so this is the dominant
+/// per-slot memory-traffic term.
 const MW_NODE_BUDGET: usize = 192;
 
 /// Committed budget for the boxed cold half: leader queue/grant ledger,
