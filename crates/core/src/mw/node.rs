@@ -652,6 +652,15 @@ impl Protocol for MwNode {
         true
     }
 
+    fn prefetch(&self) {
+        // Only the listen and compete loops record what they hear into
+        // `P_v` (Fig. 1 lines 4 and 14); every other phase reads no heap
+        // data for a reception.
+        if matches!(self.phase, MwPhase::Listen { .. } | MwPhase::Compete { .. }) {
+            sinr_radiosim::prefetch(self.estimates.as_slice());
+        }
+    }
+
     fn skip_quiet(&mut self, slots: u64) {
         // What `slots` empty slots of `begin_slot` + `end_slot` do when no
         // coin succeeds: the slot count, and the phase's countdown.

@@ -22,9 +22,10 @@
 //! single sanctioned home of `std::alloc` in the workspace (lint L10),
 //! and the counter cells are the sanctioned `std::sync::atomic` use
 //! outside `crates/pool` (allowlisted for L6). The `unsafe` impl below is
-//! the only unsafe code in the workspace: it forwards verbatim to
-//! `System` and touches nothing but `Cell`s and atomics, which cannot
-//! recurse into the allocator (the thread-locals are const-initialized).
+//! one of the workspace's two unsafe sites, beside the cache hint of
+//! `sinr_radiosim::prefetch`: it forwards verbatim to `System` and
+//! touches nothing but `Cell`s and atomics, which cannot recurse into the
+//! allocator (the thread-locals are const-initialized).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -1,16 +1,17 @@
 //! The slot-synchronous simulation engine.
 
 use crate::calendar::{Calendar, NIL, WHEEL};
+use crate::prefetch::prefetch;
 use crate::protocol::{Action, NodeCtx, Protocol, RandSlotRng, SlotRng};
 use crate::stats::SimStats;
 use crate::wakeup::WakeupSchedule;
-use sinr_geometry::{NodeId, UnitDiskGraph};
+use sinr_geometry::{cast, NodeId, UnitDiskGraph};
 use sinr_model::{InterferenceModel, ReceptionTable, ResolverStats, TxDelta};
 use sinr_obs::alloc::{self, AllocSnapshot, AllocStats};
 use sinr_obs::span::{names as span_names, SpanRecord, SpanTrack};
 use sinr_obs::{keys, NoopRecorder, ObsEvent, Recorder, QUARTERS_PER_SLOT};
 use sinr_rng::rngs::StdRng;
-use sinr_rng::SeedableRng;
+use sinr_rng::{Rng, SeedableRng};
 
 /// One node's slot-critical status bits, packed into a single byte.
 ///
@@ -109,17 +110,21 @@ const _: () = assert!(WHEEL >= DRAW_AHEAD);
 /// with the number of coins drawn. A coin `≤ 0` draws nothing and never
 /// succeeds, so every slot is known to fail: the slot is `u64::MAX` and
 /// `at` is left alone.
+///
+/// Each coin is [`RandSlotRng::chance`]'s, compared in integers: see
+/// [`coin_bound`].
 // lint:hot — per-park loop, runs once per parked interval
 fn draw_ahead(rng: &StdRng, at: &mut StdRng, coin: f64, next: u64, end: u64) -> (u64, u64) {
     if coin <= 0.0 {
         return (u64::MAX, 0);
     }
+    let bound = coin_bound(coin);
     let mut copy = rng.clone();
     let stop = end.min(next.saturating_add(DRAW_AHEAD));
     let mut t = next;
     while t < stop {
         let before = copy.clone();
-        if RandSlotRng(&mut copy).chance(coin) {
+        if coin >= 1.0 || copy.next_u64() >> 11 < bound {
             *at = before;
             return (t, t - next + 1);
         }
@@ -128,6 +133,37 @@ fn draw_ahead(rng: &StdRng, at: &mut StdRng, coin: f64, next: u64, end: u64) -> 
     *at = copy;
     (t, t - next)
 }
+
+/// `⌈coin · 2⁵³⌉` for a coin in `[0, 1)`, else 0. A draw of
+/// [`RandSlotRng::chance`] takes the 53 high bits `m` of one `next_u64`
+/// and succeeds iff `m · 2⁻⁵³ < coin`. Scaling both sides by 2⁵³ is
+/// exact, and `m` is an integer, so the draw succeeds iff `m` is below
+/// this bound. `chance` decides a coin outside `[0, 1]` without a draw,
+/// and a NaN coin never succeeds, as `m < 0` never holds.
+fn coin_bound(coin: f64) -> u64 {
+    const SCALE: f64 = (1u64 << 53) as f64;
+    if (0.0..1.0).contains(&coin) {
+        cast::ceil_u64(coin * SCALE)
+    } else {
+        0
+    }
+}
+
+/// The size of the node array, `n · size_of::<P>()` in bytes, from which
+/// [`Simulator::new`] picks the delivery pass that prefetches receivers:
+/// 2 MiB, a core's L2 cache on the hosts it was measured on. A smaller
+/// array stays cached for most of a run, and there the prefetches cost
+/// more than the misses they hide: complete MW colorings at n = 8192
+/// (1.5 MB) deliver 17 % slower with them (docs/PERFORMANCE.md
+/// § Prefetching receivers).
+pub const PREFETCH_MIN_NODE_BYTES: usize = 2 << 20;
+
+/// How many entries ahead in the slot's sorted reception table the
+/// prefetching delivery pass requests a receiver's node, and asks the
+/// node to prefetch its own data ([`Protocol::prefetch`]), which needs
+/// the node's lines to have landed.
+const PREFETCH_NODE_AHEAD: usize = 16;
+const PREFETCH_HOOK_AHEAD: usize = 8;
 
 /// Sets node `v`'s bit in a node bitset.
 fn set_bit(bits: &mut [u64], v: NodeId) {
@@ -317,6 +353,9 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     graph: UnitDiskGraph,
     model: M,
     nodes: Vec<P>,
+    // Whether the node array is large enough for the delivery pass that
+    // prefetches receivers (see [`PREFETCH_MIN_NODE_BYTES`]).
+    prefetch: bool,
     rngs: Vec<StdRng>,
     slot: u64,
     // Also the engine's one copy of the wake slots (`stats.wake_slot`).
@@ -428,6 +467,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         Simulator {
             graph,
             model,
+            prefetch: std::mem::size_of_val(nodes.as_slice()) >= PREFETCH_MIN_NODE_BYTES,
             nodes,
             ahead_rng: rngs.clone(),
             rngs,
@@ -631,7 +671,18 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         let mut ran = std::mem::take(&mut self.ran);
         newly_done.clear();
         ran.clear();
-        self.phase_delivery_fused(slot, &table, &mut newly_done, &mut ran, obs, rec);
+        if self.prefetch {
+            self.phase_delivery_fused::<R, true>(slot, &table, &mut newly_done, &mut ran, obs, rec);
+        } else {
+            self.phase_delivery_fused::<R, false>(
+                slot,
+                &table,
+                &mut newly_done,
+                &mut ran,
+                obs,
+                rec,
+            );
+        }
 
         if let (Some(p), Some(mark)) = (prof.as_deref_mut(), prof_mark) {
             let _ = EngineAllocProfile::phase_mark(&mut p.delivery, mark);
@@ -941,8 +992,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// it heeds none, it stays parked and runs nothing. If it does, it is
     /// offered the inbox to absorb, and stays parked if it takes it in;
     /// otherwise it wakes and runs the slot.
+    ///
+    /// With `PREFETCH`, each receiver requests the node of the receiver
+    /// [`PREFETCH_NODE_AHEAD`] entries on in the table, and asks the one
+    /// [`PREFETCH_HOOK_AHEAD`] entries on to prefetch its own data, so
+    /// their loads overlap instead of each stalling in turn; the table's
+    /// first receivers are requested before the walk. Hints only: both
+    /// passes compute the same slot.
     // lint:hot — per-node delivery loop, runs every slot over the visit set
-    fn phase_delivery_fused<R: Recorder + ?Sized>(
+    fn phase_delivery_fused<R: Recorder + ?Sized, const PREFETCH: bool>(
         &mut self,
         slot: u64,
         table: &ReceptionTable,
@@ -954,6 +1012,15 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         let pairs = table.pairs();
         for &(r, _) in pairs {
             set_bit(&mut self.visit, r);
+        }
+        if PREFETCH {
+            // No receiver comes before the first ones to request them.
+            for &(r, _) in pairs.iter().take(PREFETCH_NODE_AHEAD) {
+                prefetch(&self.nodes[r]);
+            }
+            for &(r, _) in pairs.iter().take(PREFETCH_HOOK_AHEAD) {
+                self.nodes[r].prefetch();
+            }
         }
         let mut p = 0usize;
         let mut inbox = std::mem::take(&mut self.inbox);
@@ -976,6 +1043,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                         p += 1;
                     }
                     let rx = &pairs[first..p];
+                    if PREFETCH && !rx.is_empty() {
+                        if let Some(&(r, _)) = pairs.get(first + PREFETCH_NODE_AHEAD) {
+                            prefetch(&self.nodes[r]);
+                        }
+                        if let Some(&(r, _)) = pairs.get(first + PREFETCH_HOOK_AHEAD) {
+                            self.nodes[r].prefetch();
+                        }
+                    }
                     if f.active() && (!rx.is_empty() || !f.parked()) {
                         self.stats.receptions += rx.len() as u64;
                         if obs {
@@ -1490,6 +1565,89 @@ mod tests {
             series.column(keys::SIM_SLOT_TRANSMITTERS),
             Some(&[1.0, 1.0][..])
         );
+    }
+
+    /// `draw_ahead` as it was written before its coins compared integers:
+    /// one `chance(coin)` per slot on a copy of the generator.
+    fn draw_ahead_by_chance(
+        rng: &StdRng,
+        at: &mut StdRng,
+        coin: f64,
+        next: u64,
+        end: u64,
+    ) -> (u64, u64) {
+        if coin <= 0.0 {
+            return (u64::MAX, 0);
+        }
+        let mut copy = rng.clone();
+        let stop = end.min(next.saturating_add(DRAW_AHEAD));
+        let mut t = next;
+        while t < stop {
+            let before = copy.clone();
+            if RandSlotRng(&mut copy).chance(coin) {
+                *at = before;
+                return (t, t - next + 1);
+            }
+            t += 1;
+        }
+        *at = copy;
+        (t, t - next)
+    }
+
+    /// A generator that returns one fixed word.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_coins_decide_as_chance_does() {
+        const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut coins = vec![0.0, ULP, 0.5, 1.0 - ULP, 1.0, 1.5, -0.25, f64::NAN];
+        // Multiples of 2⁻⁵³, and the floats just below and above them.
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) + 1, (1 << 53) - 1] {
+            let c = k as f64 * ULP;
+            coins.extend([c, c.next_down(), c.next_up()]);
+        }
+        let mut words = StdRng::seed_from_u64(5);
+        coins.extend((0..200).map(|_| RandSlotRng(&mut words).uniform()));
+        for &coin in &coins {
+            // Draws around the coin's boundary, and random ones.
+            let edge = if coin > 0.0 {
+                cast::floor_u64(coin.min(1.0) * (1u64 << 53) as f64)
+            } else {
+                0
+            };
+            let near = (edge.saturating_sub(2)..edge + 3).map(|m| m.min((1 << 53) - 1));
+            let random = (0..20).map(|_| words.next_u64() >> 11);
+            for m in near.chain(random) {
+                let by_chance = RandSlotRng(Fixed(m << 11 | 0x5a5)).chance(coin);
+                let by_bound = coin >= 1.0 || m < coin_bound(coin);
+                assert_eq!(by_bound, by_chance, "coin {coin:e}, m {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn draw_ahead_matches_chance_draw_for_draw() {
+        let mut seeds = StdRng::seed_from_u64(17);
+        let mut coins = vec![1e-3, 0.02, 0.5, 0.999, 1.0, 2.0, 0.0, -1.0, f64::NAN];
+        coins.extend((0..40).map(|_| RandSlotRng(&mut seeds).uniform()));
+        for &coin in &coins {
+            // An empty promise, a short one, and the draw-ahead horizon.
+            for (next, end) in [(9, 9), (9, 12), (3, u64::MAX)] {
+                let rng = StdRng::seed_from_u64(seeds.next_u64());
+                let mut at = StdRng::seed_from_u64(1);
+                let mut at_by_chance = at.clone();
+                let got = draw_ahead(&rng, &mut at, coin, next, end);
+                let want = draw_ahead_by_chance(&rng, &mut at_by_chance, coin, next, end);
+                assert_eq!(got, want, "coin {coin}, slots {next}..{end}");
+                assert_eq!(at.next_u64(), at_by_chance.next_u64(), "coin {coin}");
+            }
+        }
     }
 
     #[test]

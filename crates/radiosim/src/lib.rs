@@ -59,11 +59,13 @@
 mod calendar;
 pub mod energy;
 pub mod engine;
+mod prefetch;
 pub mod protocol;
 pub mod stats;
 pub mod wakeup;
 
-pub use engine::{NodeFlags, RunOutcome, Simulator, StepView};
+pub use engine::{NodeFlags, RunOutcome, Simulator, StepView, PREFETCH_MIN_NODE_BYTES};
+pub use prefetch::prefetch;
 pub use protocol::{Action, NodeCtx, Protocol, Quiet, SlotRng};
 pub use stats::SimStats;
 pub use wakeup::WakeupSchedule;

@@ -223,6 +223,16 @@ pub trait Protocol {
     fn absorb(&mut self, _ctx: &NodeCtx, _lag: u64, _received: &[(NodeId, Self::Message)]) -> bool {
         false
     }
+
+    /// A hint that the engine will soon deliver receptions to the node:
+    /// it may [prefetch](crate::prefetch) heap data that its `heeds`,
+    /// `absorb` or `end_slot` will then read. The engine asks only in the
+    /// delivery pass it picks for node arrays of at least
+    /// [`PREFETCH_MIN_NODE_BYTES`](crate::PREFETCH_MIN_NODE_BYTES), a few
+    /// receivers ahead in the slot's reception table, parked or sleeping
+    /// receivers included. It must leave the node as it was. Defaults to
+    /// doing nothing.
+    fn prefetch(&self) {}
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Property-based tests for the simulation engine's invariants.
 
 use proptest::prelude::*;
-use proptest::TestCaseResult;
+use proptest::TestCaseError;
 use sinr_geometry::{NodeId, Point, UnitDiskGraph};
 use sinr_model::{GraphModel, IdealModel, InterferenceModel, SinrConfig, SinrModel};
 use sinr_obs::{keys, ObsEvent};
 use sinr_radiosim::{
     Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, StepView, WakeupSchedule,
+    PREFETCH_MIN_NODE_BYTES,
 };
+use std::cell::Cell;
 use std::fmt::Debug;
 
 mod reference;
@@ -145,7 +147,46 @@ proptest! {
         let mk = |v: NodeId| {
             Promiser::new(coins, rounds, done_at, born_done >> v & 1 == 1, noisy >> v & 1 == 1)
         };
-        promisers_match_the_reference(pts, seed, WakeupSchedule::UniformRandom { window: 10 }, mk)?;
+        promisers_match_the_reference(
+            pts,
+            seed,
+            WakeupSchedule::UniformRandom { window: 10 },
+            mk,
+            |p| p,
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// The same differential with [`Padded`] Promisers, whose node array
+    /// is large enough that the engine delivers through its prefetching
+    /// pass. The reference stepper never prefetches.
+    #[test]
+    fn prefetching_engine_matches_the_reference_stepper(
+        pts in prop::collection::vec(
+            (0.0..4.0f64, 0.0..4.0f64).prop_map(|(x, y)| Point::new(x, y)),
+            PADDED_MIN_NODES..2 * PADDED_MIN_NODES,
+        ),
+        seed in 0u64..500,
+        coins in arb_coins(),
+        (rounds, done_at) in (1u64..60).prop_flat_map(|r| (Just(r), 1..r + 1)),
+        noisy in 0u64..1 << 20,
+    ) {
+        let n = pts.len();
+        let mk = |v: NodeId| {
+            Padded::new(Promiser::new(coins, rounds, done_at, false, noisy >> v & 1 == 1))
+        };
+        prop_assert!(n * std::mem::size_of::<Padded<Promiser>>() >= PREFETCH_MIN_NODE_BYTES);
+        let hints = promisers_match_the_reference(
+            pts,
+            seed,
+            WakeupSchedule::UniformRandom { window: 10 },
+            mk,
+            |p| &p.inner,
+        )?;
+        prop_assert!(hints > 0, "the prefetching pass asked no node");
     }
 }
 
@@ -173,7 +214,7 @@ proptest! {
         }),
     ) {
         let mk = |_: NodeId| Promiser::new(coins, rounds, done_at, false, false);
-        promisers_match_the_reference(pts, seed, schedule, mk)?;
+        promisers_match_the_reference(pts, seed, schedule, mk, |p| p)?;
     }
 }
 
@@ -191,6 +232,10 @@ trait Watched: Protocol {
     fn begin_calls(&self) -> u64;
     /// `absorb` calls that took a slot's receptions in.
     fn absorbs(&self) -> u64 {
+        0
+    }
+    /// Prefetch hints the engine gave the node.
+    fn hints(&self) -> u64 {
         0
     }
 }
@@ -293,19 +338,22 @@ impl<S: PartialEq + Debug> RanWatch<S> {
     }
 }
 
-/// Runs Promisers, `mk(v)` each, on `pts` under `schedule` until they are
-/// done, and checks the engine against the reference stepper. Identical
-/// outcomes, stats, node states and inbox histories, with and without a
-/// recorder attached, and the recorded run must emit exactly the
-/// oracle's events. A third engine runs the same slots in segments of
-/// random length, so parked nodes are caught up between calls and then
-/// stay parked. In all three a [`RanWatch`] checks every slot's `ran`.
-fn promisers_match_the_reference(
+/// Runs Promisers, `mk(v)` each (or protocols that wrap one, which
+/// `inner` unwraps), on `pts` under `schedule` until they are done, and
+/// checks the engine against the reference stepper. Identical outcomes,
+/// stats, node states and inbox histories, with and without a recorder
+/// attached, and the recorded run must emit exactly the oracle's events.
+/// A third engine runs the same slots in segments of random length, so
+/// parked nodes are caught up between calls and then stay parked. In all
+/// three a [`RanWatch`] checks every slot's `ran`. Returns the prefetch
+/// hints the plain engine's nodes were given.
+fn promisers_match_the_reference<P: Watched>(
     pts: Vec<Point>,
     seed: u64,
     schedule: WakeupSchedule,
-    mk: impl Fn(NodeId) -> Promiser + Copy,
-) -> TestCaseResult {
+    mk: impl Fn(NodeId) -> P + Copy,
+    inner: impl Fn(&P) -> &Promiser,
+) -> Result<u64, TestCaseError> {
     let cfg = SinrConfig::default_unit();
     let graph = UnitDiskGraph::new(pts, cfg.r_t());
     let n = graph.len();
@@ -344,13 +392,93 @@ fn promisers_match_the_reference(
     for sim in [&plain, &recorded, &segmented] {
         prop_assert_eq!(sim.stats(), oracle.stats());
         for v in 0..n {
-            prop_assert_eq!(sim.node(v).state(), oracle.node(v).state(), "node {}", v);
+            let state = inner(sim.node(v)).state();
+            prop_assert_eq!(state, inner(oracle.node(v)).state(), "node {}", v);
         }
     }
     prop_assert_eq!(rec.events_dropped(), 0);
     let events: Vec<(u64, ObsEvent)> = rec.events().copied().collect();
     prop_assert_eq!(&events[..], oracle.events());
-    Ok(())
+    Ok(plain.nodes().iter().map(Watched::hints).sum())
+}
+
+/// The fewest nodes a run of [`Padded`] protocols has.
+const PADDED_MIN_NODES: usize = 32;
+
+/// Forwards every callback to the wrapped protocol, its promises and
+/// prefetch hints included, and counts the hints. Padded so that
+/// [`PADDED_MIN_NODES`] of them make the engine pick the delivery pass
+/// that prefetches receivers.
+#[derive(Debug)]
+struct Padded<P> {
+    inner: P,
+    hints: Cell<u64>,
+    _pad: [u8; PREFETCH_MIN_NODE_BYTES / PADDED_MIN_NODES],
+}
+
+impl<P> Padded<P> {
+    fn new(inner: P) -> Self {
+        Padded {
+            inner,
+            hints: Cell::new(0),
+            _pad: [0; PREFETCH_MIN_NODE_BYTES / PADDED_MIN_NODES],
+        }
+    }
+}
+
+impl<P: Protocol> Protocol for Padded<P> {
+    type Message = P::Message;
+    fn on_wake(&mut self, ctx: &NodeCtx) {
+        self.inner.on_wake(ctx);
+    }
+    fn begin_slot<R: SlotRng + ?Sized>(
+        &mut self,
+        ctx: &NodeCtx,
+        rng: &mut R,
+    ) -> Action<Self::Message> {
+        self.inner.begin_slot(ctx, rng)
+    }
+    fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, Self::Message)]) {
+        self.inner.end_slot(ctx, received);
+    }
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+    fn is_active(&self) -> bool {
+        self.inner.is_active()
+    }
+    fn quiet(&self) -> Option<Quiet> {
+        self.inner.quiet()
+    }
+    fn heeds(&self, sender: NodeId, msg: &Self::Message) -> bool {
+        self.inner.heeds(sender, msg)
+    }
+    fn skip_quiet(&mut self, slots: u64) {
+        self.inner.skip_quiet(slots);
+    }
+    fn absorb(&mut self, ctx: &NodeCtx, lag: u64, received: &[(NodeId, Self::Message)]) -> bool {
+        self.inner.absorb(ctx, lag, received)
+    }
+    fn prefetch(&self) {
+        self.hints.set(self.hints.get() + 1);
+        self.inner.prefetch();
+    }
+}
+
+impl<P: Watched> Watched for Padded<P> {
+    type Seen = P::Seen;
+    fn seen(&self) -> P::Seen {
+        self.inner.seen()
+    }
+    fn begin_calls(&self) -> u64 {
+        self.inner.begin_calls()
+    }
+    fn absorbs(&self) -> u64 {
+        self.inner.absorbs()
+    }
+    fn hints(&self) -> u64 {
+        self.hints.get()
+    }
 }
 
 /// A protocol with deadlines, two coins, notes and noise: it alternates

@@ -198,16 +198,62 @@ impl ResolverStats {
     }
 }
 
+/// The cells of a near window of `reach` cells, `(2·reach+1)²`: the most
+/// near-list entries one stamped cell collects.
+fn window_cells(reach: i64) -> usize {
+    usize::try_from((2 * reach + 1).pow(2)).unwrap_or(usize::MAX)
+}
+
 /// "Not stamped this slot" marker in `GridState::cand_cell_idx`.
 const NOT_STAMPED: u32 = u32::MAX;
 
-/// One near cell of a candidate cell: the transmitter cell's dense index
-/// plus whether it is close enough (Chebyshev ≤ 1) to hold decodable
-/// senders for receivers in the candidate cell.
-#[derive(Debug, Clone, Copy)]
-struct NearRef {
-    cell: u32,
-    sender: bool,
+/// The flag of a near-list entry whose cell is close enough (Chebyshev
+/// ≤ 1) to hold decodable senders for receivers in the stamped cell. The
+/// other 31 bits hold the cell's dense index, so a grid of 2³¹ cells or
+/// more is never built.
+const SENDER: u32 = 1 << 31;
+
+/// The near lists of the stamped cells, packed into one arena: list `i`
+/// holds at most `cap` entries at `pool[i·cap..]`, of which the first
+/// `len[i]` are this slot's. An entry is a near transmitter cell's dense
+/// index, with [`SENDER`] set as it applies.
+#[derive(Debug, Clone, Default)]
+struct NearLists {
+    /// Entries per list: one per cell of a `(2·reach+1)²` window, the most
+    /// a stamped cell collects.
+    cap: usize,
+    pool: Box<[u32]>,
+    len: Box<[u32]>,
+}
+
+impl NearLists {
+    /// Replaces the arena by `lists` empty lists of `cap` entries each.
+    fn resize(&mut self, cap: usize, lists: usize) {
+        self.cap = cap;
+        self.pool = vec![0; lists * cap].into_boxed_slice();
+        self.len = vec![0; lists].into_boxed_slice();
+    }
+
+    /// How many lists the arena holds.
+    fn lists(&self) -> usize {
+        self.len.len()
+    }
+
+    /// List `i`, this slot's entries.
+    #[inline]
+    fn list(&self, i: usize) -> &[u32] {
+        let start = i * self.cap;
+        &self.pool[start..start + self.len[i] as usize]
+    }
+
+    /// Appends `entry` to list `i`, which must not be full.
+    #[inline]
+    fn push(&mut self, i: usize, entry: u32) {
+        let len = self.len[i] as usize;
+        debug_assert!(len < self.cap, "a near list outgrew its window");
+        self.pool[i * self.cap + len] = entry;
+        self.len[i] += 1;
+    }
 }
 
 /// The grid state: the bound transmitter grid, the window that weighs
@@ -232,17 +278,17 @@ struct GridState {
     bound_ptr: usize,
     bound_len: usize,
     bound_radius: f64,
-    /// Per-cell stamp: index into `near_refs` when the cell holds
-    /// candidates or transmitters this slot, [`NOT_STAMPED`] otherwise.
-    cand_cell_idx: Vec<u32>,
+    /// Per-cell stamp: index into `near` when the cell holds candidates
+    /// or transmitters this slot, [`NOT_STAMPED`] otherwise.
+    cand_cell_idx: Box<[u32]>,
     /// Cells stamped this slot (indices into `cand_cell_idx`, unstamped at
     /// the start of the next slot).
     stamped: Vec<u32>,
-    /// Near list per stamped cell; pooled and reused.
-    near_refs: Vec<Vec<NearRef>>,
+    /// Near list per stamped cell, in one arena reused across slots.
+    near: NearLists,
     /// Ring bound per stamped cell, NaN until a candidate of the cell
     /// first needs it in the slot.
-    ring_tail: Vec<f64>,
+    ring_tail: Box<[f64]>,
     /// Summed-area table of the slot's transmitters per cell,
     /// `(rows + 1) × (cols + 1)`: entry `(y, x)` counts those in rows `< y`
     /// and columns `< x`.
@@ -288,18 +334,21 @@ impl GridState {
     }
 
     /// Builds the grid over the bound graph `g` with a near window of
-    /// `reach` cells unless [`CellGrid::try_bind`] refuses; stops sampling.
+    /// `reach` cells unless [`CellGrid::try_bind`] refuses or the grid has
+    /// too many cells for a near-list entry ([`SENDER`]); stops sampling.
     fn build_grid(&mut self, g: &UnitDiskGraph, cfg: &SinrConfig, reach: i64) {
         let positions = g.positions();
         self.sampling = false;
-        self.grid = CellGrid::try_bind(positions, g.radius() * SIDE_OVER_RADIUS);
+        self.grid = CellGrid::try_bind(positions, g.radius() * SIDE_OVER_RADIUS).filter(|grid| {
+            let (rows, cols) = grid.dims();
+            rows * cols < i64::from(SENDER)
+        });
         let Some(grid) = &self.grid else {
             return;
         };
         let (rows, cols) = grid.dims();
         let cell_count = (rows * cols) as usize;
-        self.cand_cell_idx.clear();
-        self.cand_cell_idx.resize(cell_count, NOT_STAMPED);
+        self.cand_cell_idx = vec![NOT_STAMPED; cell_count].into_boxed_slice();
         self.sat.clear();
         self.sat.resize(((rows + 1) * (cols + 1)) as usize, 0);
         // Rings reach at most `max(rows, cols) − 1` cells; the crude tail
@@ -309,22 +358,16 @@ impl GridState {
             (0..rows.max(cols).max(reach + 1))
                 .map(|j| received_power(cfg.power(), j as f64 * g.radius(), cfg.alpha())),
         );
-        // Build the whole near-reference list pool up front: one list per
+        // Build the whole near-list arena up front: one list per
         // possibly-stamped cell (distinct candidate and transmitter cells,
         // ≤ min(n, cells)), each sized to its Chebyshev window bound.
         // Together with the `stamped` reservation this makes every later
         // stamping pass allocation-free — candidate-count records late in
         // a run would otherwise be the last allocating slots.
-        let window_cap = (2 * reach + 1).pow(2) as usize;
-        let lists = positions.len().min(cell_count);
         self.stamped.reserve(cell_count);
-        self.near_refs
-            .resize_with(lists, || Vec::with_capacity(window_cap));
-        for list in &mut self.near_refs {
-            let shortfall = window_cap.saturating_sub(list.capacity());
-            list.reserve(shortfall);
-        }
-        self.ring_tail.resize(self.near_refs.len(), f64::NAN);
+        self.near
+            .resize(window_cells(reach), positions.len().min(cell_count));
+        self.ring_tail = vec![f64::NAN; self.near.lists()].into_boxed_slice();
     }
 }
 
@@ -435,7 +478,7 @@ struct SlotCtx<'a> {
     exact: ExactCtx<'a>,
     grid: &'a CellGrid,
     cand_cell_idx: &'a [u32],
-    near_refs: &'a [Vec<NearRef>],
+    near: &'a NearLists,
     rings: Rings<'a>,
     far_cap: f64,
     k: usize,
@@ -452,12 +495,12 @@ fn certify_senders(ctx: &SlotCtx<'_>, g: &UnitDiskGraph, kernel: &mut ExactKerne
     for &t in exact.transmitting {
         let pt = exact.positions[t];
         let cell = ctx.grid.cell_of(t);
-        let refs = &ctx.near_refs[ctx.cand_cell_idx[cell as usize] as usize];
+        let refs = ctx.near.list(ctx.cand_cell_idx[cell as usize] as usize);
         cells += refs.len() as u64;
         let mut isolated = [true; 2];
         let mut interference = [0.0f64; 2];
-        for r in refs {
-            for e in ctx.grid.entries(r.cell) {
+        for &r in refs {
+            for e in ctx.grid.entries(r & !SENDER) {
                 if e.id != t {
                     let dx = pt.x - e.x;
                     let dy = pt.y - e.y;
@@ -517,17 +560,17 @@ fn resolve_candidate(
     // below.
     let cell = grid.cell_of(u);
     let stamp = ctx.cand_cell_idx[cell as usize] as usize;
-    let refs = &ctx.near_refs[stamp];
+    let refs = ctx.near.list(stamp);
     let mut near_sum = 0.0f64;
     let mut near_count = 0usize;
     cs.sender_buf.clear();
-    for r in refs {
-        let entries = grid.entries(r.cell);
+    for &r in refs {
+        let entries = grid.entries(r & !SENDER);
         for e in entries {
             let dx = pu.x - e.x;
             let dy = pu.y - e.y;
             near_sum += received_power_d2(exact.power, dx * dx + dy * dy, exact.alpha);
-            if r.sender {
+            if r & SENDER != 0 {
                 cs.sender_buf.push(e.id);
             }
         }
@@ -602,10 +645,9 @@ fn resolve_candidate(
 /// sender flag) in each stamped cell inside its `(2·reach+1)²` window.
 /// Each newly stamped cell's ring bound is reset to NaN.
 ///
-/// `near_refs` and `ring_tail` must hold at least as many pooled entries
-/// as there are distinct stamped cells (the caller grows the pools
-/// beforehand, so this stays allocation-free apart from amortized list
-/// growth).
+/// `near` and `ring_tail` must hold at least as many lists as there are
+/// distinct stamped cells (the caller grows them beforehand, so this
+/// stays allocation-free).
 // lint:hot — cell-stamping pass, runs once per grid slot
 fn stamp_candidate_cells(
     grid: &CellGrid,
@@ -613,7 +655,7 @@ fn stamp_candidate_cells(
     reach: i64,
     cand_cell_idx: &mut [u32],
     stamped: &mut Vec<u32>,
-    near_refs: &mut [Vec<NearRef>],
+    near: &mut NearLists,
     ring_tail: &mut [f64],
 ) {
     for &u in nodes.into_iter().flatten() {
@@ -622,7 +664,7 @@ fn stamp_candidate_cells(
             let idx = stamped.len() as u32;
             cand_cell_idx[c as usize] = idx;
             stamped.push(c);
-            near_refs[idx as usize].clear();
+            near.len[idx as usize] = 0;
             ring_tail[idx as usize] = f64::NAN;
         }
     }
@@ -630,10 +672,7 @@ fn stamp_candidate_cells(
         grid.for_each_window_cell(c, reach, |w, cheb| {
             let idx = cand_cell_idx[w as usize];
             if idx != NOT_STAMPED {
-                near_refs[idx as usize].push(NearRef {
-                    cell: c,
-                    sender: cheb <= 1,
-                });
+                near.push(idx as usize, if cheb <= 1 { c | SENDER } else { c });
             }
         });
     }
@@ -790,26 +829,22 @@ impl SinrModel {
                     gs.cand_cell_idx[c as usize] = NOT_STAMPED;
                 }
                 gs.stamped.clear();
-                // Safety net only: the pool built at bind time already
+                // Safety net only: the arena built at bind time already
                 // holds one list per possibly-stamped cell, and lists are
                 // indexed by stamped order (distinct candidate and
-                // transmitter cells), never by raw node count. A stamped
-                // cell collects at most one reference per cell of its
-                // Chebyshev window, so new lists are sized to that bound
-                // and never grow during a pass.
-                let window_cap = (2 * self.near_reach + 1).pow(2) as usize;
+                // transmitter cells), never by raw node count.
                 let lists_needed = (kernel.candidates().len() + k).min(gs.cand_cell_idx.len());
-                while gs.near_refs.len() < lists_needed {
-                    gs.near_refs.push(Vec::with_capacity(window_cap));
+                if gs.near.lists() < lists_needed {
+                    gs.near.resize(window_cells(self.near_reach), lists_needed);
+                    gs.ring_tail = vec![f64::NAN; lists_needed].into_boxed_slice();
                 }
-                gs.ring_tail.resize(gs.near_refs.len(), f64::NAN);
                 stamp_candidate_cells(
                     grid,
                     [kernel.candidates(), transmitting],
                     self.near_reach,
                     &mut gs.cand_cell_idx,
                     &mut gs.stamped,
-                    &mut gs.near_refs,
+                    &mut gs.near,
                     &mut gs.ring_tail,
                 );
                 build_ring_table(grid, &mut gs.sat);
@@ -818,7 +853,7 @@ impl SinrModel {
                     exact,
                     grid,
                     cand_cell_idx: &gs.cand_cell_idx,
-                    near_refs: &gs.near_refs,
+                    near: &gs.near,
                     rings: Rings {
                         sat: &gs.sat,
                         ring_cap: &gs.ring_cap,
