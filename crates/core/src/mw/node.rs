@@ -599,6 +599,11 @@ impl Protocol for MwNode {
         }
     }
 
+    fn deaf(&self) -> bool {
+        // A colored node (`C_i`) heeds nothing, and its phase is final.
+        matches!(self.phase, MwPhase::Colored { .. })
+    }
+
     // lint:hot — absorbed receptions, runs once per parked A_i node that heeds one
     fn absorb(&mut self, ctx: &NodeCtx, lag: u64, received: &[(NodeId, MwMessage)]) -> bool {
         // Only the listen and compete loops take receptions in while
@@ -1396,8 +1401,9 @@ mod tests {
         /// `MwNode`'s quiet promise and `heeds` hold in every phase:
         /// each promised empty slot draws exactly one coin of the promised
         /// probability (none at coin 0) and listens, `skip_quiet(k)` equals
-        /// `k` such slots, and a message the node does not heed leaves
-        /// `end_slot` as an empty inbox would.
+        /// `k` such slots, a message the node does not heed leaves
+        /// `end_slot` as an empty inbox would, and a node that is `deaf`
+        /// (only `C_i`) heeds no message of any kind from any sender.
         #[test]
         fn quiet_promise_and_heeds_hold_in_every_phase(
             extra in 0u64..12,
@@ -1405,8 +1411,23 @@ mod tests {
             k_cap in 1u64..80,
             counter in -300i64..300,
         ) {
+            let mut deaf = 0;
             for (i, state) in scripted_states(extra, &heard).into_iter().enumerate() {
                 let Driven { node, slot } = state;
+                prop_assert_eq!(
+                    node.deaf(),
+                    node.phase.kind() == MwPhaseKind::Colored,
+                    "state {}", i
+                );
+                if node.deaf() {
+                    deaf += 1;
+                    for (sender, msg) in candidates(&node, counter) {
+                        prop_assert!(
+                            !node.heeds(sender, &msg),
+                            "state {}: deaf, but heeds {:?} from {}", i, msg, sender
+                        );
+                    }
+                }
                 let waiting = node.phase == MwPhase::Leader
                     && node.cold.leader_state.serving.is_none()
                     && !node.cold.leader_state.queue.is_empty();
@@ -1458,6 +1479,7 @@ mod tests {
                     );
                 }
             }
+            prop_assert!(deaf > 0, "no scripted state was deaf");
         }
 
         /// `absorb` keeps its contract with the engine in every phase, for

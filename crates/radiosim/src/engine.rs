@@ -19,7 +19,9 @@ use sinr_rng::{Rng, SeedableRng};
 /// column — instead of separate `Vec<bool>`s for awake/active/done plus
 /// per-slot `wake`/`is_active` probes. The slot passes then decide
 /// "does this node need work?" from one byte load per node instead of
-/// touching three bool arrays, the wake table, and a virtual call.
+/// touching three bool arrays, the wake table, and a virtual call. A
+/// parked node's bits also say whether it was deaf when it parked, so
+/// the delivery pass counts its receptions from the byte alone.
 /// `tests/struct_sizes.rs` pins the size to 1 byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeFlags(u8);
@@ -42,6 +44,10 @@ impl NodeFlags {
     /// records it in `newly_done` at its ascending-id turn. Never
     /// survives past the slot that accounts it.
     const JUST_DONE: u8 = 1 << 4;
+    /// The node is parked and was [deaf](Protocol::deaf) when it parked:
+    /// it heeds none of its receptions, so the delivery pass counts them
+    /// without visiting it. Set only with PARKED and cleared with it.
+    const DEAF: u8 = 1 << 5;
 
     /// Both awake and (cached) active — the action/delivery gate.
     const RUNNABLE: u8 = Self::AWAKE | Self::ACTIVE;
@@ -70,6 +76,15 @@ impl NodeFlags {
 
     fn just_done(self) -> bool {
         self.0 & Self::JUST_DONE != 0
+    }
+
+    fn deaf(self) -> bool {
+        self.0 & Self::DEAF != 0
+    }
+
+    /// Takes the node off its promise: clears PARKED, and DEAF with it.
+    fn unpark(&mut self) {
+        self.remove(Self::PARKED | Self::DEAF);
     }
 
     fn runnable(self) -> bool {
@@ -360,7 +375,7 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     slot: u64,
     // Also the engine's one copy of the wake slots (`stats.wake_slot`).
     stats: SimStats,
-    // The SoA status column: awake/active/done/tx/prev-tx, one byte per
+    // The SoA status column: awake/active/done/parked/deaf, one byte per
     // node (see [`NodeFlags`]). Replaces three `Vec<bool>`s and the hot
     // loops' per-node `wake`/`is_active` probes.
     flags: Vec<NodeFlags>,
@@ -384,8 +399,8 @@ pub struct Simulator<P: Protocol, M: InterferenceModel> {
     // Node bitsets, one bit per node: the nodes the next action pass
     // runs (left runnable and unparked by delivery, or released by the
     // calendar), and the nodes this slot's delivery pass visits (woken,
-    // ran `begin_slot`, named by the reception table, or done at
-    // construction). Each pass zeroes the words it walks.
+    // ran `begin_slot`, named by the reception table unless parked deaf,
+    // or done at construction). Each pass zeroes the words it walks.
     act: Vec<u64>,
     visit: Vec<u64>,
     work: WorkLedger,
@@ -816,7 +831,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                 if f.parked() {
                     debug_assert_eq!(self.due[v], slot, "node {v} released before it was due");
                     self.catch_up(v, slot);
-                    self.flags[v].remove(NodeFlags::PARKED);
+                    self.flags[v].unpark();
                 }
                 set_bit(&mut self.visit, v);
                 let ctx = NodeCtx {
@@ -971,13 +986,14 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         }
     }
 
-    /// Slot phases 4 + 5: one pass over the visit set, in ascending id
-    /// order, merge-joins the sorted reception table against the visited
-    /// nodes (no per-node binary search), emits the Receive events, runs
-    /// `end_slot`, accounts every node that decided this slot into
-    /// `newly_done`, and lists every awake node it visits in `ran` but a
-    /// parked receiver that heeds nothing. The table's receivers join the
-    /// set first.
+    /// Slot phases 4 + 5: one pass over the reception table emits the
+    /// Receive events, counts the receptions of deaf receivers and adds
+    /// every other receiver to the visit set. Then one pass over the visit
+    /// set, in ascending id order, merge-joins the sorted table against
+    /// the visited nodes (no per-node binary search), runs `end_slot`,
+    /// accounts every node that decided this slot into `newly_done`, and
+    /// lists every awake node it visits in `ran` but a parked receiver
+    /// that heeds nothing.
     ///
     /// Every node that ran `begin_slot` this slot is in the set and gets
     /// its `end_slot` here, and its done-ness and park decision are taken
@@ -986,12 +1002,12 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
     /// in a slot in which it had a callback, since `is_done` changes only
     /// inside one. Sleeping nodes are skipped unless a pending JUST_DONE
     /// needs accounting: nodes done at construction carry JUST_DONE into
-    /// slot 0. A parked node is in the set only when the table names it:
-    /// its receptions are counted and emitted, and it is asked whether it
-    /// heeds one of them before any message is copied into its inbox. If
-    /// it heeds none, it stays parked and runs nothing. If it does, it is
-    /// offered the inbox to absorb, and stays parked if it takes it in;
-    /// otherwise it wakes and runs the slot.
+    /// slot 0. A parked node is in the set only when the table names it
+    /// and it was not deaf when it parked: its receptions are counted, and
+    /// it is asked whether it heeds one of them before any message is
+    /// copied into its inbox. If it heeds none, it stays parked and runs
+    /// nothing. If it does, it is offered the inbox to absorb, and stays
+    /// parked if it takes it in; otherwise it wakes and runs the slot.
     ///
     /// With `PREFETCH`, each receiver requests the node of the receiver
     /// [`PREFETCH_NODE_AHEAD`] entries on in the table, and asks the one
@@ -1010,9 +1026,27 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
         rec: &mut R,
     ) {
         let pairs = table.pairs();
-        for &(r, _) in pairs {
-            set_bit(&mut self.visit, r);
+        // A deaf receiver heeds none of its receptions: they are counted
+        // here, and it gets no visit bit (set without a branch, as most
+        // receptions of a late MW slot reach colored nodes). The Receive
+        // events of every awake active receiver go out here, in pair order.
+        let mut deaf_rx = 0u64;
+        for &(r, sender) in pairs {
+            let f = self.flags[r];
+            deaf_rx += u64::from(f.deaf());
+            self.visit[r / 64] |= u64::from(!f.deaf()) << (r % 64);
+            if obs && f.runnable() {
+                rec.event(
+                    slot,
+                    &ObsEvent::Receive {
+                        receiver: r,
+                        sender,
+                    },
+                );
+            }
         }
+        self.stats.receptions += deaf_rx;
+        self.work.rx_left_parked += deaf_rx;
         if PREFETCH {
             // No receiver comes before the first ones to request them.
             for &(r, _) in pairs.iter().take(PREFETCH_NODE_AHEAD) {
@@ -1053,17 +1087,6 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                     }
                     if f.active() && (!rx.is_empty() || !f.parked()) {
                         self.stats.receptions += rx.len() as u64;
-                        if obs {
-                            for &(_, sender) in rx {
-                                rec.event(
-                                    slot,
-                                    &ObsEvent::Receive {
-                                        receiver: v,
-                                        sender,
-                                    },
-                                );
-                            }
-                        }
                         // A parked receiver is asked before anything is
                         // copied, so the messages it ignores never are.
                         let heeded = !f.parked()
@@ -1085,7 +1108,7 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                             if !(f.parked() && self.absorb(v, &ctx, &inbox)) {
                                 if f.parked() {
                                     self.wake_parked(v, &ctx);
-                                    fl.remove(NodeFlags::PARKED);
+                                    fl.unpark();
                                 }
                                 self.work.end_slots += 1;
                                 self.nodes[v].end_slot(&ctx, &inbox);
@@ -1096,6 +1119,9 @@ impl<P: Protocol, M: InterferenceModel> Simulator<P, M> {
                                 }
                                 if active && self.park(v, slot, f.parked()) {
                                     fl.insert(NodeFlags::PARKED);
+                                    if self.nodes[v].deaf() {
+                                        fl.insert(NodeFlags::DEAF);
+                                    }
                                 }
                             }
                         } else {

@@ -127,7 +127,9 @@ pub struct Quiet {
 /// of three outcomes, decided before anything is copied or caught up:
 ///
 /// 1. **Ignore.** It [heeds](Protocol::heeds) none of them: it stays
-///    parked and no callback runs.
+///    parked and no callback runs. A node that was [deaf](Protocol::deaf)
+///    when it parked is not even asked: its receptions are counted, and
+///    the delivery pass does not visit it.
 /// 2. **Absorb.** It heeds one, and [`Protocol::absorb`] takes the
 ///    receptions in: it stays parked with its due slot and drawn-ahead
 ///    coins, and no slot callback runs.
@@ -192,6 +194,16 @@ pub trait Protocol {
     /// node before catching it up. Defaults to `true`.
     fn heeds(&self, _sender: NodeId, _msg: &Self::Message) -> bool {
         true
+    }
+
+    /// Whether the node heeds nothing at all. Returning `true` promises
+    /// that [`Protocol::heeds`] returns `false` for every sender and
+    /// message until the node's next `begin_slot` or `end_slot`: the
+    /// engine asks when it parks the node, and then counts the
+    /// receptions granted to it without visiting it. May read only state
+    /// that quiet slots leave unchanged. Defaults to `false`.
+    fn deaf(&self) -> bool {
+        false
     }
 
     /// Applies `slots` quiet slots in which the node listened and heard

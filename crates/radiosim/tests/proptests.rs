@@ -133,7 +133,9 @@ proptest! {
     /// protocol live, runs every callback every slot and never parks.
     /// Some masks make nodes done at construction, which the engine
     /// accounts in slot 0; others make nodes send only noise, which every
-    /// receiver ignores. See [`promisers_match_the_reference`].
+    /// receiver ignores, or hear nothing in their second phase, where the
+    /// engine parks them deaf and counts their receptions without a visit.
+    /// See [`promisers_match_the_reference`].
     #[test]
     fn parked_engine_matches_the_reference_stepper(
         pts in arb_points(),
@@ -142,10 +144,12 @@ proptest! {
         (rounds, done_at) in (1u64..60).prop_flat_map(|r| (Just(r), 1..r + 1)),
         masks in (any::<bool>(), 0u64..1 << 20, 0u64..1 << 20)
             .prop_map(|(on, born, noisy)| (if on { born } else { 0 }, noisy)),
+        deaf in 0u64..1 << 20,
     ) {
         let (born_done, noisy) = masks;
-        let mk = |v: NodeId| {
-            Promiser::new(coins, rounds, done_at, born_done >> v & 1 == 1, noisy >> v & 1 == 1)
+        let mk = |v: NodeId| Promiser {
+            deaf: deaf >> v & 1 == 1,
+            ..Promiser::new(coins, rounds, done_at, born_done >> v & 1 == 1, noisy >> v & 1 == 1)
         };
         promisers_match_the_reference(
             pts,
@@ -162,7 +166,7 @@ proptest! {
 
     /// The same differential with [`Padded`] Promisers, whose node array
     /// is large enough that the engine delivers through its prefetching
-    /// pass. The reference stepper never prefetches.
+    /// pass, deaf phases included. The reference stepper never prefetches.
     #[test]
     fn prefetching_engine_matches_the_reference_stepper(
         pts in prop::collection::vec(
@@ -173,10 +177,14 @@ proptest! {
         coins in arb_coins(),
         (rounds, done_at) in (1u64..60).prop_flat_map(|r| (Just(r), 1..r + 1)),
         noisy in 0u64..1 << 20,
+        deaf in 0u64..1 << 20,
     ) {
         let n = pts.len();
         let mk = |v: NodeId| {
-            Padded::new(Promiser::new(coins, rounds, done_at, false, noisy >> v & 1 == 1))
+            Padded::new(Promiser {
+                deaf: deaf >> v & 1 == 1,
+                ..Promiser::new(coins, rounds, done_at, false, noisy >> v & 1 == 1)
+            })
         };
         prop_assert!(n * std::mem::size_of::<Padded<Promiser>>() >= PREFETCH_MIN_NODE_BYTES);
         let hints = promisers_match_the_reference(
@@ -453,6 +461,9 @@ impl<P: Protocol> Protocol for Padded<P> {
     fn heeds(&self, sender: NodeId, msg: &Self::Message) -> bool {
         self.inner.heeds(sender, msg)
     }
+    fn deaf(&self) -> bool {
+        self.inner.deaf()
+    }
     fn skip_quiet(&mut self, slots: u64) {
         self.inner.skip_quiet(slots);
     }
@@ -489,8 +500,10 @@ impl<P: Watched> Watched for Padded<P> {
 /// and id, and a call in the others. Notes and calls are recorded; a
 /// call also extends the current phase, and one stamped with a multiple
 /// of 3 switches the phase. A parked node absorbs a slot of notes, which
-/// leaves its promise as it was, and wakes for a call. The node is done
-/// once it has acted `done_at` times and goes silent at `rounds`.
+/// leaves its promise as it was, and wakes for a call. A node marked
+/// `deaf` hears nothing in its second phase: it heeds no message there,
+/// and says so when it parks. The node is done once it has acted
+/// `done_at` times and goes silent at `rounds`.
 #[derive(Debug, Clone)]
 struct Promiser {
     coins: [f64; 2],
@@ -501,6 +514,7 @@ struct Promiser {
     done_at: u64,
     born_done: bool,
     noisy: bool,
+    deaf: bool,
     acted: u64,
     heard: Vec<(u64, NodeId)>,
     begin_calls: u64,
@@ -532,6 +546,7 @@ impl Promiser {
             done_at,
             born_done,
             noisy,
+            deaf: false,
             acted: 0,
             heard: Vec::new(),
             begin_calls: 0,
@@ -543,6 +558,12 @@ impl Promiser {
     /// Everything but the callback counts, which parking changes.
     fn state(&self) -> (usize, u64, u64, &[(u64, NodeId)]) {
         (self.phase, self.left, self.acted, &self.heard)
+    }
+
+    /// Whether the node is in its deaf phase, which only `begin_slot`
+    /// leaves.
+    fn hears_nothing(&self) -> bool {
+        self.deaf && self.phase == 1
     }
 }
 
@@ -573,7 +594,7 @@ impl Protocol for Promiser {
         self.end_calls += 1;
         for &(s, (stamp, says)) in received {
             assert_eq!(stamp, ctx.global_slot);
-            if says == Says::Noise {
+            if says == Says::Noise || self.hears_nothing() {
                 continue;
             }
             self.heard.push((ctx.global_slot, s));
@@ -604,7 +625,10 @@ impl Protocol for Promiser {
         })
     }
     fn heeds(&self, _sender: NodeId, msg: &Stamped) -> bool {
-        msg.1 != Says::Noise
+        msg.1 != Says::Noise && !self.hears_nothing()
+    }
+    fn deaf(&self) -> bool {
+        self.hears_nothing()
     }
     fn skip_quiet(&mut self, slots: u64) {
         self.acted += slots;
@@ -1184,7 +1208,7 @@ fn the_work_ledger_follows_callbacks_not_nodes_times_slots() {
         .collect();
     let graph = UnitDiskGraph::new(pts, 1.0);
     let mut sim = Simulator::new(
-        graph,
+        graph.clone(),
         IdealModel::new(),
         WakeupSchedule::Synchronous,
         1,
@@ -1216,16 +1240,50 @@ fn the_work_ledger_follows_callbacks_not_nodes_times_slots() {
     assert_eq!(counter(keys::SIM_WORK_COINS_REPLAYED), 0);
     assert_eq!(counter(keys::SIM_WORK_VISITS), (3 * (5 + 101) + 96) * pairs);
     assert_eq!(sim.stats().receptions, 100 * pairs);
+
+    // The same pairs with a deaf silent Beat: its 96 parked receptions
+    // are counted and left, and it takes no visit bit for them.
+    let mut sim = Simulator::new(
+        graph,
+        IdealModel::new(),
+        WakeupSchedule::Synchronous,
+        1,
+        |v| match v % 2 {
+            0 => Beat {
+                deaf: true,
+                ..Beat::new(2_500, false, 10_000)
+            },
+            _ => Beat::new(100, true, 10_000),
+        },
+    );
+    let out = sim.run(MAX_SLOTS);
+    assert!(out.all_done);
+    assert_eq!(out.slots, 10_000);
+    let mut rec = sinr_obs::FullRecorder::new();
+    sim.export_metrics(&mut rec);
+    let counter = |key: &str| {
+        rec.registry()
+            .counter(key)
+            .unwrap_or_else(|| panic!("{key}"))
+    };
+    assert_eq!(counter(keys::SIM_WORK_ABSORBED), 0);
+    assert_eq!(counter(keys::SIM_WORK_RX_LEFT_PARKED), 96 * pairs);
+    assert_eq!(counter(keys::SIM_WORK_BEGIN_SLOTS), (5 + 101) * pairs);
+    assert_eq!(counter(keys::SIM_WORK_END_SLOTS), (4 + 100) * pairs);
+    assert_eq!(counter(keys::SIM_WORK_VISITS), 3 * (5 + 101) * pairs);
+    assert_eq!(sim.stats().receptions, 100 * pairs);
 }
 
 /// Runs every `every` slots from its first, transmitting its slot stamp
 /// then if it is `loud`, and promises the slots in between quiet, with
 /// coin 0, until it goes done and silent at `rounds`. Absorbs whatever
-/// it hears while parked, which `end_slot` ignores.
+/// it hears while parked, which `end_slot` ignores, unless it is `deaf`:
+/// then it heeds nothing.
 #[derive(Debug)]
 struct Beat {
     every: u64,
     loud: bool,
+    deaf: bool,
     rounds: u64,
     acted: u64,
     absorbs: u64,
@@ -1236,6 +1294,7 @@ impl Beat {
         Beat {
             every,
             loud,
+            deaf: false,
             rounds,
             acted: 0,
             absorbs: 0,
@@ -1266,6 +1325,12 @@ impl Protocol for Beat {
             coin: 0.0,
             slots: (self.every - 1).min(self.rounds - self.acted - 1),
         })
+    }
+    fn heeds(&self, _sender: NodeId, _msg: &u64) -> bool {
+        !self.deaf
+    }
+    fn deaf(&self) -> bool {
+        self.deaf
     }
     fn skip_quiet(&mut self, slots: u64) {
         self.acted += slots;

@@ -22,12 +22,15 @@
 //!    time, with no hashing. Smaller slots leave the members alone, since
 //!    nothing reads them there.
 //! 2. Near/far classification is shared per *cell* instead of recomputed
-//!    per candidate: each occupied transmitter cell stamps itself into the
-//!    near lists of the candidate and transmitter cells inside its
-//!    `(2·reach+1)²` window (pure dense-index arithmetic). A candidate
-//!    receiver then walks its cell's near list, streaming each near cell's
-//!    packed `(x, y, id)` entries for the exact near sum; everything not
-//!    in the list is *far* and only counted. The far tail is first charged
+//!    per candidate. The slot stamps the cells that hold its candidates
+//!    and transmitters, and sets their bits in a bitset over the dense
+//!    cell indices, sized at bind time. Each occupied transmitter cell
+//!    then reads each row of its `(2·reach+1)²` window from the bitset, a
+//!    word of up to 64 cells at a time, and registers itself in the near
+//!    list of each stamped cell it finds there: no unstamped cell is
+//!    probed. A candidate receiver then walks its cell's near list,
+//!    streaming each near cell's packed `(x, y, id)` entries for the exact
+//!    near sum; everything not in the list is *far* and only counted. The far tail is first charged
 //!    crudely, `|far| · P / (reach·R_T)^α`, as if every far transmitter
 //!    sat at the nearest far distance. A candidate that tail cannot decide
 //!    is decided again against the **ring bound** of its cell, Lemma 3's
@@ -58,11 +61,11 @@
 //!    that passes decode the transmitter with no sum at all.
 //!
 //! All scratch state (the kernel's transmitter bitmap, candidate bitset,
-//! link and pair buffers, the transmitter grid, the stamped near lists,
-//! the ring table) lives in one box behind a `RefCell` and is reused across
-//! slots, so the model is `Send` but not `Sync`, and a steady-state slot
-//! resolved through [`InterferenceModel::resolve_delta_into`] performs no
-//! allocation.
+//! link and pair buffers, the transmitter grid, the stamp bitset, the
+//! stamped near lists, the ring table) lives in one box behind a
+//! `RefCell` and is reused across slots, so the model is `Send` but not
+//! `Sync`, and a steady-state slot resolved through
+//! [`InterferenceModel::resolve_delta_into`] performs no allocation.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_signal};
@@ -93,9 +96,10 @@ pub const GRID_SAMPLE_SLOTS: u32 = 64;
 /// builds the grid once a window of [`GRID_SAMPLE_SLOTS`] slots averages
 /// more than this, and keeps it while it resolves that graph. Read off
 /// alternated grid-on/grid-off runs (`docs/PERFORMANCE.md`, "Grid on or
-/// off"): MW windows average 27.4 at `n = 1536`, where the grid lost, and
-/// 36.6 at `n = 2048`, where it won; TDMA frames fall on the same sides.
-pub const GRID_MIN_TX_PER_SLOT: u64 = 32;
+/// off"): MW windows average 18.6 at `n = 1024`, where the grid lost,
+/// 24.2 at `n = 1280`, where the two sides were even, and 27.4 at
+/// `n = 1536`, where it won; TDMA frames fall on the same sides.
+pub const GRID_MIN_TX_PER_SLOT: u64 = 24;
 
 /// Relative slack applied to the interference bounds so they bracket the
 /// exact decode's *floating-point* sum, not just the real-valued one:
@@ -278,17 +282,8 @@ struct GridState {
     bound_ptr: usize,
     bound_len: usize,
     bound_radius: f64,
-    /// Per-cell stamp: index into `near` when the cell holds candidates
-    /// or transmitters this slot, [`NOT_STAMPED`] otherwise.
-    cand_cell_idx: Box<[u32]>,
-    /// Cells stamped this slot (indices into `cand_cell_idx`, unstamped at
-    /// the start of the next slot).
-    stamped: Vec<u32>,
-    /// Near list per stamped cell, in one arena reused across slots.
-    near: NearLists,
-    /// Ring bound per stamped cell, NaN until a candidate of the cell
-    /// first needs it in the slot.
-    ring_tail: Box<[f64]>,
+    /// The stamped cells of the last grid slot and their near lists.
+    stamps: Stamps,
     /// Summed-area table of the slot's transmitters per cell,
     /// `(rows + 1) × (cols + 1)`: entry `(y, x)` counts those in rows `< y`
     /// and columns `< x`.
@@ -315,7 +310,6 @@ impl GridState {
         self.bound_ptr = positions.as_ptr() as usize;
         self.bound_len = positions.len();
         self.bound_radius = g.radius();
-        self.stamped.clear();
         self.sampling = sample;
         self.sample_slots = 0;
         self.sample_tx = 0;
@@ -348,7 +342,6 @@ impl GridState {
         };
         let (rows, cols) = grid.dims();
         let cell_count = (rows * cols) as usize;
-        self.cand_cell_idx = vec![NOT_STAMPED; cell_count].into_boxed_slice();
         self.sat.clear();
         self.sat.resize(((rows + 1) * (cols + 1)) as usize, 0);
         // Rings reach at most `max(rows, cols) − 1` cells; the crude tail
@@ -358,17 +351,149 @@ impl GridState {
             (0..rows.max(cols).max(reach + 1))
                 .map(|j| received_power(cfg.power(), j as f64 * g.radius(), cfg.alpha())),
         );
-        // Build the whole near-list arena up front: one list per
-        // possibly-stamped cell (distinct candidate and transmitter cells,
-        // ≤ min(n, cells)), each sized to its Chebyshev window bound.
-        // Together with the `stamped` reservation this makes every later
-        // stamping pass allocation-free — candidate-count records late in
-        // a run would otherwise be the last allocating slots.
-        self.stamped.reserve(cell_count);
-        self.near
-            .resize(window_cells(reach), positions.len().min(cell_count));
+        self.stamps
+            .bind(cell_count, window_cells(reach), positions.len());
+    }
+}
+
+/// The stamped cells of a grid slot: every cell that holds one of the
+/// slot's candidates or transmitters, numbered in the order first met,
+/// with its near list and its memoized ring bound.
+#[derive(Debug, Clone, Default)]
+struct Stamps {
+    /// Per-cell stamp: index into `near` when the cell holds candidates
+    /// or transmitters this slot, [`NOT_STAMPED`] otherwise.
+    cand_cell_idx: Box<[u32]>,
+    /// Cells stamped this slot, in stamp order (unstamped at the start of
+    /// the next grid slot).
+    stamped: Vec<u32>,
+    /// One bit per dense cell, set while the cell is stamped: the near
+    /// lists are filled from each window row's set bits, a word at a time.
+    stamped_bits: Box<[u64]>,
+    /// Near list per stamped cell, in one arena reused across slots.
+    near: NearLists,
+    /// Ring bound per stamped cell, NaN until a candidate of the cell
+    /// first needs it in the slot.
+    ring_tail: Box<[f64]>,
+}
+
+impl Stamps {
+    /// Sizes everything for a grid of `cells` cells over `n` nodes, with
+    /// no cell stamped. A stamped cell holds a distinct node, so at most
+    /// `min(n, cells)` cells are stamped at once: the arena holds that
+    /// many lists of `cap` entries, the most one window collects, and
+    /// every later stamping pass is allocation-free.
+    fn bind(&mut self, cells: usize, cap: usize, n: usize) {
+        self.cand_cell_idx = vec![NOT_STAMPED; cells].into_boxed_slice();
+        self.stamped_bits = vec![0; cells.div_ceil(64)].into_boxed_slice();
+        self.stamped.clear();
+        self.stamped.reserve(cells);
+        self.near.resize(cap, n.min(cells));
         self.ring_tail = vec![f64::NAN; self.near.lists()].into_boxed_slice();
     }
+
+    /// Unstamps the cells of the last grid slot. Every set bit of a word
+    /// that holds a stamped cell belongs to a stamped cell, so the word is
+    /// zeroed whole.
+    fn clear(&mut self) {
+        for &c in &self.stamped {
+            self.cand_cell_idx[c as usize] = NOT_STAMPED;
+            self.stamped_bits[c as usize / 64] = 0;
+        }
+        self.stamped.clear();
+    }
+
+    /// Stamps the cells of `nodes` that are not stamped yet, each with an
+    /// empty near list and its ring bound reset to NaN.
+    // lint:hot — cell-stamping pass, runs once per grid slot
+    fn stamp_cells(&mut self, grid: &CellGrid, nodes: [&[NodeId]; 2]) {
+        let Stamps {
+            cand_cell_idx,
+            stamped,
+            stamped_bits,
+            near,
+            ring_tail,
+        } = self;
+        for &u in nodes.into_iter().flatten() {
+            let c = grid.cell_of(u);
+            if cand_cell_idx[c as usize] == NOT_STAMPED {
+                let idx = stamped.len() as u32;
+                debug_assert!(
+                    (idx as usize) < near.lists(),
+                    "more stamped cells than nodes"
+                );
+                cand_cell_idx[c as usize] = idx;
+                stamped.push(c);
+                stamped_bits[c as usize / 64] |= 1 << (c % 64);
+                near.len[idx as usize] = 0;
+                ring_tail[idx as usize] = f64::NAN;
+            }
+        }
+    }
+
+    /// Stamps this slot's candidate and transmitter cells and builds their
+    /// near lists: every occupied transmitter cell registers itself (with
+    /// its sender flag) in each stamped cell inside its `(2·reach+1)²`
+    /// window, in row-major window order. Each window row is read from
+    /// `stamped_bits` in words of up to 64 cells, one word for windows of
+    /// up to 64 columns, so only the row's stamped cells are visited.
+    // lint:hot — cell-stamping pass, runs once per grid slot
+    fn stamp(&mut self, grid: &CellGrid, nodes: [&[NodeId]; 2], reach: i64) {
+        self.stamp_cells(grid, nodes);
+        let (rows, cols) = grid.dims();
+        for &c in grid.occupied() {
+            let (cx, cy) = grid.cell_coords(c);
+            let (x0, x1) = ((cx - reach).max(0), (cx + reach).min(cols - 1));
+            let width = (x1 - x0 + 1) as usize;
+            // The columns within Chebyshev 1 of `c`, as offsets from `x0`;
+            // they hold senders on the rows within Chebyshev 1 too.
+            let (s0, s1) = ((cx - 1).max(0), (cx + 1).min(cols - 1));
+            let (s_off, s_cols) = ((s0 - x0) as usize, (s1 - s0 + 1) as usize);
+            for y in (cy - reach).max(0)..=(cy + reach).min(rows - 1) {
+                let row = (y * cols + x0) as usize;
+                let s_len = if (y - cy).abs() <= 1 { s_cols } else { 0 };
+                for off in (0..width).step_by(64) {
+                    let mut bits = bits_at(&self.stamped_bits, row + off, (width - off).min(64));
+                    while bits != 0 {
+                        let o = off + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let sender = o.wrapping_sub(s_off) < s_len;
+                        let entry = if sender { c | SENDER } else { c };
+                        self.near.push(self.cand_cell_idx[row + o] as usize, entry);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The window walk that [`Stamps::stamp`] replaced, kept as its test
+    /// reference: it probes every cell of each occupied transmitter cell's
+    /// window for a stamp.
+    #[cfg(test)]
+    fn stamp_by_window_walk(&mut self, grid: &CellGrid, nodes: [&[NodeId]; 2], reach: i64) {
+        self.stamp_cells(grid, nodes);
+        for &c in grid.occupied() {
+            grid.for_each_window_cell(c, reach, |w, cheb| {
+                let idx = self.cand_cell_idx[w as usize];
+                if idx != NOT_STAMPED {
+                    self.near
+                        .push(idx as usize, if cheb <= 1 { c | SENDER } else { c });
+                }
+            });
+        }
+    }
+}
+
+/// Bits `at..at + len` of the bitset `bits`, `1 ≤ len ≤ 64`, as the low
+/// `len` bits of one word: they span at most two words.
+#[inline]
+fn bits_at(bits: &[u64], at: usize, len: usize) -> u64 {
+    let (word, shift) = (at / 64, at % 64);
+    let mut out = bits[word] >> shift;
+    if shift + len > 64 {
+        out |= bits[word + 1] << (64 - shift);
+    }
+    out & (u64::MAX >> (64 - len))
 }
 
 /// The model's working state, reused across slots (interior mutability
@@ -640,44 +765,6 @@ fn resolve_candidate(
     }
 }
 
-/// Stamps this slot's candidate and transmitter cells and builds their
-/// near lists: every occupied transmitter cell registers itself (with its
-/// sender flag) in each stamped cell inside its `(2·reach+1)²` window.
-/// Each newly stamped cell's ring bound is reset to NaN.
-///
-/// `near` and `ring_tail` must hold at least as many lists as there are
-/// distinct stamped cells (the caller grows them beforehand, so this
-/// stays allocation-free).
-// lint:hot — cell-stamping pass, runs once per grid slot
-fn stamp_candidate_cells(
-    grid: &CellGrid,
-    nodes: [&[NodeId]; 2],
-    reach: i64,
-    cand_cell_idx: &mut [u32],
-    stamped: &mut Vec<u32>,
-    near: &mut NearLists,
-    ring_tail: &mut [f64],
-) {
-    for &u in nodes.into_iter().flatten() {
-        let c = grid.cell_of(u);
-        if cand_cell_idx[c as usize] == NOT_STAMPED {
-            let idx = stamped.len() as u32;
-            cand_cell_idx[c as usize] = idx;
-            stamped.push(c);
-            near.len[idx as usize] = 0;
-            ring_tail[idx as usize] = f64::NAN;
-        }
-    }
-    for &c in grid.occupied() {
-        grid.for_each_window_cell(c, reach, |w, cheb| {
-            let idx = cand_cell_idx[w as usize];
-            if idx != NOT_STAMPED {
-                near.push(idx as usize, if cheb <= 1 { c | SENDER } else { c });
-            }
-        });
-    }
-}
-
 /// The paper's physical model: receiver `u` decodes sender `v` iff
 /// `δ(u, v) ≤ R_T` and the SINR against *all* simultaneous transmitters
 /// plus ambient noise is at least `β` (§II). With `β ≥ 1` at most one
@@ -825,35 +912,22 @@ impl SinrModel {
                 // buffer to that bind-time bound once so a record-density
                 // window late in the run cannot grow it.
                 kernel.reserve_senders(grid.max_window_population());
-                for &c in &gs.stamped {
-                    gs.cand_cell_idx[c as usize] = NOT_STAMPED;
-                }
-                gs.stamped.clear();
-                // Safety net only: the arena built at bind time already
-                // holds one list per possibly-stamped cell, and lists are
-                // indexed by stamped order (distinct candidate and
-                // transmitter cells), never by raw node count.
-                let lists_needed = (kernel.candidates().len() + k).min(gs.cand_cell_idx.len());
-                if gs.near.lists() < lists_needed {
-                    gs.near.resize(window_cells(self.near_reach), lists_needed);
-                    gs.ring_tail = vec![f64::NAN; lists_needed].into_boxed_slice();
-                }
-                stamp_candidate_cells(
-                    grid,
-                    [kernel.candidates(), transmitting],
-                    self.near_reach,
-                    &mut gs.cand_cell_idx,
-                    &mut gs.stamped,
-                    &mut gs.near,
-                    &mut gs.ring_tail,
-                );
+                gs.stamps.clear();
+                gs.stamps
+                    .stamp(grid, [kernel.candidates(), transmitting], self.near_reach);
                 build_ring_table(grid, &mut gs.sat);
                 let (rows, cols) = grid.dims();
+                let Stamps {
+                    cand_cell_idx,
+                    near,
+                    ring_tail,
+                    ..
+                } = &mut gs.stamps;
                 let ctx = SlotCtx {
                     exact,
                     grid,
-                    cand_cell_idx: &gs.cand_cell_idx,
-                    near: &gs.near,
+                    cand_cell_idx,
+                    near,
                     rings: Rings {
                         sat: &gs.sat,
                         ring_cap: &gs.ring_cap,
@@ -870,7 +944,6 @@ impl SinrModel {
                     k,
                 };
                 let cert_cells = certify_senders(&ctx, g, kernel);
-                let ring_tail = &mut gs.ring_tail[..];
                 let mut counts = kernel.finish_slot(&exact, pairs, |u, cs| {
                     resolve_candidate(&ctx, ring_tail, u, cs)
                 });
@@ -1398,6 +1471,113 @@ mod tests {
         let fast = grid_on(c);
         assert_eq!(fast.resolve(&g, &tx), grid_off(c).resolve(&g, &tx));
         assert_eq!(fast.stats().certified, 4 + 4 + 12);
+    }
+
+    /// What a stamping pass left: the stamped cells in order, their near
+    /// lists, and the ring memo as bits (NaN where it was reset).
+    type Stamped = (Vec<u32>, Vec<Vec<u32>>, Vec<u64>);
+
+    /// Stamps two slots (candidates, then transmitters, each), the second
+    /// after unstamping the first, with the bitset pass and with the
+    /// window walk, and returns what each pass left after each slot.
+    fn stamp_both_ways(
+        grid: &mut CellGrid,
+        slots: &[[Vec<NodeId>; 2]; 2],
+        reach: i64,
+    ) -> [Vec<Stamped>; 2] {
+        let (rows, cols) = grid.dims();
+        [false, true].map(|walk| {
+            let mut stamps = Stamps::default();
+            stamps.bind(
+                (rows * cols) as usize,
+                window_cells(reach),
+                grid.bound_len(),
+            );
+            // A memo no stamp has reset yet: each entry its own number.
+            for (i, tail) in stamps.ring_tail.iter_mut().enumerate() {
+                *tail = i as f64;
+            }
+            slots
+                .iter()
+                .map(|[cands, tx]| {
+                    grid.clear_members();
+                    for &t in tx {
+                        grid.insert(t);
+                    }
+                    stamps.clear();
+                    if walk {
+                        stamps.stamp_by_window_walk(grid, [cands, tx], reach);
+                    } else {
+                        stamps.stamp(grid, [cands, tx], reach);
+                    }
+                    let lists = (0..stamps.stamped.len())
+                        .map(|i| stamps.near.list(i).to_vec())
+                        .collect();
+                    let tails = stamps.ring_tail.iter().map(|t| t.to_bits()).collect();
+                    (stamps.stamped.clone(), lists, tails)
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config {
+            cases: 256,
+            ..proptest::test_runner::Config::default()
+        })]
+
+        /// The bitset stamping pass fills every near list with the window
+        /// walk's entries in the window walk's order, stamps the same cells
+        /// in the same order and resets the same ring memos, on grids of one
+        /// row, of one column, wider than 64 columns (each grid row spans
+        /// words) and of any shape below those, with the four corner cells
+        /// always transmitting, at every `reach` from 1 to 8.
+        #[test]
+        fn bitset_stamping_matches_the_window_walk(
+            shape in 0usize..4,
+            (rows, cols) in (1i64..30, 1i64..130),
+            reach in 1i64..9,
+            cells in proptest::collection::vec((0i64..1 << 20, 0i64..1 << 20, 0u32..4), 1..160),
+        ) {
+            let (rows, cols) = match shape {
+                0 => (1, cols),
+                1 => (rows, 1),
+                2 => (rows, 65 + cols % 66),
+                _ => (rows, cols),
+            };
+            // Nodes at cell corners on a unit grid: the four corners, then
+            // the drawn cells; each drawn node is a candidate or a
+            // transmitter of either slot, or of neither.
+            let corner = |x: i64, y: i64| Point::new(x as f64, y as f64);
+            let mut pts = vec![
+                corner(0, 0),
+                corner(cols - 1, rows - 1),
+                corner(cols - 1, 0),
+                corner(0, rows - 1),
+            ];
+            let mut slots: [[Vec<NodeId>; 2]; 2] = Default::default();
+            for v in 0..4 {
+                slots[0][1].push(v);
+                slots[1][1].push(v);
+            }
+            for &(x, y, role) in &cells {
+                let v = pts.len();
+                pts.push(corner(x % cols, y % rows));
+                match role {
+                    0 => slots[0][0].push(v),
+                    1 => slots[0][1].push(v),
+                    2 => slots[1][0].push(v),
+                    _ => {
+                        slots[0][0].push(v);
+                        slots[1][1].push(v);
+                    }
+                }
+            }
+            let mut grid = CellGrid::try_bind(&pts, 1.0).expect("a small grid binds");
+            proptest::prop_assert_eq!(grid.dims(), (rows, cols));
+            let [bits, walk] = stamp_both_ways(&mut grid, &slots, reach);
+            proptest::prop_assert_eq!(bits, walk);
+        }
     }
 
     #[test]

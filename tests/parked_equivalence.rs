@@ -109,6 +109,9 @@ impl<P: Protocol> Protocol for Fat<P> {
     fn heeds(&self, sender: NodeId, msg: &Self::Message) -> bool {
         self.inner.heeds(sender, msg)
     }
+    fn deaf(&self) -> bool {
+        self.inner.deaf()
+    }
     fn skip_quiet(&mut self, slots: u64) {
         self.inner.skip_quiet(slots);
     }
