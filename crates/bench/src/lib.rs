@@ -10,8 +10,8 @@
 //! cargo run --release -p sinr-bench --bin experiments -- e1 e3 --quick
 //! ```
 //!
-//! Criterion wall-time benches for the underlying machinery live in
-//! `benches/`.
+//! The one bench target, `benches/resolver.rs`, times the SINR model with
+//! its grid off and on and writes `BENCH_resolver.json`.
 
 pub mod experiments;
 pub mod obs;

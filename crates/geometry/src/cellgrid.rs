@@ -235,11 +235,6 @@ impl CellGrid {
         self.node_cell[id]
     }
 
-    /// Flat home-cell slice for the whole bound point set, id-indexed.
-    pub fn node_cells(&self) -> &[u32] {
-        &self.node_cell
-    }
-
     /// Integer cell coordinates `(cx, cy)` of a dense cell index.
     pub fn cell_coords(&self, cell: u32) -> (i64, i64) {
         let c = cell as i64;

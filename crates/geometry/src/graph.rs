@@ -240,9 +240,6 @@ impl UnitDiskGraph {
     }
 
     /// Rebuilds the graph with a different radius over the same positions.
-    ///
-    /// Used by the distance-`d` coloring construction, which runs the
-    /// algorithm on `G^d = (V, E', d·R_T)` (§V).
     pub fn with_radius(&self, radius: f64) -> UnitDiskGraph {
         UnitDiskGraph::new(self.positions.clone(), radius)
     }

@@ -5,7 +5,6 @@
 //! hence controllable maximum degree Δ). All generators are deterministic in
 //! their `seed`.
 
-use crate::bbox::Bbox;
 use crate::point::Point;
 use sinr_rng::rngs::StdRng;
 use sinr_rng::{Rng, SeedableRng};
@@ -38,14 +37,6 @@ pub fn uniform(n: usize, width: f64, height: f64, seed: u64) -> Vec<Point> {
                 rng.random_range(0.0..=height),
             )
         })
-        .collect()
-}
-
-/// `n` points drawn uniformly inside `area`.
-pub fn uniform_in(n: usize, area: Bbox, seed: u64) -> Vec<Point> {
-    uniform(n, area.width(), area.height(), seed)
-        .into_iter()
-        .map(|p| p + area.min())
         .collect()
 }
 
@@ -135,48 +126,6 @@ pub fn line(n: usize, step: f64, jitter: f64, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// Poisson-disk (blue-noise) sampling via dart throwing: up to `max_n`
-/// points in `[0, width] × [0, height]`, pairwise more than
-/// `min_separation` apart.
-///
-/// Produces the "spread out but irregular" deployments typical of planned
-/// sensor fields; by construction the result is an independent set at
-/// radius `min_separation`, so it also serves as a packing witness in
-/// tests. Stops early when `max_attempts` consecutive darts fail.
-///
-/// # Panics
-///
-/// Panics if `min_separation` is not positive/finite.
-pub fn poisson_disk(
-    max_n: usize,
-    width: f64,
-    height: f64,
-    min_separation: f64,
-    seed: u64,
-) -> Vec<Point> {
-    assert!(
-        min_separation.is_finite() && min_separation > 0.0,
-        "separation must be positive"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pts: Vec<Point> = Vec::new();
-    let max_attempts = 64 * max_n.max(1);
-    let mut failures = 0usize;
-    while pts.len() < max_n && failures < max_attempts {
-        let cand = Point::new(
-            rng.random_range(0.0..=width),
-            rng.random_range(0.0..=height),
-        );
-        if pts.iter().all(|p| p.distance(cand) > min_separation) {
-            pts.push(cand);
-            failures = 0;
-        } else {
-            failures += 1;
-        }
-    }
-    pts
-}
-
 /// `n` points uniform in a square sized so that the *expected* number of
 /// points within distance `r_t` of a point is `target_degree`.
 ///
@@ -202,6 +151,7 @@ pub fn uniform_with_expected_degree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bbox::Bbox;
     use crate::graph::UnitDiskGraph;
 
     #[test]
@@ -216,13 +166,6 @@ mod tests {
     fn uniform_is_deterministic_and_seed_sensitive() {
         assert_eq!(uniform(50, 1.0, 1.0, 9), uniform(50, 1.0, 1.0, 9));
         assert_ne!(uniform(50, 1.0, 1.0, 9), uniform(50, 1.0, 1.0, 10));
-    }
-
-    #[test]
-    fn uniform_in_offsets_into_area() {
-        let area = Bbox::new(10.0, 20.0, 12.0, 21.0);
-        let pts = uniform_in(100, area, 3);
-        assert!(pts.iter().all(|&p| area.contains(p)));
     }
 
     #[test]
@@ -267,27 +210,6 @@ mod tests {
             assert_eq!(p.x, i as f64 * 0.5);
             assert!(p.y.abs() <= 0.1);
         }
-    }
-
-    #[test]
-    fn poisson_disk_respects_separation() {
-        let pts = poisson_disk(100, 10.0, 10.0, 0.8, 7);
-        assert!(!pts.is_empty());
-        for (i, a) in pts.iter().enumerate() {
-            for b in &pts[i + 1..] {
-                assert!(a.distance(*b) > 0.8);
-            }
-        }
-        // Determinism.
-        assert_eq!(pts, poisson_disk(100, 10.0, 10.0, 0.8, 7));
-    }
-
-    #[test]
-    fn poisson_disk_saturates_small_areas() {
-        // A 1x1 box cannot hold 50 points at separation 0.9; the sampler
-        // must stop early rather than loop forever.
-        let pts = poisson_disk(50, 1.0, 1.0, 0.9, 3);
-        assert!(pts.len() < 10);
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Euclidean norm of the point seen as a vector from the origin.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.distance(Point::ORIGIN)
-    }
-
     /// Midpoint of the segment `[self, other]`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {

@@ -37,7 +37,6 @@
 
 pub mod aloha;
 pub mod guard;
-pub mod localcast;
 pub mod mp;
 pub mod srs;
 pub mod tdma;

@@ -279,7 +279,10 @@ pub fn simulate_general_unicast<A: GeneralAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mp::{run_uniform_ideal, BfsLayers, EchoDegrees, Flooding, MaxIdElection};
+    use crate::mp::{
+        run_general_ideal, run_uniform_ideal, BfsLayers, Convergecast, EchoDegrees, Flooding,
+        MaxIdElection,
+    };
     use sinr_coloring::distance_d::color_at_distance;
     use sinr_geometry::{placement, Point};
     use sinr_radiosim::WakeupSchedule;
@@ -387,6 +390,37 @@ mod tests {
         // Unicast pays more slots: one frame per pending message index
         // (Δ frames per round) vs one frame per round.
         assert!(run_b.slots >= run_a.slots);
+    }
+
+    #[test]
+    fn srs_general_simulators_match_the_ideal_convergecast() {
+        for seed in [6, 9, 13] {
+            let pts = placement::uniform(40, 3.0, 3.0, seed);
+            let g = UnitDiskGraph::new(pts.clone(), cfg().r_t());
+            let schedule = guarded_schedule(&pts);
+            let values: Vec<u64> = (0..g.len()).map(|v| v as u64 + 1).collect();
+            let mut ideal = Convergecast::build_tree(&g, 0, &values);
+            let ideal_run = run_general_ideal(&g, &mut ideal, 100);
+            assert!(ideal_run.all_done, "seed {seed}");
+            let mut bundled = Convergecast::build_tree(&g, 0, &values);
+            let run_b = simulate_general_bundled(&g, &cfg(), &schedule, &mut bundled, 100);
+            let mut unicast = Convergecast::build_tree(&g, 0, &values);
+            let run_u = simulate_general_unicast(&g, &cfg(), &schedule, &mut unicast, 100);
+            for (run, nodes) in [(run_b, &bundled), (run_u, &unicast)] {
+                assert!(run.all_done && run.is_faithful(), "seed {seed}: {run:?}");
+                assert_eq!(
+                    run.rounds, ideal_run.rounds,
+                    "seed {seed}: lock-step rounds"
+                );
+                for v in 0..g.len() {
+                    assert_eq!(
+                        nodes[v].aggregate(),
+                        ideal[v].aggregate(),
+                        "seed {seed}, node {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

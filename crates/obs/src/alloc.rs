@@ -137,11 +137,6 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
-/// Live heap bytes across the whole process (0 without [`CountingAlloc`]).
-pub fn heap_current() -> u64 {
-    HEAP_CURRENT.load(Ordering::Relaxed)
-}
-
 /// Heap high-water mark in bytes across the whole process.
 pub fn heap_peak() -> u64 {
     HEAP_PEAK.load(Ordering::Relaxed)

@@ -106,11 +106,6 @@ impl FullRecorder {
         &self.registry
     }
 
-    /// Mutable access to the metrics (for sinks layered on top).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// The retained events, oldest → newest.
     pub fn events(&self) -> impl Iterator<Item = &(u64, ObsEvent)> {
         self.ring.iter()

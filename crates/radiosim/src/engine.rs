@@ -327,12 +327,6 @@ impl EngineAllocProfile {
         hot.truncate(n);
         hot
     }
-
-    /// Sum of the phase-attributed allocation counts (actions + resolve +
-    /// delivery).
-    pub fn phase_allocs(&self) -> u64 {
-        self.actions.allocs + self.resolve.allocs + self.delivery.allocs
-    }
 }
 
 /// Result of [`Simulator::run`].

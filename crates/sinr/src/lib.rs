@@ -47,11 +47,9 @@ pub mod fading;
 pub mod interference;
 mod kernel;
 pub mod model;
-pub mod power;
 pub mod resolver;
 
 pub use config::SinrConfig;
 pub use fading::FadingSinrModel;
 pub use model::{GraphModel, IdealModel, InterferenceModel, ReceptionTable, TxDelta};
-pub use power::{NonUniformSinrModel, PowerAssignment};
 pub use resolver::{FastSinrModel, ResolverStats, SinrModel};

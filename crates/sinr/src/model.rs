@@ -31,19 +31,11 @@ impl ReceptionTable {
         self.pairs.clear();
     }
 
-    /// Takes the pair buffer out, leaving the table empty. Paired with
-    /// [`ReceptionTable::set_pairs`], this lets a resolver fill a
-    /// caller-owned table in place without allocating a fresh `Vec` per
-    /// slot (see [`InterferenceModel::resolve_delta_into`]).
+    /// Takes the pair buffer out, leaving the table empty, so a resolver
+    /// can fill a caller-owned table in place without allocating a fresh
+    /// `Vec` per slot (see [`InterferenceModel::resolve_delta_into`]).
     pub fn take_pairs(&mut self) -> Vec<(NodeId, NodeId)> {
         std::mem::take(&mut self.pairs)
-    }
-
-    /// Replaces the table contents with `pairs` (sorts them — the same
-    /// contract as [`ReceptionTable::from_pairs`]).
-    pub fn set_pairs(&mut self, mut pairs: Vec<(NodeId, NodeId)>) {
-        pairs.sort_unstable();
-        self.pairs = pairs;
     }
 
     /// Builds a table from pairs already sorted by receiver, as the exact

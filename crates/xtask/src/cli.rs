@@ -286,10 +286,10 @@ mod tests {
     #[test]
     fn sibling_candidates_cover_both_module_layouts() {
         assert_eq!(
-            sibling_candidates("crates/mac/src/localcast.rs", "harness"),
+            sibling_candidates("crates/mac/src/srs.rs", "harness"),
             vec![
-                "crates/mac/src/localcast/harness.rs".to_string(),
-                "crates/mac/src/localcast/harness/mod.rs".to_string(),
+                "crates/mac/src/srs/harness.rs".to_string(),
+                "crates/mac/src/srs/harness/mod.rs".to_string(),
             ]
         );
         assert_eq!(
