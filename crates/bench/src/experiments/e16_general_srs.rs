@@ -82,8 +82,8 @@ pub fn run(quick: bool) -> ExpReport {
     }
     report.note(
         "The unicast variant pays roughly a Δ-factor more slots per round \
-         (one frame per pending message) in exchange for constant-size \
-         payloads — exactly the message-size/time tradeoff Corollary 1 \
+         (Δ frames per round, one per addressed message) in exchange for \
+         constant-size payloads — exactly the message-size/time tradeoff Corollary 1 \
          states. The bit columns price it: bundled moves the Δ factor \
          from slots into per-message size (upper-bounded here at Δ \
          entries x (log n + s) bits), so total bandwidth is comparable \

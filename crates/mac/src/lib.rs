@@ -13,7 +13,14 @@
 //!   with round complexity `τ` can be simulated in the SINR model in
 //!   `O(Δ(log n + τ))` slots (general algorithms: one frame per round with
 //!   `O(sΔ log n)`-bit bundled messages, or `O(Δ²τ)` slots with small
-//!   messages). See [`srs`] and the sample algorithms in [`mp`].
+//!   messages, `Δ` frames per round). See [`srs`] and the sample
+//!   algorithms in [`mp`].
+//!
+//! The audit and the simulated rounds run on the slot engine
+//! ([`sinr_radiosim::Simulator`]): every node runs one TDMA node protocol
+//! that transmits in its own slot and parks in between, so the engine
+//! decides how each slot is resolved and delivered. The slotted-ALOHA
+//! baseline ([`aloha`]) keeps a loop of its own.
 //!
 //! # Example
 //!

@@ -1,24 +1,29 @@
 //! Single Round Simulation (SRS): executing message-passing algorithms in
 //! the SINR model over a TDMA schedule — the machinery behind Corollary 1.
 //!
-//! Each message-passing *round* is expanded into one TDMA *frame*: in its
-//! slot, every node with a pending round-message broadcasts it; after the
-//! frame, all nodes advance to the next round together. With a Theorem-3
-//! compliant schedule every delivery succeeds, so the simulation is a
-//! faithful lock-step execution using `τ · V` slots (`V = O(Δ)` colors ⇒
-//! `O(Δτ)` slots, plus the `O(Δ log n)` coloring setup = Corollary 1).
+//! Each message-passing *round* is expanded into TDMA *frames* and run on
+//! the slot engine ([`Simulator`]): every node runs a TDMA node protocol
+//! that, in frame `f` of a round, transmits its `f`-th packet of the round
+//! in its own slot, and after the round's last slot hands the round's
+//! messages to its algorithm. Uniform and bundled rounds take one frame;
+//! unicast rounds take `max(Δ, 1)` frames, one per addressed message. With
+//! a Theorem-3 compliant schedule every delivery succeeds, so the
+//! simulation is a faithful lock-step execution using `τ · V` slots
+//! (`V = O(Δ)` colors ⇒ `O(Δτ)` slots, plus the `O(Δ log n)` coloring
+//! setup = Corollary 1).
 
 use crate::mp::{GeneralAlgorithm, UniformAlgorithm};
 use crate::tdma::TdmaSchedule;
 use sinr_geometry::{NodeId, UnitDiskGraph};
-use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::{SinrConfig, SinrModel};
+use sinr_radiosim::{Action, NodeCtx, Protocol, Quiet, Simulator, SlotRng, WakeupSchedule};
 
 /// Statistics from an SRS execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrsRun {
     /// Message-passing rounds executed.
     pub rounds: usize,
-    /// SINR slots consumed (`rounds × frame_len`).
+    /// SINR slots consumed (`rounds × frames × frame_len`).
     pub slots: u64,
     /// Point-to-point deliveries the ideal channel would have made.
     pub deliveries_expected: u64,
@@ -41,13 +46,15 @@ impl SrsRun {
     }
 }
 
-/// Simulates a *uniform* algorithm in the SINR model over `schedule`.
+/// Simulates a *uniform* algorithm in the SINR model over `schedule`,
+/// one frame per round.
 ///
 /// Runs until all nodes are done or `max_rounds` rounds elapse.
 ///
 /// # Panics
 ///
-/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`.
+/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, or
+/// the graph radius does not match `cfg.r_t()`.
 pub fn simulate_uniform<A: UniformAlgorithm>(
     g: &UnitDiskGraph,
     cfg: &SinrConfig,
@@ -55,61 +62,9 @@ pub fn simulate_uniform<A: UniformAlgorithm>(
     nodes: &mut [A],
     max_rounds: usize,
 ) -> SrsRun {
-    assert_eq!(nodes.len(), g.len(), "one algorithm instance per node");
-    assert_eq!(schedule.len(), g.len(), "schedule must cover every node");
-    let model = SinrModel::new(*cfg);
-    let mut run = SrsRun {
-        rounds: 0,
-        slots: 0,
-        deliveries_expected: 0,
-        deliveries_made: 0,
-        transmissions: 0,
-        all_done: false,
-    };
-
-    for round in 0..max_rounds {
-        if nodes.iter().all(|n| n.is_done()) {
-            run.all_done = true;
-            return run;
-        }
-        run.rounds = round + 1;
-        // Collect this round's broadcasts.
-        let outgoing: Vec<Option<A::Msg>> = nodes.iter_mut().map(|n| n.send(round)).collect();
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.len()];
-
-        // One TDMA frame: slot t carries the senders colored t.
-        for t in 0..schedule.frame_len() {
-            run.slots += 1;
-            let tx: Vec<NodeId> = schedule
-                .transmitters_in(t)
-                .into_iter()
-                .filter(|&v| outgoing[v].is_some())
-                .collect();
-            if tx.is_empty() {
-                continue;
-            }
-            run.transmissions += tx.len() as u64;
-            for &v in &tx {
-                run.deliveries_expected += g.degree(v) as u64;
-            }
-            let table = model.resolve(g, &tx);
-            for (receiver, sender) in table.iter() {
-                let msg = outgoing[sender]
-                    .as_ref()
-                    .expect("scheduled sender has a message")
-                    .clone();
-                inboxes[receiver].push((sender, msg));
-                run.deliveries_made += 1;
-            }
-        }
-
-        for v in 0..g.len() {
-            inboxes[v].sort_unstable_by_key(|&(s, _)| s);
-            nodes[v].receive(round, &inboxes[v]);
-        }
-    }
-    run.all_done = nodes.iter().all(|n| n.is_done());
-    run
+    run_tdma(g, cfg, schedule, 1, nodes, max_rounds, |alg, v| {
+        Uniform(alg, g.degree(v) as u64)
+    })
 }
 
 /// Simulates a *general* algorithm by bundling all per-neighbor messages
@@ -119,8 +74,9 @@ pub fn simulate_uniform<A: UniformAlgorithm>(
 ///
 /// # Panics
 ///
-/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, or
-/// an algorithm sends to a non-neighbor.
+/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, the
+/// graph radius does not match `cfg.r_t()`, or an algorithm sends to a
+/// non-neighbor.
 pub fn simulate_general_bundled<A: GeneralAlgorithm>(
     g: &UnitDiskGraph,
     cfg: &SinrConfig,
@@ -128,80 +84,22 @@ pub fn simulate_general_bundled<A: GeneralAlgorithm>(
     nodes: &mut [A],
     max_rounds: usize,
 ) -> SrsRun {
-    assert_eq!(nodes.len(), g.len(), "one algorithm instance per node");
-    assert_eq!(schedule.len(), g.len(), "schedule must cover every node");
-    let model = SinrModel::new(*cfg);
-    let mut run = SrsRun {
-        rounds: 0,
-        slots: 0,
-        deliveries_expected: 0,
-        deliveries_made: 0,
-        transmissions: 0,
-        all_done: false,
-    };
-
-    for round in 0..max_rounds {
-        if nodes.iter().all(|n| n.is_done()) {
-            run.all_done = true;
-            return run;
-        }
-        run.rounds = round + 1;
-        // The bundle is the full addressed list; the radio broadcasts it.
-        let bundles: Vec<Vec<(NodeId, A::Msg)>> = nodes.iter_mut().map(|n| n.send(round)).collect();
-        for (sender, bundle) in bundles.iter().enumerate() {
-            for &(to, _) in bundle {
-                assert!(
-                    g.are_adjacent(sender, to),
-                    "node {sender} sent to non-neighbor {to}"
-                );
-            }
-        }
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.len()];
-
-        for t in 0..schedule.frame_len() {
-            run.slots += 1;
-            let tx: Vec<NodeId> = schedule
-                .transmitters_in(t)
-                .into_iter()
-                .filter(|&v| !bundles[v].is_empty())
-                .collect();
-            if tx.is_empty() {
-                continue;
-            }
-            run.transmissions += tx.len() as u64;
-            for &v in &tx {
-                run.deliveries_expected += bundles[v].len() as u64;
-            }
-            let table = model.resolve(g, &tx);
-            for (receiver, sender) in table.iter() {
-                // The receiver decodes the whole bundle and keeps its part.
-                for &(to, ref msg) in &bundles[sender] {
-                    if to == receiver {
-                        inboxes[receiver].push((sender, msg.clone()));
-                        run.deliveries_made += 1;
-                    }
-                }
-            }
-        }
-
-        for v in 0..g.len() {
-            inboxes[v].sort_unstable_by_key(|&(s, _)| s);
-            nodes[v].receive(round, &inboxes[v]);
-        }
-    }
-    run.all_done = nodes.iter().all(|n| n.is_done());
-    run
+    run_tdma(g, cfg, schedule, 1, nodes, max_rounds, |alg, v| {
+        General(alg, g, v)
+    })
 }
 
 /// Simulates a *general* algorithm with per-neighbor *unicast* slots: each
-/// round uses as many TDMA frames as the longest pending list (≤ Δ),
-/// sending one small addressed message per frame — the `O(Δ²τ)`-time,
-/// `O(s log n)`-bit variant of Corollary 1.
+/// round spends `max(Δ, 1)` TDMA frames, and in frame `f` a node sends its
+/// `f`-th addressed message of the round, one small message per frame —
+/// the `O(Δ²τ)`-time, `O(s log n)`-bit variant of Corollary 1. A node that
+/// addresses more than `Δ` messages in one round sends several in a frame.
 ///
 /// # Panics
 ///
-/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, or
-/// an algorithm sends to a non-neighbor.
+/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, the
+/// graph radius does not match `cfg.r_t()`, or an algorithm sends to a
+/// non-neighbor.
 pub fn simulate_general_unicast<A: GeneralAlgorithm>(
     g: &UnitDiskGraph,
     cfg: &SinrConfig,
@@ -209,71 +107,258 @@ pub fn simulate_general_unicast<A: GeneralAlgorithm>(
     nodes: &mut [A],
     max_rounds: usize,
 ) -> SrsRun {
+    let frames = g.max_degree().max(1);
+    run_tdma(g, cfg, schedule, frames, nodes, max_rounds, |alg, v| {
+        General(alg, g, v)
+    })
+}
+
+/// Runs `nodes` on the slot engine, one [`TdmaNode`] per node of `g`:
+/// rounds of `frames` frames of `schedule`, at most `max_rounds` of them,
+/// until every node is done. `wrap(alg, v)` makes node `v`'s algorithm a
+/// [`Rounds`].
+///
+/// # Panics
+///
+/// Panics if `nodes`/`schedule` do not cover exactly the nodes of `g`, or
+/// the graph radius does not match `cfg.r_t()`.
+fn run_tdma<'a, A, R: Rounds>(
+    g: &UnitDiskGraph,
+    cfg: &SinrConfig,
+    schedule: &TdmaSchedule,
+    frames: usize,
+    nodes: &'a mut [A],
+    max_rounds: usize,
+    wrap: impl Fn(&'a mut A, NodeId) -> R,
+) -> SrsRun {
     assert_eq!(nodes.len(), g.len(), "one algorithm instance per node");
     assert_eq!(schedule.len(), g.len(), "schedule must cover every node");
+    let r_t = cfg.r_t();
+    assert!(
+        (g.radius() - r_t).abs() <= 1e-9 * r_t,
+        "graph radius {} does not match R_T {r_t}",
+        g.radius()
+    );
+    let frame_len = schedule.frame_len() as u64;
+    let round_len = frames as u64 * frame_len;
+    let mut rest = nodes;
     let model = SinrModel::new(*cfg);
-    let mut run = SrsRun {
-        rounds: 0,
-        slots: 0,
-        deliveries_expected: 0,
-        deliveries_made: 0,
-        transmissions: 0,
-        all_done: false,
-    };
-
-    for round in 0..max_rounds {
-        if nodes.iter().all(|n| n.is_done()) {
-            run.all_done = true;
-            return run;
+    let mut sim = Simulator::new(g.clone(), model, WakeupSchedule::Synchronous, 0, |v| {
+        // The engine makes its nodes in ascending id order.
+        let (alg, tail) = std::mem::take(&mut rest).split_at_mut(1);
+        rest = tail;
+        let alg = wrap(&mut alg[0], v);
+        TdmaNode {
+            done: alg.is_done(),
+            alg,
+            slot: schedule.slot_of(v) as u64,
+            frame_len,
+            frames,
+            round: 0,
+            sent: false,
+            packets: Vec::new(),
+            inbox: Vec::new(),
+            quiet: 0,
+            owed: 0,
+            kept: 0,
         }
-        run.rounds = round + 1;
-        let mut pending: Vec<Vec<(NodeId, A::Msg)>> =
-            nodes.iter_mut().map(|n| n.send(round)).collect();
-        for (sender, list) in pending.iter().enumerate() {
-            for &(to, _) in list {
-                assert!(
-                    g.are_adjacent(sender, to),
-                    "node {sender} sent to non-neighbor {to}"
-                );
-            }
-            run.deliveries_expected += list.len() as u64;
-        }
-        let mut inboxes: Vec<Vec<(NodeId, A::Msg)>> = vec![Vec::new(); g.len()];
+    });
+    // The engine runs its first slot even when every node starts done.
+    let started_done = sim.nodes().iter().all(|n| n.done);
+    let cap = (max_rounds as u64).saturating_mul(round_len);
+    let outcome = sim.run(if started_done { 0 } else { cap });
+    let tdma = sim.nodes();
+    SrsRun {
+        // Every node ends the same rounds, and there is at least one.
+        rounds: tdma[0].round,
+        slots: outcome.slots,
+        deliveries_expected: tdma.iter().map(|n| n.owed).sum(),
+        deliveries_made: tdma.iter().map(|n| n.kept).sum(),
+        transmissions: sim.stats().transmissions,
+        all_done: started_done || outcome.all_done,
+    }
+}
 
-        // Sub-rounds: one frame per pending message index.
-        while pending.iter().any(|l| !l.is_empty()) {
-            for t in 0..schedule.frame_len() {
-                run.slots += 1;
-                let tx: Vec<NodeId> = schedule
-                    .transmitters_in(t)
-                    .into_iter()
-                    .filter(|&v| !pending[v].is_empty())
-                    .collect();
-                if tx.is_empty() {
-                    continue;
-                }
-                run.transmissions += tx.len() as u64;
-                let table = model.resolve(g, &tx);
-                for &v in &tx {
-                    // The head-of-line message is transmitted and consumed
-                    // whether or not it got through (senders have no
-                    // feedback channel; Theorem-3 schedules never lose it).
-                    let (to, msg) = pending[v].remove(0);
-                    if table.heard_by(to).iter().any(|&(_, s)| s == v) {
-                        inboxes[to].push((v, msg));
-                        run.deliveries_made += 1;
-                    }
-                }
-            }
-        }
+/// A round-based algorithm as a [`TdmaNode`] runs it.
+trait Rounds {
+    /// What one transmission carries.
+    type Packet: Clone;
+    /// What the algorithm receives.
+    type Msg;
+    /// Pushes the packets of `round` onto `out`, at most one per frame of
+    /// the round's `frames`, and returns the deliveries they owe.
+    fn send(&mut self, round: usize, frames: usize, out: &mut Vec<Self::Packet>) -> u64;
+    /// Pushes what this node keeps of `packet` from `sender` onto `inbox`.
+    fn keep(&self, sender: NodeId, packet: &Self::Packet, inbox: &mut Vec<(NodeId, Self::Msg)>);
+    /// The algorithm's `receive`.
+    fn receive(&mut self, round: usize, inbox: &[(NodeId, Self::Msg)]);
+    /// The algorithm's `is_done`.
+    fn is_done(&self) -> bool;
+}
 
-        for v in 0..g.len() {
-            inboxes[v].sort_unstable_by_key(|&(s, _)| s);
-            nodes[v].receive(round, &inboxes[v]);
+/// A uniform algorithm and its node's degree: its message, if any, is one
+/// packet owed to every neighbor.
+struct Uniform<'a, A>(&'a mut A, u64);
+
+impl<A: UniformAlgorithm> Rounds for Uniform<'_, A> {
+    type Packet = A::Msg;
+    type Msg = A::Msg;
+
+    fn send(&mut self, round: usize, _frames: usize, out: &mut Vec<A::Msg>) -> u64 {
+        out.extend(self.0.send(round));
+        self.1 * out.len() as u64
+    }
+
+    fn keep(&self, sender: NodeId, packet: &A::Msg, inbox: &mut Vec<(NodeId, A::Msg)>) {
+        inbox.push((sender, packet.clone()));
+    }
+
+    fn receive(&mut self, round: usize, inbox: &[(NodeId, A::Msg)]) {
+        self.0.receive(round, inbox);
+    }
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+}
+
+/// A general algorithm, its graph and its node: each addressed message
+/// owes one delivery, and a receiver keeps the messages addressed to it.
+struct General<'a, A>(&'a mut A, &'a UnitDiskGraph, NodeId);
+
+impl<A: GeneralAlgorithm> Rounds for General<'_, A> {
+    type Packet = Vec<(NodeId, A::Msg)>;
+    type Msg = A::Msg;
+
+    fn send(&mut self, round: usize, frames: usize, out: &mut Vec<Self::Packet>) -> u64 {
+        let General(alg, g, me) = self;
+        let list = alg.send(round);
+        for &(to, _) in &list {
+            assert!(
+                g.are_adjacent(*me, to),
+                "node {me} sent to non-neighbor {to}"
+            );
+        }
+        // One packet a frame: the whole list in a bundled round of one
+        // frame, one message each in a unicast round of Δ frames.
+        let per_packet = list.len().div_ceil(frames).max(1);
+        out.extend(list.chunks(per_packet).map(<[_]>::to_vec));
+        list.len() as u64
+    }
+
+    fn keep(&self, sender: NodeId, packet: &Self::Packet, inbox: &mut Vec<(NodeId, A::Msg)>) {
+        let me = self.2;
+        let mine = packet.iter().filter(|&&(to, _)| to == me);
+        inbox.extend(mine.map(|(_, msg)| (sender, msg.clone())));
+    }
+
+    fn receive(&mut self, round: usize, inbox: &[(NodeId, A::Msg)]) {
+        self.0.receive(round, inbox);
+    }
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+}
+
+/// One node of a TDMA execution: in frame `f` of a round it transmits the
+/// round's `f`-th packet in its own slot, and after the round's last slot
+/// it hands the round's messages, sorted by sender, to its algorithm.
+///
+/// It must run only in its own slots and in the round's last slot, so in
+/// between it parks on a coin of 0, which draws nothing, and absorbs what
+/// it hears: the engine skips it until it is due. It queues a round's
+/// packets at its first callback in the round, which the engine reaches
+/// only while some node is not done, and its `is_done` answer changes
+/// only at a round's end, so the engine stops at a round's start.
+struct TdmaNode<R: Rounds> {
+    alg: R,
+    /// The node's slot in a frame, a frame's length, and a round's frames.
+    slot: u64,
+    frame_len: u64,
+    frames: usize,
+    /// The round in progress, and whether its packets are queued.
+    round: usize,
+    sent: bool,
+    /// The round's packets not yet transmitted, the next one last.
+    packets: Vec<R::Packet>,
+    inbox: Vec<(NodeId, R::Msg)>,
+    /// Quiet slots before the next slot the node must run.
+    quiet: u64,
+    /// The algorithm's `is_done` as of the last round's end.
+    done: bool,
+    /// Deliveries its packets owed, and messages it kept.
+    owed: u64,
+    kept: u64,
+}
+
+impl<R: Rounds> TdmaNode<R> {
+    /// Queues the round's packets, once per round.
+    fn start_round(&mut self) {
+        if !self.sent {
+            self.sent = true;
+            self.packets.clear();
+            self.owed += self.alg.send(self.round, self.frames, &mut self.packets);
+            self.packets.reverse();
         }
     }
-    run.all_done = nodes.iter().all(|n| n.is_done());
-    run
+}
+
+impl<R: Rounds> Protocol for TdmaNode<R> {
+    type Message = R::Packet;
+
+    fn begin_slot<G: SlotRng + ?Sized>(
+        &mut self,
+        ctx: &NodeCtx,
+        _rng: &mut G,
+    ) -> Action<R::Packet> {
+        self.start_round();
+        if ctx.global_slot % self.frame_len != self.slot {
+            return Action::Listen;
+        }
+        self.packets.pop().map_or(Action::Listen, Action::Transmit)
+    }
+
+    fn end_slot(&mut self, ctx: &NodeCtx, received: &[(NodeId, R::Packet)]) {
+        for (sender, packet) in received {
+            self.alg.keep(*sender, packet, &mut self.inbox);
+        }
+        let t = ctx.global_slot;
+        let round_len = self.frames as u64 * self.frame_len;
+        let last = t - t % round_len + round_len - 1;
+        if t == last {
+            // The reference loops' unstable sort, so that messages from
+            // one sender keep the same order as there.
+            self.inbox.sort_unstable_by_key(|&(s, _)| s);
+            self.alg.receive(self.round, &self.inbox);
+            self.kept += self.inbox.len() as u64;
+            self.inbox.clear();
+            self.done = self.alg.is_done();
+            self.round += 1;
+            self.sent = false;
+        }
+        // Due at its next own slot, or at the round's last slot before it.
+        let frame = t / self.frame_len + u64::from(t % self.frame_len >= self.slot);
+        let own = frame * self.frame_len + self.slot;
+        self.quiet = if t == last { own } else { own.min(last) } - t - 1;
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn quiet(&self) -> Option<Quiet> {
+        let slots = self.quiet;
+        Some(Quiet { coin: 0.0, slots })
+    }
+
+    /// A quiet slot's listen: the round starts if it has not, and the
+    /// messages are kept.
+    fn absorb(&mut self, ctx: &NodeCtx, _lag: u64, received: &[(NodeId, R::Packet)]) -> bool {
+        self.start_round();
+        self.end_slot(ctx, received);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -387,8 +472,8 @@ mod tests {
         for v in 0..g.len() {
             assert_eq!(a[v].received, b[v].received, "node {v}");
         }
-        // Unicast pays more slots: one frame per pending message index
-        // (Δ frames per round) vs one frame per round.
+        // Unicast pays more slots: Δ frames per round, one per addressed
+        // message, vs one frame per round.
         assert!(run_b.slots >= run_a.slots);
     }
 
@@ -406,6 +491,12 @@ mod tests {
             let run_b = simulate_general_bundled(&g, &cfg(), &schedule, &mut bundled, 100);
             let mut unicast = Convergecast::build_tree(&g, 0, &values);
             let run_u = simulate_general_unicast(&g, &cfg(), &schedule, &mut unicast, 100);
+            let frames = g.max_degree().max(1) as u64;
+            assert_eq!(
+                run_u.slots,
+                run_u.rounds as u64 * frames * schedule.frame_len() as u64,
+                "seed {seed}: every unicast round spends max(Δ, 1) frames"
+            );
             for (run, nodes) in [(run_b, &bundled), (run_u, &unicast)] {
                 assert!(run.all_done && run.is_faithful(), "seed {seed}: {run:?}");
                 assert_eq!(

@@ -1,7 +1,9 @@
 //! TDMA frames from colorings, and the SINR broadcast audit.
 
+use crate::mp::UniformAlgorithm;
+use crate::srs::simulate_uniform;
 use sinr_geometry::{NodeId, UnitDiskGraph};
-use sinr_model::{InterferenceModel, SinrConfig, SinrModel};
+use sinr_model::SinrConfig;
 use std::collections::BTreeMap;
 
 /// A TDMA schedule: each node owns one slot of a repeating frame,
@@ -62,13 +64,6 @@ impl TdmaSchedule {
     pub fn slot_of(&self, v: NodeId) -> usize {
         self.slot_of[v]
     }
-
-    /// All nodes transmitting in frame slot `t`, ascending.
-    pub fn transmitters_in(&self, t: usize) -> Vec<NodeId> {
-        (0..self.slot_of.len())
-            .filter(|&v| self.slot_of[v] == t)
-            .collect()
-    }
 }
 
 /// Result of driving one full TDMA frame through the SINR model with
@@ -119,6 +114,7 @@ impl BroadcastAudit {
 
 /// Runs one TDMA frame under the SINR model: in slot `t` all nodes with
 /// that slot transmit simultaneously; counts which neighbors decode them.
+/// The frame is one SRS round of a beacon that every node sends.
 ///
 /// Theorem 3: if the schedule came from a `(d+1, V)`-coloring with
 /// `d = (32·(α−1)/(α−2)·β)^{1/α}`, the audit reports 100% delivery.
@@ -132,42 +128,38 @@ pub fn broadcast_audit(
     cfg: &SinrConfig,
     schedule: &TdmaSchedule,
 ) -> BroadcastAudit {
-    assert_eq!(schedule.len(), g.len(), "schedule must cover every node");
-    let model = SinrModel::new(*cfg);
-    let mut links_attempted = 0u64;
-    let mut links_delivered = 0u64;
-    let mut full_broadcasts = 0usize;
-    let mut broadcasters = 0usize;
-
-    for t in 0..schedule.frame_len() {
-        let tx = schedule.transmitters_in(t);
-        if tx.is_empty() {
-            continue;
-        }
-        let table = model.resolve(g, &tx);
-        for &v in &tx {
-            let degree = g.degree(v) as u64;
-            if degree == 0 {
-                continue;
-            }
-            broadcasters += 1;
-            links_attempted += degree;
-            let delivered = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| table.heard_by(u).iter().any(|&(_, s)| s == v))
-                .count() as u64;
-            links_delivered += delivered;
-            if delivered == degree {
-                full_broadcasts += 1;
-            }
-        }
+    let mut beacons: Vec<Beacon> = (0..g.len()).map(|_| Beacon(Vec::new())).collect();
+    let run = simulate_uniform(g, cfg, schedule, &mut beacons, 1);
+    let mut heard = vec![0; g.len()];
+    for &sender in beacons.iter().flat_map(|b| &b.0) {
+        heard[sender] += 1;
     }
+    let broadcasters = (0..g.len()).filter(|&v| g.degree(v) > 0);
+    let full = broadcasters.clone().filter(|&v| heard[v] == g.degree(v));
     BroadcastAudit {
-        links_attempted,
-        links_delivered,
-        full_broadcasts,
-        broadcasters,
+        links_attempted: run.deliveries_expected,
+        links_delivered: run.deliveries_made,
+        full_broadcasts: full.count(),
+        broadcasters: broadcasters.count(),
+    }
+}
+
+/// Beacons in every round and records whom it heard.
+struct Beacon(Vec<NodeId>);
+
+impl UniformAlgorithm for Beacon {
+    type Msg = ();
+
+    fn send(&mut self, _round: usize) -> Option<()> {
+        Some(())
+    }
+
+    fn receive(&mut self, _round: usize, msgs: &[(NodeId, ())]) {
+        self.0.extend(msgs.iter().map(|&(sender, ())| sender));
+    }
+
+    fn is_done(&self) -> bool {
+        false
     }
 }
 
@@ -175,6 +167,7 @@ pub fn broadcast_audit(
 mod tests {
     use super::*;
     use sinr_geometry::{placement, Point};
+    use sinr_model::InterferenceModel;
 
     #[test]
     fn compaction_preserves_classes() {
@@ -183,9 +176,8 @@ mod tests {
         assert_eq!(s.slot_of(0), s.slot_of(2));
         assert_eq!(s.slot_of(1), s.slot_of(4));
         assert_ne!(s.slot_of(0), s.slot_of(3));
-        assert_eq!(s.transmitters_in(0), vec![0, 2]);
-        assert_eq!(s.transmitters_in(1), vec![1, 4]);
-        assert_eq!(s.transmitters_in(2), vec![3]);
+        let slots: Vec<usize> = (0..5).map(|v| s.slot_of(v)).collect();
+        assert_eq!(slots, vec![0, 1, 0, 2, 1]);
     }
 
     #[test]
@@ -294,6 +286,17 @@ mod tests {
         assert_eq!(reg.counter("probe.thm3.violations"), Some(2));
         let rate = reg.gauge("probe.thm3.link_success_rate").unwrap();
         assert!((rate - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match R_T")]
+    fn audit_rejects_a_graph_built_at_another_radius() {
+        // The links of a graph built at 2·R_T are longer than any SINR
+        // reception reaches: audited, they would read as lost.
+        let cfg = SinrConfig::default_unit();
+        let g = UnitDiskGraph::new(placement::uniform(40, 4.0, 4.0, 2), 2.0 * cfg.r_t());
+        let colors: Vec<usize> = (0..40).collect();
+        let _ = broadcast_audit(&g, &cfg, &TdmaSchedule::from_colors(&colors));
     }
 
     #[test]

@@ -74,7 +74,8 @@ fn the_tdma_512_coloring_and_frames_run_without_a_grid() {
     let model = SinrModel::new(cfg);
     for _ in 0..4 {
         for t in 0..schedule.frame_len() {
-            let _ = model.resolve(&g, &schedule.transmitters_in(t));
+            let tx: Vec<usize> = (0..g.len()).filter(|&v| schedule.slot_of(v) == t).collect();
+            let _ = model.resolve(&g, &tx);
         }
     }
     assert!(!built_grid(model.resolver_stats()));
